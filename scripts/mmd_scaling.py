@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from hmil.batching import build_batch
-from hmil.encoding import encode_document
 from hmil.model import ModelConfig, build_model, forward
 from hmil.verification import PLAIN_BAG, mmd_baseline
 
@@ -33,8 +32,7 @@ def main() -> None:
         y = rng.normal(0.5, 1.0, (n, 1))
         result = mmd_baseline(x, y, kernel_bandwidth=1.0)
 
-        docs = [encode_document([float(v) for v in x[:, 0]], PLAIN_BAG),
-                encode_document([float(v) for v in y[:, 0]], PLAIN_BAG)]
+        docs = [[float(v) for v in x[:, 0]], [float(v) for v in y[:, 0]]]
         started = time.perf_counter()
         forward(model, build_batch(docs, PLAIN_BAG))
         model_seconds = time.perf_counter() - started

@@ -1,10 +1,16 @@
-"""Ragged batching: pack encoded documents into flat per-node matrices.
+"""Ragged batches: a set of documents as flat per-node arrays.
+
+Documents are encoded once, straight into columns: ``encode_document``
+appends each valid document to the lists from ``new_columns``, and
+``finish_batch`` turns those lists into arrays.  A minibatch of an
+encoded corpus is then an index gather (``take``), not a re-encode.
 
 Variable-length bags never pad.  Each bag node gets an int64 offsets
 array of length parent_rows + 1; instances of bag i occupy rows
 offsets[i]:offsets[i+1] of the child matrices.  Each product node gets
 a presence matrix with one column per optional field (kept even at
-width zero so every node knows its row count).
+width zero so every node knows its row count).  An absent optional
+subtree still takes its rows: zero leaf rows, empty bags, flags 0.
 
 Node paths name positions in the schema tree: "$" at the root, ".name"
 steps into a product field, "[]" steps into a bag's element.
@@ -16,14 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoding import EncodingError, encode_document, leaf_width
 from .schema import Bag, Product, SchemaNode
-from .encoding import BagValue, EncodedDoc, LeafValue, ProductValue, leaf_width
 
-__all__ = ["RaggedBatch", "BatchError", "build_batch", "node_paths"]
-
-
-class BatchError(Exception):
-    pass
+__all__ = ["RaggedBatch", "build_batch", "new_columns", "finish_batch",
+           "take", "node_paths"]
 
 
 @dataclass
@@ -45,61 +48,80 @@ def node_paths(schema: SchemaNode, path: str = "$") -> list[tuple[str, SchemaNod
     return out
 
 
-def _walk(enc: EncodedDoc, node: SchemaNode, path: str, doc_index: int,
-          data_acc, off_acc, pres_acc) -> None:
-    if isinstance(node, Bag):
-        if not isinstance(enc, BagValue):
-            raise BatchError(
-                f"document {doc_index} does not match the schema at {path}")
-        off = off_acc[path]
-        off.append(off[-1] + len(enc.items))
-        for item in enc.items:
-            _walk(item, node.child, path + "[]", doc_index,
-                  data_acc, off_acc, pres_acc)
-    elif isinstance(node, Product):
-        if not isinstance(enc, ProductValue):
-            raise BatchError(
-                f"document {doc_index} does not match the schema at {path}")
-        pres_acc[path].append(
-            [enc.flags[f.name] for f in node.fields if f.optional])
-        for f in node.fields:
-            _walk(enc.children[f.name], f.schema, path + "." + f.name,
-                  doc_index, data_acc, off_acc, pres_acc)
-    else:
-        if not isinstance(enc, LeafValue):
-            raise BatchError(
-                f"document {doc_index} does not match the schema at {path}")
-        data_acc[path].append(enc.vector)
+def new_columns(schema: SchemaNode) -> dict[str, list]:
+    """Empty columns for ``encode_document``: per leaf a list of rows,
+    per bag running offsets starting at 0, per product flag rows."""
+    return {path: [0] if isinstance(node, Bag) else []
+            for path, node in node_paths(schema)}
 
 
-def build_batch(docs: list[EncodedDoc], schema: SchemaNode) -> RaggedBatch:
-    """Batch encoded documents.  Document order is preserved: batching
-    the concatenation of two lists yields, per node, the row-wise
-    concatenation of their batches with shifted offsets."""
-    paths = node_paths(schema)
-    data_acc: dict[str, list[np.ndarray]] = {}
-    off_acc: dict[str, list[int]] = {}
-    pres_acc: dict[str, list[list[float]]] = {}
-    widths: dict[str, int] = {}
-    n_opt: dict[str, int] = {}
-    for path, node in paths:
+def finish_batch(columns: dict[str, list], schema: SchemaNode) -> RaggedBatch:
+    """The batch of every document appended to ``columns``."""
+    data: dict[str, np.ndarray] = {}
+    offsets: dict[str, np.ndarray] = {}
+    presence: dict[str, np.ndarray] = {}
+    for path, node in node_paths(schema):
+        column = columns[path]
         if isinstance(node, Bag):
-            off_acc[path] = [0]
+            offsets[path] = np.asarray(column, dtype=np.int64)
         elif isinstance(node, Product):
-            pres_acc[path] = []
-            n_opt[path] = sum(1 for f in node.fields if f.optional)
+            n_optional = sum(1 for f in node.fields if f.optional)
+            presence[path] = np.asarray(column, dtype=np.float64).reshape(
+                len(column), n_optional)
         else:
-            data_acc[path] = []
-            widths[path] = leaf_width(node)
-
-    for i, enc in enumerate(docs):
-        _walk(enc, schema, "$", i, data_acc, off_acc, pres_acc)
-
-    data = {p: (np.vstack(vecs) if vecs else np.empty((0, widths[p])))
-            for p, vecs in data_acc.items()}
-    offsets = {p: np.asarray(off, dtype=np.int64)
-               for p, off in off_acc.items()}
-    presence = {p: (np.asarray(rows, dtype=np.float64).reshape(len(rows), n_opt[p]))
-                for p, rows in pres_acc.items()}
-    return RaggedBatch(batch_size=len(docs), data=data, offsets=offsets,
+            width = leaf_width(node)
+            data[path] = (np.concatenate(column).reshape(len(column), width)
+                          if column else np.empty((0, width)))
+    # a bag root's offsets hold one entry more than there are documents
+    root_rows = len(columns["$"]) - isinstance(schema, Bag)
+    return RaggedBatch(batch_size=root_rows, data=data, offsets=offsets,
                        presence=presence)
+
+
+def build_batch(docs: list, schema: SchemaNode) -> RaggedBatch:
+    """Encode raw JSON documents into one batch.  Document order is
+    preserved: batching the concatenation of two lists yields, per node,
+    the row-wise concatenation of their batches with shifted offsets.
+
+    Raises EncodingError, with ``index`` set to the document's position,
+    at the first document that does not fit the schema.
+    """
+    columns = new_columns(schema)
+    for i, doc in enumerate(docs):
+        try:
+            encode_document(doc, schema, columns)
+        except EncodingError as exc:
+            exc.index = i
+            raise
+    return finish_batch(columns, schema)
+
+
+def _take(batch: RaggedBatch, node: SchemaNode, path: str, rows: np.ndarray,
+          out: RaggedBatch) -> None:
+    if isinstance(node, Bag):
+        offsets = batch.offsets[path]
+        starts = offsets[rows]
+        lengths = offsets[rows + 1] - starts
+        new = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=new[1:])
+        out.offsets[path] = new
+        # gathered child row j of selected bag b is source row
+        # starts[b] + (j - new[b])
+        child_rows = (np.repeat(starts - new[:-1], lengths)
+                      + np.arange(new[-1], dtype=np.int64))
+        _take(batch, node.child, path + "[]", child_rows, out)
+    elif isinstance(node, Product):
+        out.presence[path] = batch.presence[path][rows]
+        for f in node.fields:
+            _take(batch, f.schema, path + "." + f.name, rows, out)
+    else:
+        out.data[path] = batch.data[path][rows]
+
+
+def take(batch: RaggedBatch, rows, schema: SchemaNode) -> RaggedBatch:
+    """The documents at ``rows`` (repeats allowed), in that order: equal,
+    array for array, to batching those documents afresh."""
+    rows = np.asarray(rows, dtype=np.int64)
+    out = RaggedBatch(batch_size=len(rows), data={}, offsets={}, presence={})
+    _take(batch, schema, "$", rows, out)
+    return out

@@ -20,29 +20,27 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
+from .batching import finish_batch, new_columns, node_paths
 from .encoding import EncodingError, encode_document
 from .model import (
     ModelConfig,
     ModelError,
     ModelLoadError,
     build_model,
+    forward,
     load_model,
     save_model,
 )
 from .schema import (
     DEFAULT_CATEGORICAL_THRESHOLD,
-    Bag,
-    CategoricalLeaf,
-    NumericLeaf,
     Product,
     SchemaConflict,
     SchemaError,
-    StringLeaf,
     dumps_schema,
     infer_schema,
     loads_schema,
 )
-from .training import TrainConfig, TrainingDiverged, predict_scores, train
+from .training import CHUNK_SIZE, TrainConfig, TrainingDiverged, train
 from .verification import SUITE_NAMES, run_suite, summarize_report
 
 EXIT_OK = 0
@@ -86,25 +84,10 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _node_counts(schema) -> dict[str, int]:
-    counts = {"numeric": 0, "string": 0, "categorical": 0,
-              "bag": 0, "product": 0}
-
-    def visit(node):
-        if isinstance(node, NumericLeaf):
-            counts["numeric"] += 1
-        elif isinstance(node, StringLeaf):
-            counts["string"] += 1
-        elif isinstance(node, CategoricalLeaf):
-            counts["categorical"] += 1
-        elif isinstance(node, Bag):
-            counts["bag"] += 1
-            visit(node.child)
-        elif isinstance(node, Product):
-            counts["product"] += 1
-            for f in node.fields:
-                visit(f.schema)
-
-    visit(schema)
+    counts = dict.fromkeys(
+        ("numeric", "string", "categorical", "bag", "product"), 0)
+    for _, node in node_paths(schema):
+        counts[node.kind] += 1
     return counts
 
 
@@ -205,8 +188,8 @@ def cmd_train(args) -> int:
         classes = None
         try:
             targets = np.array([[float(v)] for v in raw_labels])
-        except (TypeError, ValueError):
-            raise CliError("mse loss needs numeric labels")
+        except (TypeError, ValueError, OverflowError):
+            raise CliError("mse loss needs numeric labels within float range")
         model_kw.setdefault("output_dim", 1)
 
     try:
@@ -215,16 +198,12 @@ def cmd_train(args) -> int:
     except (ModelError, ValueError) as exc:
         raise CliError(str(exc))
 
-    docs = []
-    for number, doc in stripped:
-        try:
-            docs.append(encode_document(doc, schema))
-        except EncodingError as exc:
-            raise CliError(f"{args.train}:{number}: {exc}")
-
     model = build_model(schema, model_config)
     try:
-        report = train(model, docs, targets, train_config)
+        report = train(model, [doc for _, doc in stripped], targets,
+                       train_config)
+    except EncodingError as exc:
+        raise CliError(f"{args.train}:{stripped[exc.index][0]}: {exc}")
     except TrainingDiverged as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -237,7 +216,7 @@ def cmd_train(args) -> int:
         raise CliError(f"cannot write {args.output}: {exc.strerror}")
 
     report_path = args.report or args.output + ".report.json"
-    payload = {"n_documents": len(docs),
+    payload = {"n_documents": len(stripped),
                "label_field": args.label_field,
                "classes": classes,
                "model_config": asdict(model_config),
@@ -247,9 +226,24 @@ def cmd_train(args) -> int:
                "epoch_metric": report.epoch_metric}
     _write_text(report_path,
                 json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    print(f"trained on {len(docs)} documents for {train_config.epochs} "
+    print(f"trained on {len(stripped)} documents for {train_config.epochs} "
           f"epochs; wrote {args.output} and {report_path}")
     return EXIT_OK
+
+
+def _score_chunk(model, columns, slots: list[int],
+                 records: list[dict | None], classes) -> None:
+    """Score the documents encoded in ``columns`` into their record slots."""
+    scores = forward(model, finish_batch(columns, model.schema)).data
+    for slot, row in zip(slots, scores):
+        listed = [float(v) for v in row]
+        if classes is not None:
+            prediction = classes[int(np.argmax(row))]
+        elif len(listed) == 1:
+            prediction = listed[0]
+        else:
+            prediction = int(np.argmax(row))
+        records[slot] = {"prediction": prediction, "scores": listed}
 
 
 def cmd_predict(args) -> int:
@@ -261,7 +255,8 @@ def cmd_predict(args) -> int:
     classes = extra.get("classes")
 
     records: list[dict | None] = []
-    pending: list[tuple[int, object]] = []
+    columns = new_columns(model.schema)
+    slots: list[int] = []  # records of the documents encoded in columns
     failed = False
     try:
         fh = open(args.input, "r", encoding="utf-8")
@@ -281,25 +276,18 @@ def cmd_predict(args) -> int:
             if isinstance(doc, dict) and label_field in doc:
                 doc = {k: v for k, v in doc.items() if k != label_field}
             try:
-                encoded = encode_document(doc, model.schema)
+                encode_document(doc, model.schema, columns)
             except EncodingError as exc:
                 records.append({"line": number, "error": str(exc)})
                 failed = True
                 continue
-            pending.append((len(records), encoded))
+            slots.append(len(records))
             records.append(None)
-
-    if pending:
-        scores = predict_scores(model, [doc for _, doc in pending])
-        for (slot, _), row in zip(pending, scores):
-            listed = [float(v) for v in row]
-            if classes is not None:
-                prediction = classes[int(np.argmax(row))]
-            elif len(listed) == 1:
-                prediction = listed[0]
-            else:
-                prediction = int(np.argmax(row))
-            records[slot] = {"prediction": prediction, "scores": listed}
+            if len(slots) == CHUNK_SIZE:
+                _score_chunk(model, columns, slots, records, classes)
+                columns, slots = new_columns(model.schema), []
+    if slots:
+        _score_chunk(model, columns, slots, records, classes)
 
     lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     if args.output == "-":

@@ -4,12 +4,13 @@ Numbers standardize against the schema's running statistics, strings
 become L1-normalized histograms of hashed byte n-grams (FNV-1a 64,
 fixed constants, so histograms reproduce across platforms), and
 categorical values one-hot with a trailing unknown slot.
+
+A document is encoded straight into per-node columns (see
+``batching.new_columns``): one row per leaf value, one running offset
+per bag, one row of presence flags per product.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -26,17 +27,12 @@ from .schema import (
 
 __all__ = [
     "EncodingError",
-    "LeafValue",
-    "BagValue",
-    "ProductValue",
-    "EncodedDoc",
     "fnv1a64",
     "encode_numeric",
     "encode_string_ngram",
     "encode_categorical",
     "leaf_width",
     "encode_document",
-    "absent_value",
 ]
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -48,25 +44,7 @@ class EncodingError(Exception):
     def __init__(self, message: str, violations: list[Violation] | None = None):
         super().__init__(message)
         self.violations = violations or []
-
-
-@dataclass
-class LeafValue:
-    vector: np.ndarray  # shape (width,)
-
-
-@dataclass
-class BagValue:
-    items: list["EncodedDoc"]
-
-
-@dataclass
-class ProductValue:
-    children: dict[str, "EncodedDoc"]  # every schema field, present or not
-    flags: dict[str, float]  # optional fields only: 1.0 present, 0.0 absent
-
-
-EncodedDoc = Union[LeafValue, BagValue, ProductValue]
+        self.index: int | None = None  # position in the batch, once known
 
 
 def fnv1a64(data: bytes) -> int:
@@ -119,49 +97,42 @@ def leaf_width(leaf: SchemaNode) -> int:
     raise TypeError(f"not a leaf: {leaf.kind}")
 
 
-def absent_value(schema: SchemaNode) -> EncodedDoc:
-    """Neutral stand-in for a missing optional subtree: zero leaves,
-    empty bags, recursively absent products with presence flags 0."""
-    if isinstance(schema, Bag):
-        return BagValue(items=[])
-    if isinstance(schema, Product):
-        return ProductValue(
-            children={f.name: absent_value(f.schema) for f in schema.fields},
-            flags={f.name: 0.0 for f in schema.fields if f.optional})
-    return LeafValue(vector=np.zeros(leaf_width(schema)))
+def _append(value, node: SchemaNode, path: str,
+            columns: dict[str, list]) -> None:
+    """Append ``value`` at ``path``; None stands for an absent optional
+    subtree: zero leaf rows, empty bags, presence flags 0."""
+    column = columns[path]
+    if isinstance(node, Bag):
+        items = value or ()
+        column.append(column[-1] + len(items))
+        child_path = path + "[]"
+        for item in items:
+            _append(item, node.child, child_path, columns)
+    elif isinstance(node, Product):
+        values = [None if value is None else value.get(f.name)
+                  for f in node.fields]
+        column.append([0.0 if v is None else 1.0
+                       for f, v in zip(node.fields, values) if f.optional])
+        for f, v in zip(node.fields, values):
+            _append(v, f.schema, path + "." + f.name, columns)
+    elif value is None:
+        column.append(np.zeros(leaf_width(node)))
+    elif isinstance(node, NumericLeaf):
+        column.append(encode_numeric(value, node.mean, node.std))
+    elif isinstance(node, StringLeaf):
+        column.append(encode_string_ngram(value, node.ngram_n, node.hash_dim))
+    else:
+        column.append(encode_categorical(value, node))
 
 
-def _encode(value, schema: SchemaNode) -> EncodedDoc:
-    if isinstance(schema, NumericLeaf):
-        return LeafValue(encode_numeric(float(value), schema.mean, schema.std))
-    if isinstance(schema, StringLeaf):
-        return LeafValue(encode_string_ngram(value, schema.ngram_n,
-                                             schema.hash_dim))
-    if isinstance(schema, CategoricalLeaf):
-        return LeafValue(encode_categorical(value, schema))
-    if isinstance(schema, Bag):
-        return BagValue([_encode(item, schema.child) for item in value])
-    if isinstance(schema, Product):
-        children: dict[str, EncodedDoc] = {}
-        flags: dict[str, float] = {}
-        for f in schema.fields:
-            present = value.get(f.name) is not None
-            if f.optional:
-                flags[f.name] = 1.0 if present else 0.0
-            children[f.name] = (_encode(value[f.name], f.schema) if present
-                                else absent_value(f.schema))
-        return ProductValue(children=children, flags=flags)
-    raise EncodingError(f"cannot encode against schema node {schema.kind!r}")
+def encode_document(doc, schema: SchemaNode, columns: dict[str, list]) -> None:
+    """Validate a JSON document and append its encoding to ``columns``.
 
-
-def encode_document(doc, schema: SchemaNode) -> EncodedDoc:
-    """Map a validated JSON document onto the schema tree.
-
-    Raises EncodingError carrying the violation list if the document
-    does not fit.
+    Raises EncodingError carrying the violation list, with ``columns``
+    untouched, if the document does not fit.
     """
     violations = validate(doc, schema)
     if violations:
         raise EncodingError(
             "; ".join(str(v) for v in violations), violations)
-    return _encode(doc, schema)
+    _append(doc, schema, "$", columns)

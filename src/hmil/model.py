@@ -16,6 +16,7 @@ data-independent bound returned by ``embedding_bound``.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 from typing import Union
@@ -307,7 +308,7 @@ def _has_inner(net: Net) -> bool:
 
 
 def _net_forward(net: Net, batch: RaggedBatch, tape: Tape | None,
-                 sink: dict[str, Tensor] | None) -> Tensor:
+                 sink: dict[str, Tensor]) -> Tensor:
     if isinstance(net, LeafNet):
         return Tensor(batch.data[net.path])
     if isinstance(net, BagNet):
@@ -326,8 +327,7 @@ def _net_forward(net: Net, batch: RaggedBatch, tape: Tape | None,
         non_empty = (np.diff(offsets) > 0).astype(np.float64).reshape(-1, 1)
         z = concat_cols([pooled, Tensor(non_empty)], tape)
         e = dense_forward(z, net.post_w, net.post_b, IDENTITY, tape)
-        if sink is not None:
-            sink[net.path] = e
+        sink[net.path] = e
         return e
     parts = [_net_forward(child, batch, tape, sink)
              for _, child in net.children]
@@ -338,10 +338,7 @@ def _net_forward(net: Net, batch: RaggedBatch, tape: Tape | None,
 
 def forward(model: Model, batch: RaggedBatch, tape: Tape | None = None) -> Tensor:
     """Task outputs, one row per document."""
-    rep = _net_forward(model.root, batch, tape, None)
-    h = dense_forward(rep, model.head.w1, model.head.b1,
-                      model.head.activation, tape)
-    return dense_forward(h, model.head.w2, model.head.b2, IDENTITY, tape)
+    return forward_with_embeddings(model, batch, tape)[0]
 
 
 def forward_with_embeddings(model: Model, batch: RaggedBatch,
@@ -492,10 +489,11 @@ def save_model(model: Model, path: str, extra: dict | None = None) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    blob = fh.read(n)
-    if len(blob) != n:
+    # checked before reading: a corrupt length field may exceed any
+    # buffer size
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ModelLoadError(f"truncated container: {what}")
-    return blob
+    return fh.read(n)
 
 
 def load_model(path: str) -> tuple[Model, dict]:

@@ -162,14 +162,24 @@ def _kind_of_value(value) -> str:
     return type(value).__name__
 
 
+def _finite_float(value) -> float | None:
+    """``value`` as a float, or None if it is not finite in float64
+    (JSON integers can be arbitrarily large)."""
+    try:
+        v = float(value)
+    except OverflowError:
+        return None
+    return v if math.isfinite(v) else None
+
+
 def _schema_from_value(value, path: str) -> SchemaNode:
     """Single-document schema: every leaf has count 1, every field required."""
     kind = _kind_of_value(value)
     if kind == "null":
         raise SchemaConflict(path, "a JSON value", "null")
     if kind == "numeric":
-        v = float(value)
-        if not math.isfinite(v):
+        v = _finite_float(value)
+        if v is None:
             raise SchemaConflict(path, "finite number", repr(value))
         return NumericLeaf(count=1, mean=v, std=0.0)
     if kind == "string":
@@ -331,7 +341,7 @@ def validate(doc, schema: SchemaNode, path: str = "$") -> list[Violation]:
     if isinstance(schema, NumericLeaf):
         if actual != "numeric":
             out.append(Violation(path, "numeric", actual))
-        elif not math.isfinite(float(doc)):
+        elif _finite_float(doc) is None:
             out.append(Violation(path, "finite number", repr(doc)))
     elif isinstance(schema, (StringLeaf, CategoricalLeaf)):
         if actual != "string":

@@ -2,7 +2,9 @@
 
 Losses are recorded on the same tape as the forward pass, so one
 backward sweep yields parameter gradients.  Shuffling derives from
-(seed, epoch), making whole runs reproducible bit for bit.
+(seed, epoch), making whole runs reproducible bit for bit.  Every entry
+point takes raw JSON documents; ``train`` encodes its corpus once and
+gathers each minibatch from it.
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .batching import build_batch
-from .encoding import EncodedDoc
+from .batching import build_batch, take
 from .model import Model, forward
 from .nn import AdamState, ShapeError, Tape, Tensor, adam_step, backward
 
 __all__ = [
+    "CHUNK_SIZE",
     "TrainConfig",
     "TrainingReport",
     "TrainingDiverged",
@@ -28,6 +30,9 @@ __all__ = [
     "evaluate_accuracy",
     "evaluate_mse",
 ]
+
+# documents per forward pass when scoring
+CHUNK_SIZE = 256
 
 
 class TrainingDiverged(Exception):
@@ -136,14 +141,17 @@ def _check_targets(config: TrainConfig, model: Model, targets: np.ndarray,
     return targets
 
 
-def train(model: Model, docs: list[EncodedDoc], targets,
+def train(model: Model, docs: list, targets,
           config: TrainConfig) -> TrainingReport:
     """Adam minibatch training, in place on the model's parameters.
 
-    Raises TrainingDiverged the moment a loss comes out non-finite; the
-    model is left in its mid-training state for inspection.
+    Raises EncodingError, with the document's ``index``, before any
+    step if a document does not fit the model's schema, and
+    TrainingDiverged the moment a loss comes out non-finite; the model
+    is then left in its mid-training state for inspection.
     """
     targets = _check_targets(config, model, targets, len(docs))
+    corpus = build_batch(docs, model.schema)
     params = model.parameters()
     state = AdamState.for_params(params)
     report = TrainingReport(
@@ -157,7 +165,7 @@ def train(model: Model, docs: list[EncodedDoc], targets,
         for batch_index, start in enumerate(
                 range(0, len(docs), config.batch_size)):
             chosen = order[start:start + config.batch_size]
-            batch = build_batch([docs[i] for i in chosen], model.schema)
+            batch = take(corpus, chosen, model.schema)
             batch_targets = targets[chosen]
 
             tape = Tape()
@@ -185,21 +193,21 @@ def train(model: Model, docs: list[EncodedDoc], targets,
     return report
 
 
-def predict_scores(model: Model, docs: list[EncodedDoc],
-                   chunk_size: int = 256) -> np.ndarray:
+def predict_scores(model: Model, docs: list,
+                   chunk_size: int = CHUNK_SIZE) -> np.ndarray:
     """Raw model outputs, one row per document, computed in chunks."""
     parts = [forward(model, build_batch(docs[i:i + chunk_size], model.schema)).data
              for i in range(0, max(len(docs), 1), chunk_size)]
     return np.vstack(parts) if parts else np.empty((0, model.config.output_dim))
 
 
-def evaluate_accuracy(model: Model, docs: list[EncodedDoc], labels) -> float:
+def evaluate_accuracy(model: Model, docs: list, labels) -> float:
     labels = np.asarray(labels)
     scores = predict_scores(model, docs)
     return float(np.mean(scores.argmax(axis=1) == labels)) if len(docs) else 0.0
 
 
-def evaluate_mse(model: Model, docs: list[EncodedDoc], targets) -> float:
+def evaluate_mse(model: Model, docs: list, targets) -> float:
     targets = np.asarray(targets, dtype=np.float64)
     scores = predict_scores(model, docs)
     return float(np.mean((scores - targets) ** 2)) if len(docs) else 0.0

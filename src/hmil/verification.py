@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batching import build_batch
-from .encoding import encode_document
 from .generators import permute_bags, random_document, random_schema
 from .model import (
     Model,
@@ -72,10 +71,6 @@ SUITE_NAMES = ("invariants", "concentration", "benchmarks", "all")
 PLAIN_BAG = Bag(count=1, child=NumericLeaf(count=1, mean=0.0, std=1.0))
 
 
-def _encode_batch(raw_docs, schema):
-    return build_batch([encode_document(d, schema) for d in raw_docs], schema)
-
-
 def _inferable_case(rng, max_depth, n_docs, min_depth=1):
     """Random generator schema, documents, and the schema inferred back
     from them.  Redraws until inference succeeds (it fails only when
@@ -112,9 +107,9 @@ def check_permutation_invariance(seed: int, cases: int = 1000) -> dict:
         schema, raw = _inferable_case(rng, max_depth=3,
                                       n_docs=int(rng.integers(2, 5)))
         model = build_model(schema, _random_config(rng))
-        base = forward(model, _encode_batch(raw, schema)).data
+        base = forward(model, build_batch(raw, schema)).data
         shuffled = [permute_bags(rng, doc, schema) for doc in raw]
-        out = forward(model, _encode_batch(shuffled, schema)).data
+        out = forward(model, build_batch(shuffled, schema)).data
         worst = max(worst, float(np.max(np.abs(out - base), initial=0.0)))
     return {"name": "permutation_invariance", "passed": worst < 1e-9,
             "details": {"cases": cases, "max_deviation": worst,
@@ -137,8 +132,8 @@ def check_dirac_identity(seed: int, cases: int = 1000) -> dict:
             continue
         model = build_model(schema, _random_config(
             rng, aggregation="mean"))
-        whole = embed(model, _encode_batch([items], schema), "$")
-        singles = embed(model, _encode_batch([[it] for it in items], schema),
+        whole = embed(model, build_batch([items], schema), "$")
+        singles = embed(model, build_batch([[it] for it in items], schema),
                         "$")
         worst = max(worst, float(np.max(np.abs(whole[0] - singles.mean(axis=0)))))
         done += 1
@@ -160,7 +155,7 @@ def check_matrix_collapse(seed: int, models: int = 100,
         two = build_two_matrix_variant(schema, config,
                                        inner_dim=int(rng.integers(2, 7)))
         one = collapse_model(two)
-        batches = [_encode_batch(raw[i:i + 3], schema)
+        batches = [build_batch(raw[i:i + 3], schema)
                    for i in range(0, len(raw), 3)]
         worst = max(worst, float(collapse_equivalence_check(two, one, batches)))
     return {"name": "matrix_collapse", "passed": worst < 1e-10,
@@ -205,7 +200,7 @@ def check_gradients(seed: int) -> dict:
            {"tag": "b", "runs": []},
            {"tag": "a", "runs": [{"speed": [], "kind": "x"}]}]
     schema = infer_schema(raw)
-    batch = _encode_batch(raw, schema)
+    batch = build_batch(raw, schema)
     worst = 0.0
     for i, activation in enumerate(("tanh", "relu")):
         for aggregation in ("mean", "max", "meanmax"):
@@ -230,7 +225,7 @@ def check_embedding_bounds(seed: int, documents: int = 10000,
                                       n_docs=docs_per_schema)
         model = build_model(schema, _random_config(rng, activation="tanh"))
         _, embeddings = forward_with_embeddings(model,
-                                                _encode_batch(raw, schema))
+                                                build_batch(raw, schema))
         for path, e in embeddings.items():
             bound = embedding_bound(model, path)
             violations += int(np.sum(np.abs(e.data) > bound + 1e-12))
@@ -251,7 +246,7 @@ def check_pipeline_round_trip(seed: int, schemas: int = 10,
                                       n_docs=docs_per_schema)
         for doc in raw:
             violations += len(validate(doc, schema))
-        batch = _encode_batch(raw, schema)
+        batch = build_batch(raw, schema)
         if batch.batch_size == len(raw):
             batched += len(raw)
     ok = violations == 0 and batched == schemas * docs_per_schema
@@ -294,11 +289,11 @@ def concentration_experiment(model: Model, schema, generator,
     """
     sizes = sorted(bag_sizes)
     ref_doc = generator(rng, ref_factor * max(sizes))
-    f_ref = forward(model, _encode_batch([ref_doc], schema)).data[0, 0]
+    f_ref = forward(model, build_batch([ref_doc], schema)).data[0, 0]
     table = {}
     for size in sizes:
         docs = [generator(rng, size) for _ in range(repeats)]
-        out = forward(model, _encode_batch(docs, schema)).data[:, 0]
+        out = forward(model, build_batch(docs, schema)).data[:, 0]
         table[size] = float(np.median(np.abs(out - f_ref)))
     return table
 
@@ -367,28 +362,21 @@ def benchmark_variance_task(seed: int = 0, n_train: int = 2000,
     tc = train_config or _BENCH_TRAIN
 
     mil = build_model(schema, config)
-    train(mil, [encode_document(d, schema) for d in train_raw],
-          np.array(train_labels), tc)
-    test_docs = [encode_document(d, schema) for d in test_raw]
-    mil_acc = evaluate_accuracy(mil, test_docs, test_labels)
+    train(mil, train_raw, np.array(train_labels), tc)
+    mil_acc = evaluate_accuracy(mil, test_raw, test_labels)
 
     mean_raw = [[float(np.mean(bag))] for bag in train_raw]
     mean_schema = infer_schema(mean_raw)
     baseline = build_model(mean_schema, config)
-    train(baseline, [encode_document(d, mean_schema) for d in mean_raw],
-          np.array(train_labels), tc)
+    train(baseline, mean_raw, np.array(train_labels), tc)
     base_acc = evaluate_accuracy(
-        baseline,
-        [encode_document([float(np.mean(bag))], mean_schema)
-         for bag in test_raw],
-        test_labels)
+        baseline, [[float(np.mean(bag))] for bag in test_raw], test_labels)
 
     shuffled_labels = np.random.default_rng([seed, 42]).permutation(
         np.array(train_labels))
     shuffled = build_model(schema, config)
-    train(shuffled, [encode_document(d, schema) for d in train_raw],
-          shuffled_labels, tc)
-    shuffled_acc = evaluate_accuracy(shuffled, test_docs, test_labels)
+    train(shuffled, train_raw, shuffled_labels, tc)
+    shuffled_acc = evaluate_accuracy(shuffled, test_raw, test_labels)
 
     return {"mil_accuracy": float(mil_acc),
             "mean_baseline_accuracy": float(base_acc),
@@ -436,10 +424,8 @@ def benchmark_nested_task(seed: int = 0, n_train: int = 1000,
     tc = train_config or _BENCH_TRAIN
 
     nested = build_model(schema, config)
-    train(nested, [encode_document(d, schema) for d in train_raw],
-          np.array(train_labels), tc)
-    nested_acc = evaluate_accuracy(
-        nested, [encode_document(d, schema) for d in test_raw], test_labels)
+    train(nested, train_raw, np.array(train_labels), tc)
+    nested_acc = evaluate_accuracy(nested, test_raw, test_labels)
 
     def flatten(doc):
         return [v for bag in doc for v in bag]
@@ -447,11 +433,9 @@ def benchmark_nested_task(seed: int = 0, n_train: int = 1000,
     flat_train = [flatten(d) for d in train_raw]
     flat_schema = infer_schema(flat_train)
     flat = build_model(flat_schema, config)
-    train(flat, [encode_document(d, flat_schema) for d in flat_train],
-          np.array(train_labels), tc)
-    flat_acc = evaluate_accuracy(
-        flat, [encode_document(flatten(d), flat_schema) for d in test_raw],
-        test_labels)
+    train(flat, flat_train, np.array(train_labels), tc)
+    flat_acc = evaluate_accuracy(flat, [flatten(d) for d in test_raw],
+                                 test_labels)
 
     return {"nested_accuracy": float(nested_acc),
             "flat_accuracy": float(flat_acc),
@@ -491,26 +475,23 @@ def benchmark_product_task(seed: int = 0, n_train: int = 1500,
     tc = train_config or _BENCH_TRAIN
 
     joint = build_model(schema, config)
-    train(joint, [encode_document(d, schema) for d in train_raw],
-          np.array(train_labels), tc)
-    joint_acc = evaluate_accuracy(
-        joint, [encode_document(d, schema) for d in test_raw], test_labels)
+    train(joint, train_raw, np.array(train_labels), tc)
+    joint_acc = evaluate_accuracy(joint, test_raw, test_labels)
 
     def x_only(doc):
         return {"x0": doc["x0"], "x1": doc["x1"]}
 
     x_train = [x_only(d) for d in train_raw]
     x_schema = infer_schema(x_train)
-    x_train_docs = [encode_document(d, x_schema) for d in x_train]
-    x_test_docs = [encode_document(x_only(d), x_schema) for d in test_raw]
+    x_test = [x_only(d) for d in test_raw]
 
     marginal = build_model(x_schema, config)
-    train(marginal, x_train_docs, np.array(train_labels), tc)
-    marginal_acc = evaluate_accuracy(marginal, x_test_docs, test_labels)
+    train(marginal, x_train, np.array(train_labels), tc)
+    marginal_acc = evaluate_accuracy(marginal, x_test, test_labels)
 
     sanity = build_model(x_schema, config)
-    train(sanity, x_train_docs, np.array(train_x_labels), tc)
-    sanity_acc = evaluate_accuracy(sanity, x_test_docs, test_x_labels)
+    train(sanity, x_train, np.array(train_x_labels), tc)
+    sanity_acc = evaluate_accuracy(sanity, x_test, test_x_labels)
 
     return {"joint_accuracy": float(joint_acc),
             "x_only_accuracy": float(marginal_acc),

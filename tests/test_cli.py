@@ -2,6 +2,7 @@
 the injected-fault check on the verify suite."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -266,6 +267,77 @@ class TestPredict:
         rc = main(["predict", "--model", str(bad),
                    "--input", str(tmp_path / "in.jsonl"), "--output", "-"])
         assert rc == 2
+
+    def test_huge_value_count_exits_2(self, corpus, tmp_path, capsys):
+        _, model = run_train(corpus)
+        blob = bytearray(model.read_bytes())
+        loaded, _ = model_mod.load_model(str(model))
+        n_values = sum(p.data.size for p in loaded.parameters())
+        at = len(blob) - 8 * n_values - 8  # the u64 value count
+        assert struct.unpack("<Q", blob[at:at + 8]) == (n_values,)
+        blob[at:at + 8] = struct.pack("<Q", 2**62)
+        model.write_bytes(bytes(blob))
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [{"values": [0.1]}])
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", "-"])
+        assert rc == 2
+        assert "truncated container: parameters" in capsys.readouterr().err
+
+
+# a JSON integer too large for float64
+HUGE = "9" * 401
+
+
+class TestHugeIntegers:
+    def test_infer_reports_a_conflict(self, tmp_path, capsys):
+        src = tmp_path / "d.jsonl"
+        src.write_text('{"a": 1}\n{"a": %s}\n' % HUGE)
+        rc = main(["infer", "--input", str(src),
+                   "--output", str(tmp_path / "s.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "$.a" in err and "finite number" in err
+
+    def test_train_names_the_line(self, corpus, capsys):
+        bad = corpus["dir"] / "bad.jsonl"
+        lines = [json.dumps(d) for d in corpus["docs"][:3]]
+        lines[2] = '{"values": [1.0, %s], "kind": "hot"}' % HUGE
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--schema", str(corpus["schema"]),
+                   "--train", str(bad), "--label-field", "kind",
+                   "--output", str(corpus["dir"] / "m.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:3: $.values[1]: expected finite number" in err
+
+    def test_predict_writes_an_error_record(self, corpus, tmp_path, capsys):
+        _, model = run_train(corpus)
+        capsys.readouterr()
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"values": [%s]}\n{"values": [1.0]}\n' % HUGE)
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", "-"])
+        assert rc == 1
+        first, second = [json.loads(l) for l in
+                         capsys.readouterr().out.strip().splitlines()]
+        assert first["line"] == 1 and "finite number" in first["error"]
+        assert second["prediction"] in ("hot", "cold")
+
+    def test_mse_label_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "t.jsonl"
+        src.write_text('{"xs": [1.0], "y": 1}\n{"xs": [2.0], "y": %s}\n'
+                       % HUGE)
+        schema = tmp_path / "s.json"
+        write_jsonl(tmp_path / "u.jsonl", [{"xs": [1.0]}, {"xs": [2.0]}])
+        assert main(["infer", "--input", str(tmp_path / "u.jsonl"),
+                     "--output", str(schema)]) == 0
+        rc = main(["train", "--schema", str(schema), "--train", str(src),
+                   "--label-field", "y", "--output", str(tmp_path / "m.bin"),
+                   "--loss", "mse"])
+        assert rc == 2
+        assert "mse loss needs numeric labels" in capsys.readouterr().err
 
 
 class TestVerify:

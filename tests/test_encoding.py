@@ -1,4 +1,4 @@
-"""Leaf encoders: hashing, standardization, one-hot, document trees."""
+"""Leaf encoders: hashing, standardization, one-hot, document columns."""
 
 import json
 import math
@@ -8,12 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hmil.batching import build_batch, new_columns
 from hmil.encoding import (
-    BagValue,
     EncodingError,
-    LeafValue,
-    ProductValue,
-    absent_value,
     encode_categorical,
     encode_document,
     encode_numeric,
@@ -139,43 +136,59 @@ class TestDocumentEncoding:
 
     def test_tree_shape(self, fitness):
         doc, schema = fitness
-        enc = encode_document(doc, schema)
-        assert isinstance(enc, ProductValue)
-        assert isinstance(enc.children["weekNumber"], LeafValue)
+        batch = build_batch([doc], schema)
         # "39" is shorter than the n-gram size, so its histogram is empty
-        np.testing.assert_array_equal(enc.children["weekNumber"].vector,
-                                      np.zeros(64))
-        workouts = enc.children["workouts"]
-        assert isinstance(workouts, BagValue)
-        assert len(workouts.items) == 2
+        np.testing.assert_array_equal(batch.data["$.weekNumber"],
+                                      np.zeros((1, 64)))
+        np.testing.assert_array_equal(batch.offsets["$.workouts"], [0, 2])
+        assert batch.data["$.workouts[].sport"].shape == (2, 64)
 
     def test_optional_presence_flags(self, fitness):
         doc, schema = fitness
-        enc = encode_document(doc, schema)
-        first, second = enc.children["workouts"].items
-        assert first.flags == {"speedData": 1.0}
-        assert second.flags == {"speedData": 0.0}
-        # the absent subtree is synthesized: empty bags, zero leaves
-        absent = second.children["speedData"]
-        assert absent.children["speed"].items == []
-        assert len(first.children["speedData"].children["speed"].items) == 3
+        batch = build_batch([doc], schema)
+        np.testing.assert_array_equal(batch.presence["$.workouts[]"],
+                                      [[1.0], [0.0]])
+        # the absent subtree still takes its rows: empty bags, zero leaves
+        for name, n_items in (("speed", 3), ("altitude", 4), ("labels", 4)):
+            np.testing.assert_array_equal(
+                batch.offsets[f"$.workouts[].speedData.{name}"],
+                [0, n_items, n_items])
+        assert batch.presence["$.workouts[].speedData"].shape == (2, 0)
 
     def test_invalid_document_raises_with_violations(self, fitness):
         _, schema = fitness
+        columns = new_columns(schema)
         with pytest.raises(EncodingError) as exc:
-            encode_document({"weekNumber": "39", "workouts": 3}, schema)
+            encode_document({"weekNumber": "39", "workouts": 3}, schema,
+                            columns)
         assert [v.path for v in exc.value.violations] == ["$.workouts"]
+        # nothing was appended
+        assert columns == new_columns(schema)
 
     def test_unseen_categorical_goes_to_unknown_slot(self):
         schema = infer_schema([{"sport": "running"}, {"sport": "swimming"}])
-        enc = encode_document({"sport": "rowing"}, schema)
-        np.testing.assert_array_equal(enc.children["sport"].vector,
-                                      [0.0, 0.0, 1.0])
+        batch = build_batch([{"sport": "rowing"}], schema)
+        np.testing.assert_array_equal(batch.data["$.sport"], [[0.0, 0.0, 1.0]])
 
-    def test_absent_value_shapes(self, fitness):
-        _, schema = fitness
-        absent = absent_value(schema)
-        assert absent.children["workouts"].items == []
-        assert absent.flags == {}  # no optional fields at the root
-        np.testing.assert_array_equal(absent.children["weekNumber"].vector,
-                                      np.zeros(64))
+    def test_absent_subtree_columns(self):
+        docs = [{"a": 1.0, "sub": {"xs": [1.0], "tag": "p",
+                                   "inner": {"y": 5.0}}},
+                {"a": 2.0, "sub": {"xs": [], "tag": "q"}},
+                {"a": 3.0}]
+        schema = infer_schema(docs)
+        columns = new_columns(schema)
+        encode_document(docs[2], schema, columns)
+        assert columns["$"] == [[0.0]]  # "sub" absent
+        assert columns["$.sub"] == [[0.0]]  # and so its optional "inner"
+        assert columns["$.sub.xs"] == [0, 0]  # equal offsets: empty bag
+        np.testing.assert_array_equal(columns["$.sub.tag"], [np.zeros(3)])
+        np.testing.assert_array_equal(columns["$.sub.inner.y"], [np.zeros(1)])
+        assert columns["$.sub.inner"] == [[]]  # no optional fields
+
+    def test_invalid_raw_document_names_its_index(self, fitness):
+        doc, schema = fitness
+        with pytest.raises(EncodingError) as exc:
+            build_batch([doc, doc, {"weekNumber": 39}], schema)
+        assert exc.value.index == 2
+        assert sorted(v.path for v in exc.value.violations) == [
+            "$.weekNumber", "$.workouts"]

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from hmil.batching import build_batch
-from hmil.encoding import encode_document
 from hmil.generators import permute_bags, random_document, random_schema
 from hmil.model import (
     FORMAT_VERSION,
@@ -39,10 +38,6 @@ DATA = Path(__file__).parent / "data"
 PLAIN_BAG = Bag(count=1, child=NumericLeaf(count=1, mean=0.0, std=1.0))
 
 
-def make_batch(docs, schema):
-    return build_batch([encode_document(d, schema) for d in docs], schema)
-
-
 def random_case(seed, max_depth=3, n_docs=5, **config_kw):
     """Random (schema, model, docs, batch); None on an uninferable corpus."""
     rng = np.random.default_rng(seed)
@@ -55,7 +50,7 @@ def random_case(seed, max_depth=3, n_docs=5, **config_kw):
     config = ModelConfig(embed_dim=4, hidden_dim=4, seed=seed % 2**31,
                          **config_kw)
     model = build_model(schema, config)
-    return schema, model, raw, make_batch(raw, schema)
+    return schema, model, raw, build_batch(raw, schema)
 
 
 class TestConfig:
@@ -115,18 +110,18 @@ class TestForwardSemantics:
     def test_output_shape(self):
         docs = [[1.0, 2.0], [3.0], []]
         model = build_model(PLAIN_BAG, ModelConfig(output_dim=3))
-        out = forward(model, make_batch(docs, PLAIN_BAG))
+        out = forward(model, build_batch(docs, PLAIN_BAG))
         assert out.shape == (3, 3)
         assert np.all(np.isfinite(out.data))
 
     def test_empty_batch(self):
         model = build_model(PLAIN_BAG, ModelConfig())
-        out = forward(model, make_batch([], PLAIN_BAG))
+        out = forward(model, build_batch([], PLAIN_BAG))
         assert out.shape == (0, 1)
 
     def test_empty_bag_embedding_is_exactly_the_bias(self):
         model = build_model(PLAIN_BAG, ModelConfig(seed=5))
-        e = embed(model, make_batch([[]], PLAIN_BAG), "$")
+        e = embed(model, build_batch([[]], PLAIN_BAG), "$")
         np.testing.assert_array_equal(e, model.root.post_b.data)
 
     def test_hand_wired_two_level_tanh_chain(self):
@@ -136,17 +131,17 @@ class TestForwardSemantics:
                             ([[1.0]], [[0.0]], [[1.0], [0.0]], [[0.0]],
                              [[1.0]], [[0.0]], [[1.0]], [[0.0]])):
             p.data = np.array(value)
-        out = forward(model, make_batch([[1.0]], PLAIN_BAG))
+        out = forward(model, build_batch([[1.0]], PLAIN_BAG))
         np.testing.assert_allclose(out.data, [[math.tanh(math.tanh(1.0))]],
                                    rtol=1e-15)
-        out = forward(model, make_batch([[2.0, -2.0]], PLAIN_BAG))
+        out = forward(model, build_batch([[2.0, -2.0]], PLAIN_BAG))
         np.testing.assert_allclose(out.data, [[0.0]], atol=1e-15)
 
     def test_empty_bag_differs_from_absent_bag(self):
         docs = [{"xs": [1.0]}, {}]
         schema = infer_schema(docs)
         model = build_model(schema, ModelConfig(seed=2))
-        out = forward(model, make_batch([{"xs": []}, {}], schema))
+        out = forward(model, build_batch([{"xs": []}, {}], schema))
         # only the presence flag separates these rows
         assert np.max(np.abs(out.data[0] - out.data[1])) > 1e-9
 
@@ -165,8 +160,8 @@ class TestForwardSemantics:
 
         monkeypatch.setattr(model_mod, "segment_mean", first_row)
         model = build_model(PLAIN_BAG, ModelConfig(seed=1))
-        a = forward(model, make_batch([[1.0, 2.0, 3.0]], PLAIN_BAG))
-        b = forward(model, make_batch([[3.0, 2.0, 1.0]], PLAIN_BAG))
+        a = forward(model, build_batch([[1.0, 2.0, 3.0]], PLAIN_BAG))
+        b = forward(model, build_batch([[3.0, 2.0, 1.0]], PLAIN_BAG))
         assert np.max(np.abs(a.data - b.data)) > 1e-6
 
 
@@ -177,10 +172,10 @@ class TestPermutationInvariance:
         schema = infer_schema([doc])
         model = build_model(schema, ModelConfig(aggregation=aggregation))
         rng = np.random.default_rng(0)
-        base = forward(model, make_batch([doc], schema)).data
+        base = forward(model, build_batch([doc], schema)).data
         for _ in range(10):
             shuffled = permute_bags(rng, doc, schema)
-            out = forward(model, make_batch([shuffled], schema)).data
+            out = forward(model, build_batch([shuffled], schema)).data
             np.testing.assert_allclose(out, base, rtol=0, atol=1e-9)
 
     @given(st.integers(0, 2**32 - 1))
@@ -191,7 +186,7 @@ class TestPermutationInvariance:
         base = forward(model, batch).data
         rng = np.random.default_rng(seed + 1)
         shuffled = [permute_bags(rng, d, schema) for d in raw]
-        out = forward(model, make_batch(shuffled, schema)).data
+        out = forward(model, build_batch(shuffled, schema)).data
         np.testing.assert_allclose(out, base, rtol=0, atol=1e-9)
 
 
@@ -204,9 +199,9 @@ class TestDiracIdentity:
     def test_bag_embedding_is_mean_of_singletons(self, child_docs):
         schema = infer_schema([child_docs, child_docs])
         model = build_model(schema, ModelConfig(seed=3))
-        whole = embed(model, make_batch([child_docs], schema), "$")
+        whole = embed(model, build_batch([child_docs], schema), "$")
         singles = embed(model,
-                        make_batch([[item] for item in child_docs], schema),
+                        build_batch([[item] for item in child_docs], schema),
                         "$")
         np.testing.assert_allclose(whole[0], singles.mean(axis=0),
                                    rtol=0, atol=1e-9)
@@ -222,8 +217,8 @@ class TestDiracIdentity:
             assume(False)
         model = build_model(schema, ModelConfig(embed_dim=4, hidden_dim=4,
                                                 seed=seed % 2**31))
-        whole = embed(model, make_batch([items], schema), "$")
-        singles = embed(model, make_batch([[it] for it in items], schema), "$")
+        whole = embed(model, build_batch([items], schema), "$")
+        singles = embed(model, build_batch([[it] for it in items], schema), "$")
         np.testing.assert_allclose(whole[0], singles.mean(axis=0),
                                    rtol=0, atol=1e-9)
 
@@ -255,7 +250,7 @@ class TestCollapse:
     def test_exact_on_empty_bags(self):
         two = build_two_matrix_variant(PLAIN_BAG, ModelConfig(seed=9))
         one = collapse_model(two)
-        batch = make_batch([[]], PLAIN_BAG)
+        batch = build_batch([[]], PLAIN_BAG)
         np.testing.assert_array_equal(forward(two, batch).data,
                                       forward(one, batch).data)
 
@@ -277,7 +272,7 @@ class TestFullModelGradients:
         config = ModelConfig(embed_dim=3, hidden_dim=4, output_dim=2,
                              activation=activation, seed=11)
         model = build_model(schema, config)
-        batch = make_batch(docs, schema)
+        batch = build_batch(docs, schema)
 
         tape = Tape()
         loss = self.scalar_loss(model, batch, tape)
@@ -320,7 +315,7 @@ class TestEmbeddingBound:
     def test_unknown_path(self):
         model = build_model(PLAIN_BAG, ModelConfig())
         with pytest.raises(ModelError, match="bag"):
-            embed(model, make_batch([[1.0]], PLAIN_BAG), "$.nope")
+            embed(model, build_batch([[1.0]], PLAIN_BAG), "$.nope")
 
 
 class TestSaveLoad:
@@ -334,7 +329,7 @@ class TestSaveLoad:
         assert extra == {"labels": ["x", "y"]}
         assert loaded.config == model.config
         assert dumps_schema(loaded.schema) == dumps_schema(schema)
-        batch = make_batch(docs, schema)
+        batch = build_batch(docs, schema)
         np.testing.assert_array_equal(forward(loaded, batch).data,
                                       forward(model, batch).data)
 
@@ -378,6 +373,19 @@ class TestSaveLoad:
         save_model(build_model(PLAIN_BAG, ModelConfig()), str(target))
         blob = target.read_bytes()
         target.write_bytes(blob[:len(blob) // 2])
+        with pytest.raises(ModelLoadError, match="truncated"):
+            load_model(str(target))
+
+    def test_huge_value_count(self, tmp_path):
+        target = tmp_path / "m"
+        model = build_model(PLAIN_BAG, ModelConfig())
+        save_model(model, str(target))
+        blob = bytearray(target.read_bytes())
+        n_values = sum(p.data.size for p in model.parameters())
+        at = len(blob) - 8 * n_values - 8  # the u64 value count
+        assert struct.unpack("<Q", blob[at:at + 8]) == (n_values,)
+        blob[at:at + 8] = struct.pack("<Q", 2**62)
+        target.write_bytes(bytes(blob))
         with pytest.raises(ModelLoadError, match="truncated"):
             load_model(str(target))
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from hmil.batching import build_batch
-from hmil.encoding import encode_document
 from hmil.model import ModelConfig, build_model, forward
 from hmil.nn import ShapeError, Tape, Tensor, backward
 from hmil.schema import Bag, NumericLeaf
@@ -26,10 +25,6 @@ from hmil.training import (
 PLAIN_BAG = Bag(count=1, child=NumericLeaf(count=1, mean=0.0, std=1.0))
 
 
-def encode_all(raw, schema=PLAIN_BAG):
-    return [encode_document(d, schema) for d in raw]
-
-
 def two_blob_dataset(n_docs=60, n_items=10, seed=0):
     """Bags of draws around +1 (class 1) or -1 (class 0): linearly
     separable through the bag mean."""
@@ -40,7 +35,7 @@ def two_blob_dataset(n_docs=60, n_items=10, seed=0):
         center = 1.0 if label else -1.0
         raw.append(list(rng.normal(center, 0.5, size=n_items)))
         labels.append(label)
-    return encode_all(raw), np.array(labels)
+    return raw, np.array(labels)
 
 
 class TestSoftmaxCrossEntropy:
@@ -209,13 +204,12 @@ class TestTrainLoop:
         rng = np.random.default_rng(9)
         raw = [list(rng.normal(0, 1, size=6)) for _ in range(40)]
         targets = np.array([[np.mean(d)] for d in raw])
-        docs = encode_all(raw)
         model = build_model(PLAIN_BAG,
                             ModelConfig(embed_dim=4, hidden_dim=4, seed=5))
-        train(model, docs, targets,
+        train(model, raw, targets,
               TrainConfig(epochs=60, batch_size=10, learning_rate=1e-2,
                           loss="mse", seed=1))
-        assert evaluate_mse(model, docs, targets) < 0.05
+        assert evaluate_mse(model, raw, targets) < 0.05
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
