@@ -1,9 +1,11 @@
 """Ragged batches: a set of documents as flat per-node arrays.
 
-Documents are encoded once, straight into columns: ``encode_document``
-appends each valid document to the lists from ``new_columns``, and
-``finish_batch`` turns those lists into arrays.  A minibatch of an
-encoded corpus is then an index gather (``take``), not a re-encode.
+Documents are encoded once, through columns: ``encode_document``
+appends each valid document to the lists from ``new_columns``, leaves
+as raw JSON values, and ``finish_batch`` turns those lists into arrays,
+encoding each leaf column in one pass (``encoding.encode_column``).  A
+minibatch of an encoded corpus is then an index gather (``take``), not
+a re-encode.
 
 Variable-length bags never pad.  Each bag node gets an int64 offsets
 array of length parent_rows + 1; instances of bag i occupy rows
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EncodingError, encode_document, leaf_width
+from .encoding import EncodingError, encode_column, encode_document
 from .schema import Bag, Product, SchemaNode
 
 __all__ = ["RaggedBatch", "build_batch", "new_columns", "finish_batch",
@@ -49,8 +51,8 @@ def node_paths(schema: SchemaNode, path: str = "$") -> list[tuple[str, SchemaNod
 
 
 def new_columns(schema: SchemaNode) -> dict[str, list]:
-    """Empty columns for ``encode_document``: per leaf a list of rows,
-    per bag running offsets starting at 0, per product flag rows."""
+    """Empty columns for ``encode_document``: per leaf a list of raw
+    values, per bag running offsets starting at 0, per product flag rows."""
     return {path: [0] if isinstance(node, Bag) else []
             for path, node in node_paths(schema)}
 
@@ -69,9 +71,7 @@ def finish_batch(columns: dict[str, list], schema: SchemaNode) -> RaggedBatch:
             presence[path] = np.asarray(column, dtype=np.float64).reshape(
                 len(column), n_optional)
         else:
-            width = leaf_width(node)
-            data[path] = (np.concatenate(column).reshape(len(column), width)
-                          if column else np.empty((0, width)))
+            data[path] = encode_column(node, column)
     # a bag root's offsets hold one entry more than there are documents
     root_rows = len(columns["$"]) - isinstance(schema, Bag)
     return RaggedBatch(batch_size=root_rows, data=data, offsets=offsets,

@@ -68,7 +68,7 @@ def _read_jsonl(path: str) -> list[tuple[int, object]]:
                     continue
                 try:
                     rows.append((number, json.loads(line)))
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # also integer literals too long
                     raise CliError(f"{path}:{number}: invalid JSON: {exc}")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}")
@@ -268,7 +268,7 @@ def cmd_predict(args) -> int:
                 continue
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also integer literals too long
                 records.append({"line": number,
                                 "error": f"invalid JSON: {exc}"})
                 failed = True

@@ -1,13 +1,16 @@
-"""Fixed-width float encodings for leaf values and whole documents.
+"""Fixed-width float encodings for leaf columns and whole documents.
 
 Numbers standardize against the schema's running statistics, strings
 become L1-normalized histograms of hashed byte n-grams (FNV-1a 64,
 fixed constants, so histograms reproduce across platforms), and
 categorical values one-hot with a trailing unknown slot.
 
-A document is encoded straight into per-node columns (see
-``batching.new_columns``): one row per leaf value, one running offset
-per bag, one row of presence flags per product.
+A document is appended straight into per-node columns (see
+``batching.new_columns``): one raw JSON value per leaf (None where an
+optional leaf is absent), one running offset per bag, one row of
+presence flags per product.  ``encode_column`` then encodes a whole
+leaf column in one numpy pass, when ``batching.finish_batch`` builds
+the batch; the one-value encoders are one-row wrappers over it.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "encode_numeric",
     "encode_string_ngram",
     "encode_categorical",
+    "encode_column",
     "leaf_width",
     "encode_document",
 ]
@@ -57,11 +61,7 @@ def fnv1a64(data: bytes) -> int:
 def encode_numeric(v: float, mean: float, std: float) -> np.ndarray:
     """Standardized value ``(v - mean) / std``; a degenerate leaf
     (std == 0) always encodes to 0."""
-    v = float(v)
-    if not np.isfinite(v):
-        raise EncodingError(f"non-finite number {v!r}")
-    z = 0.0 if std == 0.0 else (v - mean) / std
-    return np.array([z])
+    return _standardize([v], mean, std)[0]
 
 
 def encode_string_ngram(s: str, n: int, dim: int) -> np.ndarray:
@@ -69,21 +69,73 @@ def encode_string_ngram(s: str, n: int, dim: int) -> np.ndarray:
 
     Strings shorter than ``n`` bytes have no n-grams and stay all-zero.
     """
-    out = np.zeros(dim)
-    raw = s.encode("utf-8")
-    for i in range(len(raw) - n + 1):
-        out[fnv1a64(raw[i:i + n]) % dim] += 1.0
-    total = out.sum()
-    if total > 0:
-        out /= total
-    return out
+    return _ngram_histograms([s], n, dim)[0]
 
 
 def encode_categorical(v: str, leaf: CategoricalLeaf) -> np.ndarray:
     """One-hot over the vocabulary; unseen values hit the extra last slot."""
-    out = np.zeros(len(leaf.values) + 1)
-    idx = leaf.index(v)
-    out[len(leaf.values) if idx is None else idx] = 1.0
+    return _one_hot([v], leaf)[0]
+
+
+def encode_column(node: SchemaNode, column: list) -> np.ndarray:
+    """The ``(rows, width)`` encoding of one leaf's column of raw JSON
+    values; a None row (absent optional leaf) encodes to zeros."""
+    if isinstance(node, NumericLeaf):
+        return _standardize(column, node.mean, node.std)
+    if isinstance(node, StringLeaf):
+        return _ngram_histograms(column, node.ngram_n, node.hash_dim)
+    if isinstance(node, CategoricalLeaf):
+        return _one_hot(column, node)
+    raise TypeError(f"not a leaf: {node.kind}")
+
+
+def _standardize(column: list, mean: float, std: float) -> np.ndarray:
+    values = np.array([0.0 if v is None else float(v) for v in column])
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise EncodingError(f"non-finite number {float(values[~finite][0])!r}")
+    if std == 0.0:
+        return np.zeros((len(column), 1))
+    # overflow gives inf and nan silently, as in Python float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = ((values - mean) / std).reshape(-1, 1)
+    if None in column:
+        out[[v is None for v in column]] = 0.0
+    return out
+
+
+def _ngram_histograms(column: list, n: int, dim: int) -> np.ndarray:
+    """Every row's histogram at once: the FNV-1a recurrence runs over all
+    n-gram windows of the column as uint64, whose multiply wraps exactly
+    like the masked scalar ``fnv1a64``."""
+    raw = [b"" if s is None else s.encode("utf-8") for s in column]
+    lengths = np.fromiter(map(len, raw), dtype=np.int64, count=len(raw))
+    counts = np.maximum(lengths - n + 1, 0)  # n-grams per row
+    windows = int(counts.sum())
+    if windows == 0:
+        return np.zeros((len(raw), dim))
+    buf = np.frombuffer(b"".join(raw), dtype=np.uint8)
+    # a row's last n - 1 bytes (all of a shorter row) start no n-gram:
+    # window j of the column starts at byte j plus the bytes so skipped
+    # in the rows before its own
+    skip = lengths - counts
+    starts = np.arange(windows) + np.repeat(np.cumsum(skip) - skip, counts)
+    h = np.full(windows, _FNV_OFFSET, dtype=np.uint64)
+    for k in range(n):
+        h ^= buf[starts + k]
+        h *= np.uint64(_FNV_PRIME)
+    buckets = (np.repeat(np.arange(len(raw)) * dim, counts)
+               + (h % np.uint64(dim)).astype(np.int64))
+    hist = np.bincount(buckets, minlength=len(raw) * dim).reshape(-1, dim)
+    # an all-zero row divided by 1 stays all-zero
+    return hist / np.maximum(counts, 1)[:, None]
+
+
+def _one_hot(column: list, leaf: CategoricalLeaf) -> np.ndarray:
+    out = np.zeros((len(column), len(leaf.values) + 1))
+    rows = [i for i, v in enumerate(column) if v is not None]
+    slots = [leaf.index(column[i]) for i in rows]
+    out[rows, [len(leaf.values) if j is None else j for j in slots]] = 1.0
     return out
 
 
@@ -100,7 +152,7 @@ def leaf_width(leaf: SchemaNode) -> int:
 def _append(value, node: SchemaNode, path: str,
             columns: dict[str, list]) -> None:
     """Append ``value`` at ``path``; None stands for an absent optional
-    subtree: zero leaf rows, empty bags, presence flags 0."""
+    subtree: None leaf values, empty bags, presence flags 0."""
     column = columns[path]
     if isinstance(node, Bag):
         items = value or ()
@@ -115,18 +167,12 @@ def _append(value, node: SchemaNode, path: str,
                        for f, v in zip(node.fields, values) if f.optional])
         for f, v in zip(node.fields, values):
             _append(v, f.schema, path + "." + f.name, columns)
-    elif value is None:
-        column.append(np.zeros(leaf_width(node)))
-    elif isinstance(node, NumericLeaf):
-        column.append(encode_numeric(value, node.mean, node.std))
-    elif isinstance(node, StringLeaf):
-        column.append(encode_string_ngram(value, node.ngram_n, node.hash_dim))
     else:
-        column.append(encode_categorical(value, node))
+        column.append(value)
 
 
 def encode_document(doc, schema: SchemaNode, columns: dict[str, list]) -> None:
-    """Validate a JSON document and append its encoding to ``columns``.
+    """Validate a JSON document and append it to ``columns``.
 
     Raises EncodingError carrying the violation list, with ``columns``
     untouched, if the document does not fit.

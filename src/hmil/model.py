@@ -38,7 +38,14 @@ from .nn import (
     segment_max,
     segment_mean,
 )
-from .schema import Bag, Product, SchemaNode, dumps_schema, loads_schema
+from .schema import (
+    Bag,
+    Product,
+    SchemaError,
+    SchemaNode,
+    dumps_schema,
+    loads_schema,
+)
 
 __all__ = [
     "ModelConfig",
@@ -506,9 +513,17 @@ def load_model(path: str) -> tuple[Model, dict]:
         if version != FORMAT_VERSION:
             raise ModelLoadError(f"unsupported format version {version}")
         (n,) = struct.unpack("<Q", _read_exact(fh, 8, "schema length"))
-        schema = loads_schema(_read_exact(fh, n, "schema").decode("utf-8"))
+        raw = _read_exact(fh, n, "schema")
+        try:
+            schema = loads_schema(raw.decode("utf-8"))
+        except (SchemaError, UnicodeDecodeError) as exc:
+            raise ModelLoadError(f"corrupt schema: {exc}") from exc
         (n,) = struct.unpack("<Q", _read_exact(fh, 8, "config length"))
-        blob = json.loads(_read_exact(fh, n, "config").decode("utf-8"))
+        raw = _read_exact(fh, n, "config")
+        try:
+            blob = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:  # includes UnicodeDecodeError
+            raise ModelLoadError(f"corrupt config blob: {exc}") from exc
         try:
             config = ModelConfig(**blob["model"])
             extra = blob["extra"]

@@ -285,9 +285,39 @@ class TestPredict:
         assert rc == 2
         assert "truncated container: parameters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("at", [16, 17])
+    def test_corrupt_schema_blob_exits_2(self, corpus, tmp_path, capsys, at):
+        _, model = run_train(corpus)
+        blob = bytearray(model.read_bytes())
+        blob[at:at + 1] = b"\xff"
+        model.write_bytes(bytes(blob))
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [{"values": [0.1]}])
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", "-"])
+        assert rc == 2
+        assert "corrupt schema" in capsys.readouterr().err
+
+    def test_corrupt_config_blob_exits_2(self, corpus, tmp_path, capsys):
+        _, model = run_train(corpus)
+        blob = bytearray(model.read_bytes())
+        (n_schema,) = struct.unpack("<Q", blob[8:16])
+        blob[16 + n_schema + 8 + 1] = ord("x")  # inside the config JSON
+        model.write_bytes(bytes(blob))
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [{"values": [0.1]}])
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", "-"])
+        assert rc == 2
+        assert "corrupt config blob" in capsys.readouterr().err
+
 
 # a JSON integer too large for float64
 HUGE = "9" * 401
+# and one too long for json.loads to parse at all
+LONG = "9" * 5000
 
 
 class TestHugeIntegers:
@@ -323,6 +353,41 @@ class TestHugeIntegers:
         first, second = [json.loads(l) for l in
                          capsys.readouterr().out.strip().splitlines()]
         assert first["line"] == 1 and "finite number" in first["error"]
+        assert second["prediction"] in ("hot", "cold")
+
+    # json.loads refuses integer literals over 4300 digits with a plain
+    # ValueError, not a JSONDecodeError
+    def test_infer_long_literal_names_the_line(self, tmp_path, capsys):
+        src = tmp_path / "d.jsonl"
+        src.write_text('{"a": 1}\n{"a": %s}\n' % LONG)
+        rc = main(["infer", "--input", str(src),
+                   "--output", str(tmp_path / "s.json")])
+        assert rc == 2
+        assert f"{src}:2: invalid JSON" in capsys.readouterr().err
+
+    def test_train_long_literal_names_the_line(self, corpus, capsys):
+        bad = corpus["dir"] / "bad.jsonl"
+        lines = [json.dumps(d) for d in corpus["docs"][:3]]
+        lines[2] = '{"values": [1.0, %s], "kind": "hot"}' % LONG
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--schema", str(corpus["schema"]),
+                   "--train", str(bad), "--label-field", "kind",
+                   "--output", str(corpus["dir"] / "m.bin")])
+        assert rc == 2
+        assert f"{bad}:3: invalid JSON" in capsys.readouterr().err
+
+    def test_predict_long_literal_writes_an_error_record(self, corpus,
+                                                         tmp_path, capsys):
+        _, model = run_train(corpus)
+        capsys.readouterr()
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"values": [%s]}\n{"values": [1.0]}\n' % LONG)
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", "-"])
+        assert rc == 1
+        first, second = [json.loads(l) for l in
+                         capsys.readouterr().out.strip().splitlines()]
+        assert first["line"] == 1 and "invalid JSON" in first["error"]
         assert second["prediction"] in ("hot", "cold")
 
     def test_mse_label_exits_2(self, tmp_path, capsys):

@@ -1,24 +1,32 @@
 """Leaf encoders: hashing, standardization, one-hot, document columns."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from hmil.batching import build_batch, new_columns
+from hmil.batching import build_batch, finish_batch, new_columns
 from hmil.encoding import (
     EncodingError,
     encode_categorical,
+    encode_column,
     encode_document,
     encode_numeric,
     encode_string_ngram,
     fnv1a64,
     leaf_width,
 )
-from hmil.schema import Bag, CategoricalLeaf, NumericLeaf, infer_schema
+from hmil.schema import (
+    Bag,
+    CategoricalLeaf,
+    NumericLeaf,
+    StringLeaf,
+    infer_schema,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -116,6 +124,73 @@ class TestCategoricalEncoder:
                                       [0.0, 0.0, 1.0])
 
 
+def _scalar_histogram(s, n, dim):
+    """Reference for one string row: the scalar FNV-1a loop, one n-gram
+    at a time."""
+    out = np.zeros(dim)
+    raw = b"" if s is None else s.encode("utf-8")
+    for i in range(len(raw) - n + 1):
+        out[fnv1a64(raw[i:i + n]) % dim] += 1.0
+    total = out.sum()
+    if total > 0:
+        out /= total
+    return out
+
+
+def _rows(rows, width):
+    return np.array(rows, dtype=np.float64).reshape(len(rows), width)
+
+
+class TestEncodeColumn:
+    """The column encoders equal, byte for byte, a row-by-row reference."""
+
+    @given(st.lists(st.none() | st.text(max_size=12), max_size=8),
+           st.integers(1, 5), st.integers(1, 97))
+    @example(["", "ab", "\U0001f600", "x\U0001f600y", None, "é!"], 3, 97)
+    def test_strings_match_scalar_fnv1a(self, column, n, dim):
+        got = encode_column(StringLeaf(1, n, dim), column)
+        want = _rows([_scalar_histogram(s, n, dim) for s in column], dim)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.lists(st.none() | st.booleans() | st.integers(-10**6, 10**6)
+                    | st.floats(-1e12, 1e12), max_size=8),
+           st.floats(-1e6, 1e6), st.just(0.0) | st.floats(1e-6, 1e6))
+    def test_numerics_match_scalar_standardization(self, column, mean, std):
+        got = encode_column(NumericLeaf(1, mean, std), column)
+        want = _rows([[0.0] if v is None or std == 0.0
+                      else [(float(v) - mean) / std] for v in column], 1)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.lists(st.none() | st.sampled_from(["a", "b", "c", "", "zz"]),
+                    max_size=8),
+           st.lists(st.sampled_from(["a", "b", "c", ""]), unique=True))
+    def test_categoricals_match_scalar_one_hot(self, column, vocab):
+        leaf = CategoricalLeaf(1, tuple(sorted(vocab)))
+        width = len(vocab) + 1
+        want = np.zeros((len(column), width))
+        for i, v in enumerate(column):
+            if v is not None:  # unseen values go to the last slot
+                want[i, leaf.values.index(v) if v in vocab else -1] = 1.0
+        got = encode_column(leaf, column)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_column(self):
+        for leaf in (NumericLeaf(1, 0.0, 1.0), StringLeaf(1, 3, 16),
+                     CategoricalLeaf(1, ("a", "b"))):
+            got = encode_column(leaf, [])
+            assert got.shape == (0, leaf_width(leaf))
+            assert got.dtype == np.float64
+
+    def test_rejects_nonfinite_and_non_leaves(self):
+        with pytest.raises(EncodingError, match="non-finite number inf"):
+            encode_column(NumericLeaf(1, 0.0, 1.0), [1.0, float("inf")])
+        with pytest.raises(TypeError):
+            encode_column(Bag(1, NumericLeaf(1, 0.0, 1.0)), [])
+
+
 class TestLeafWidth:
     def test_widths(self):
         assert leaf_width(NumericLeaf(1, 0.0, 1.0)) == 1
@@ -181,9 +256,13 @@ class TestDocumentEncoding:
         assert columns["$"] == [[0.0]]  # "sub" absent
         assert columns["$.sub"] == [[0.0]]  # and so its optional "inner"
         assert columns["$.sub.xs"] == [0, 0]  # equal offsets: empty bag
-        np.testing.assert_array_equal(columns["$.sub.tag"], [np.zeros(3)])
-        np.testing.assert_array_equal(columns["$.sub.inner.y"], [np.zeros(1)])
+        assert columns["$.sub.tag"] == [None]  # raw leaf values until
+        assert columns["$.sub.inner.y"] == [None]  # finish_batch encodes
         assert columns["$.sub.inner"] == [[]]  # no optional fields
+        batch = finish_batch(columns, schema)
+        np.testing.assert_array_equal(batch.data["$.sub.tag"], [np.zeros(3)])
+        np.testing.assert_array_equal(batch.data["$.sub.inner.y"],
+                                      [np.zeros(1)])
 
     def test_invalid_raw_document_names_its_index(self, fitness):
         doc, schema = fitness
@@ -192,3 +271,80 @@ class TestDocumentEncoding:
         assert exc.value.index == 2
         assert sorted(v.path for v in exc.value.violations) == [
             "$.weekNumber", "$.workouts"]
+
+
+# A fixed corpus with every leaf kind: n-gram strings (non-ASCII and
+# shorter than n too), booleans, a degenerate std == 0 leaf, an unseen
+# categorical, empty bags, and absent optional subtrees.
+GOLDEN_DOCS = [
+    {"id": 1, "flag": True, "const": 7, "level": "info",
+     "msg": "GET /index.html 200", "tags": ["a", "b"],
+     "groups": [[1.5, -2.0], []],
+     "sub": {"xs": [0.25, 4.0, -1e-3], "note": "ok", "deep": {"y": 5}}},
+    {"id": 2.5, "flag": False, "const": 7, "level": "warn",
+     "msg": "POST /api/v1/items?q=café \U0001f600", "tags": [],
+     "groups": [],
+     "sub": {"xs": [], "note": "fine"}},
+    {"id": -3, "flag": True, "const": 7, "level": "error", "msg": "ab",
+     "tags": ["c", "a", "c"], "groups": [[], [9.0]]},
+    {"id": 10**15, "flag": False, "const": 7, "level": "info", "msg": "",
+     "tags": ["b"], "groups": [[0.5]], "sub": None},
+    {"id": 0.1, "flag": True, "const": 7, "level": "warn",
+     "msg": "日本語のログ line",
+     "tags": ["a"], "groups": [[1.0, 2.0, 3.0]],
+     "sub": {"xs": [1.0], "note": "ok", "deep": {"y": -5}}},
+]
+# batched but not inferred from: "debug" and "z" are unseen
+GOLDEN_EXTRA = {"id": 4, "flag": False, "const": 7, "level": "debug",
+                "msg": "DELETE /x", "tags": ["z"], "groups": [[]],
+                "sub": {"xs": [2.0], "note": "new"}}
+
+# sha256 of dtype, shape and bytes of every array, recorded with the
+# per-value scalar encoders that the column encoders replaced
+GOLDEN_SHA256 = {
+    "data $.const":
+        "ed4ae03a4028150db6cb922d7bcb19f3aa697bff71ab36ec885b27362a42d6de",
+    "data $.flag":
+        "1c13988f79daff622d490d343e3bdf05d9e46af2265367da268a1a78ea85f4fa",
+    "data $.groups[][]":
+        "3a2291c481cc5bad4bfdeb33a38890fa3aac9f4251344ceb769ff854cd1a6fd5",
+    "data $.id":
+        "b8c51226a1d59d436e5cf9b5247ecf0756aefabfee0f3c4d281344bf6f82926c",
+    "data $.level":
+        "caae6d44bb828fea4ab304ae0ac42d44d7bb91b5cd840af781c951de7fef0eca",
+    "data $.msg":
+        "736d9421dc5e0638ee130b1b81aa1bfc540e499f9cf638c58228833ff2ca1b3a",
+    "data $.sub.deep.y":
+        "932e42fdf433006527f1d194ed4d29dc12224225cbb08f02f305fbc89f2463f3",
+    "data $.sub.note":
+        "92c2755ce2fe2370ecf85ed4d0996d92001dcd5d719f520799a9498b7c8ca138",
+    "data $.sub.xs[]":
+        "d8865284d759b5608e125dbba50d289703c6c1666ae581b2b6e55e95c758ecee",
+    "data $.tags[]":
+        "26f2c83cc2b1e6fc341eb3dafed09079e15a77b6f4f18fefb46f07a532de8fe4",
+    "offsets $.groups":
+        "7ffc714f0a11ec8b4a1b5a86a377c2fbd702beea8e2946ff0623c805b2c0ee3b",
+    "offsets $.groups[]":
+        "746df3dfdaee61840b0c1cf2167ab54f6577e31bd4f13581152d9a5748033c0a",
+    "offsets $.sub.xs":
+        "533f50831f4118de3cb5a916b2c625f5c69c3e04412a8c1ec9d3859f6f0b0c25",
+    "offsets $.tags":
+        "00d1e8f11eb7adfaf107921cbffd784d6af76aefa7ad8384d86f1dd58e37bbea",
+    "presence $":
+        "ed2bcfb9ee109574e75cc6c51921ded48ebeb715be58a80eacb739452eb62488",
+    "presence $.sub":
+        "4d6c73e3d969a84d3f02d977807da3f727efd467306e2db82c2977aedcd1fc19",
+    "presence $.sub.deep":
+        "888b27347f08359edd24b75dbd6ff1d5a2cbf5313307a2d37c6743371daa1065",
+}
+
+
+def test_golden_batch_digest():
+    schema = infer_schema(GOLDEN_DOCS, categorical_threshold=3)
+    batch = build_batch(GOLDEN_DOCS + [GOLDEN_EXTRA], schema)
+    got = {}
+    for kind in ("data", "offsets", "presence"):
+        for path, a in getattr(batch, kind).items():
+            got[f"{kind} {path}"] = hashlib.sha256(
+                f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+    assert got == GOLDEN_SHA256

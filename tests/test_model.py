@@ -389,6 +389,32 @@ class TestSaveLoad:
         with pytest.raises(ModelLoadError, match="truncated"):
             load_model(str(target))
 
+    # byte 16 opens the schema JSON, byte 17 starts its first key
+    @pytest.mark.parametrize("at", [16, 17])
+    @pytest.mark.parametrize("byte", [b"\xff", b"x"])
+    def test_corrupt_schema_blob(self, tmp_path, at, byte):
+        target = tmp_path / "m"
+        save_model(build_model(PLAIN_BAG, ModelConfig()), str(target))
+        blob = bytearray(target.read_bytes())
+        assert blob[16:18] == b'{"'
+        blob[at:at + 1] = byte
+        target.write_bytes(bytes(blob))
+        with pytest.raises(ModelLoadError, match="corrupt schema"):
+            load_model(str(target))
+
+    @pytest.mark.parametrize("byte", [b"\xff", b"x"])
+    def test_corrupt_config_blob(self, tmp_path, byte):
+        target = tmp_path / "m"
+        save_model(build_model(PLAIN_BAG, ModelConfig()), str(target))
+        blob = bytearray(target.read_bytes())
+        (n_schema,) = struct.unpack("<Q", blob[8:16])
+        at = 16 + n_schema + 8  # the config blob's opening brace
+        assert blob[at:at + 1] == b"{"
+        blob[at:at + 1] = byte
+        target.write_bytes(bytes(blob))
+        with pytest.raises(ModelLoadError, match="corrupt config blob"):
+            load_model(str(target))
+
     def test_trailing_bytes(self, tmp_path):
         target = tmp_path / "m"
         save_model(build_model(PLAIN_BAG, ModelConfig()), str(target))
