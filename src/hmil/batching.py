@@ -14,8 +14,9 @@ a presence matrix with one column per optional field (kept even at
 width zero so every node knows its row count).  An absent optional
 subtree still takes its rows: zero leaf rows, empty bags, flags 0.
 
-Node paths name positions in the schema tree: "$" at the root, ".name"
-steps into a product field, "[]" steps into a bag's element.
+Node paths (``schema.node_paths``) name positions in the schema tree:
+"$" at the root, ".name" steps into a product field, "[]" steps into a
+bag's element.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import EncodingError, encode_column, encode_document
-from .schema import Bag, Product, SchemaNode
+from .schema import Bag, Product, SchemaNode, node_paths
 
 __all__ = ["RaggedBatch", "build_batch", "new_columns", "finish_batch",
-           "take", "node_paths"]
+           "take"]
 
 
 @dataclass
@@ -37,17 +38,6 @@ class RaggedBatch:
     data: dict[str, np.ndarray]      # leaf path -> (rows, width) float64
     offsets: dict[str, np.ndarray]   # bag path -> (parent_rows + 1,) int64
     presence: dict[str, np.ndarray]  # product path -> (rows, n_optional)
-
-
-def node_paths(schema: SchemaNode, path: str = "$") -> list[tuple[str, SchemaNode]]:
-    """Preorder list of (path, node) pairs for the whole tree."""
-    out = [(path, schema)]
-    if isinstance(schema, Bag):
-        out.extend(node_paths(schema.child, path + "[]"))
-    elif isinstance(schema, Product):
-        for f in schema.fields:
-            out.extend(node_paths(f.schema, path + "." + f.name))
-    return out
 
 
 def new_columns(schema: SchemaNode) -> dict[str, list]:
@@ -96,32 +86,29 @@ def build_batch(docs: list, schema: SchemaNode) -> RaggedBatch:
     return finish_batch(columns, schema)
 
 
-def _take(batch: RaggedBatch, node: SchemaNode, path: str, rows: np.ndarray,
-          out: RaggedBatch) -> None:
-    if isinstance(node, Bag):
-        offsets = batch.offsets[path]
-        starts = offsets[rows]
-        lengths = offsets[rows + 1] - starts
-        new = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=new[1:])
-        out.offsets[path] = new
-        # gathered child row j of selected bag b is source row
-        # starts[b] + (j - new[b])
-        child_rows = (np.repeat(starts - new[:-1], lengths)
-                      + np.arange(new[-1], dtype=np.int64))
-        _take(batch, node.child, path + "[]", child_rows, out)
-    elif isinstance(node, Product):
-        out.presence[path] = batch.presence[path][rows]
-        for f in node.fields:
-            _take(batch, f.schema, path + "." + f.name, rows, out)
-    else:
-        out.data[path] = batch.data[path][rows]
-
-
 def take(batch: RaggedBatch, rows, schema: SchemaNode) -> RaggedBatch:
     """The documents at ``rows`` (repeats allowed), in that order: equal,
     array for array, to batching those documents afresh."""
     rows = np.asarray(rows, dtype=np.int64)
     out = RaggedBatch(batch_size=len(rows), data={}, offsets={}, presence={})
-    _take(batch, schema, "$", rows, out)
+    selected = {"$": rows}  # node path -> its source rows, in output order
+    for path, node in node_paths(schema):
+        rows = selected[path]
+        if isinstance(node, Bag):
+            offsets = batch.offsets[path]
+            starts = offsets[rows]
+            lengths = offsets[rows + 1] - starts
+            new = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum(lengths, out=new[1:])
+            out.offsets[path] = new
+            # gathered child row j of selected bag b is source row
+            # starts[b] + (j - new[b])
+            selected[path + "[]"] = (np.repeat(starts - new[:-1], lengths)
+                                     + np.arange(new[-1], dtype=np.int64))
+        elif isinstance(node, Product):
+            out.presence[path] = batch.presence[path][rows]
+            for f in node.fields:
+                selected[path + "." + f.name] = rows
+        else:
+            out.data[path] = batch.data[path][rows]
     return out

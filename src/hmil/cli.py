@@ -20,7 +20,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .batching import finish_batch, new_columns, node_paths
+from .batching import finish_batch, new_columns
 from .encoding import EncodingError, encode_document
 from .model import (
     ModelConfig,
@@ -39,6 +39,7 @@ from .schema import (
     dumps_schema,
     infer_schema,
     loads_schema,
+    node_paths,
 )
 from .training import CHUNK_SIZE, TrainConfig, TrainingDiverged, train
 from .verification import SUITE_NAMES, run_suite, summarize_report
@@ -57,19 +58,44 @@ class CliError(Exception):
         self.code = code
 
 
+def _open_jsonl(path: str):
+    # surrogateescape defers undecodable bytes to _parse_lines, which
+    # can name their line
+    try:
+        return open(path, "r", encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}")
+
+
+def _parse_lines(fh):
+    """(line_number, document, error) per non-blank line of a file from
+    ``_open_jsonl``; error is None or why the line has no document."""
+    for number, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            yield number, None, "invalid UTF-8"
+            continue
+        try:
+            doc = json.loads(line)
+        except ValueError as exc:  # also integer literals too long
+            yield number, None, f"invalid JSON: {exc}"
+            continue
+        yield number, doc, None
+
+
 def _read_jsonl(path: str) -> list[tuple[int, object]]:
     """Parse a JSONL file into (line_number, document) pairs.  Blank
     lines are skipped; a malformed line aborts with its location."""
     rows = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for number, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rows.append((number, json.loads(line)))
-                except ValueError as exc:  # also integer literals too long
-                    raise CliError(f"{path}:{number}: invalid JSON: {exc}")
+        with _open_jsonl(path) as fh:
+            for number, doc, error in _parse_lines(fh):
+                if error is not None:
+                    raise CliError(f"{path}:{number}: {error}")
+                rows.append((number, doc))
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}")
     return rows
@@ -116,7 +142,7 @@ def _load_schema_file(path: str):
             return loads_schema(fh.read())
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}")
-    except SchemaError as exc:
+    except (SchemaError, UnicodeDecodeError) as exc:
         raise CliError(f"{path}: {exc}")
 
 
@@ -134,7 +160,7 @@ def _resolve_configs(args) -> tuple[dict, dict]:
                 loaded = json.load(fh)
         except OSError as exc:
             raise CliError(f"cannot read {args.config}: {exc.strerror}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also UnicodeDecodeError
             raise CliError(f"{args.config}: invalid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise CliError(f"{args.config}: config must be a JSON object")
@@ -258,19 +284,10 @@ def cmd_predict(args) -> int:
     columns = new_columns(model.schema)
     slots: list[int] = []  # records of the documents encoded in columns
     failed = False
-    try:
-        fh = open(args.input, "r", encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {args.input}: {exc.strerror}")
-    with fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except ValueError as exc:  # also integer literals too long
-                records.append({"line": number,
-                                "error": f"invalid JSON: {exc}"})
+    with _open_jsonl(args.input) as fh:
+        for number, doc, error in _parse_lines(fh):
+            if error is not None:
+                records.append({"line": number, "error": error})
                 failed = True
                 continue
             if isinstance(doc, dict) and label_field in doc:

@@ -18,6 +18,7 @@ from .schema import (
     ProductField,
     SchemaNode,
     StringLeaf,
+    node_paths,
 )
 
 __all__ = ["random_schema", "random_document", "permute_bags"]
@@ -56,14 +57,6 @@ def _random_node(rng: np.random.Generator, depth: int) -> SchemaNode:
     return _random_leaf(rng)
 
 
-def _contains_bag(node: SchemaNode) -> bool:
-    if isinstance(node, Bag):
-        return True
-    if isinstance(node, Product):
-        return any(_contains_bag(f.schema) for f in node.fields)
-    return False
-
-
 def random_schema(rng: np.random.Generator, max_depth: int = 3,
                   require_bag: bool = False) -> SchemaNode:
     """Random schema tree of depth at most ``max_depth``.
@@ -75,7 +68,8 @@ def random_schema(rng: np.random.Generator, max_depth: int = 3,
         raise ValueError("a bag needs depth >= 1")
     while True:
         node = _random_node(rng, max_depth)
-        if not require_bag or _contains_bag(node):
+        if not require_bag or any(isinstance(n, Bag)
+                                  for _, n in node_paths(node)):
             return node
 
 

@@ -8,9 +8,10 @@ and mixes them with a dense layer.  A two-layer head on the root
 representation produces task outputs.
 
 The linear map after pooling keeps two facts checkable: an extra
-per-instance linear layer composes into it exactly (``collapse_model``),
-and with tanh units every embedding coordinate obeys the
-data-independent bound returned by ``embedding_bound``.
+per-instance linear layer before mean pooling folds into it exactly
+(``verification.check_matrix_collapse``), and with tanh units every
+embedding coordinate obeys the data-independent bound returned by
+``embedding_bound``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .schema import (
     SchemaNode,
     dumps_schema,
     loads_schema,
+    node_paths,
 )
 
 __all__ = [
@@ -53,9 +55,6 @@ __all__ = [
     "ModelError",
     "ModelLoadError",
     "build_model",
-    "build_two_matrix_variant",
-    "collapse_model",
-    "collapse_equivalence_check",
     "forward",
     "forward_with_embeddings",
     "embed",
@@ -115,12 +114,11 @@ class LeafNet:
 class BagNet:
     def __init__(self, path: str, child: "Net", phi_w: Tensor, phi_b: Tensor,
                  post_w: Tensor, post_b: Tensor, aggregation: str,
-                 activation: Activation, inner_w: Tensor | None = None):
+                 activation: Activation):
         self.path = path
         self.child = child
         self.phi_w = phi_w
         self.phi_b = phi_b
-        self.inner_w = inner_w
         self.post_w = post_w
         self.post_b = post_b
         self.aggregation = aggregation
@@ -128,8 +126,7 @@ class BagNet:
         self.out_dim = post_w.cols
 
     def own_params(self) -> list[Tensor]:
-        inner = [] if self.inner_w is None else [self.inner_w]
-        return [self.phi_w, self.phi_b, *inner, self.post_w, self.post_b]
+        return [self.phi_w, self.phi_b, self.post_w, self.post_b]
 
 
 class ProductNet:
@@ -171,36 +168,28 @@ class Model:
     root: Net
     head: Head
 
-    def parameters(self) -> list[Tensor]:
-        """Module-tree preorder (each node's own tensors, then its
-        children's), head last.  Serialization relies on this order."""
-        out: list[Tensor] = []
-
-        def visit(net: Net) -> None:
-            out.extend(net.own_params())
+    def nets(self) -> list[Net]:
+        """Every node of the net tree in preorder: each node, then its
+        children in field order."""
+        out: list[Net] = []
+        stack: list[Net] = [self.root]
+        while stack:
+            net = stack.pop()
+            out.append(net)
             if isinstance(net, BagNet):
-                visit(net.child)
+                stack.append(net.child)
             elif isinstance(net, ProductNet):
-                for _, child in net.children:
-                    visit(child)
-
-        visit(self.root)
-        out.extend(self.head.own_params())
+                stack.extend(child for _, child in reversed(net.children))
         return out
+
+    def parameters(self) -> list[Tensor]:
+        """Each node's own tensors in ``nets()`` order, head last.
+        Serialization relies on this order."""
+        return [p for net in self.nets() for p in net.own_params()] \
+            + self.head.own_params()
 
     def bag_paths(self) -> list[str]:
-        out = []
-
-        def visit(net: Net) -> None:
-            if isinstance(net, BagNet):
-                out.append(net.path)
-                visit(net.child)
-            elif isinstance(net, ProductNet):
-                for _, child in net.children:
-                    visit(child)
-
-        visit(self.root)
-        return out
+        return [net.path for net in self.nets() if isinstance(net, BagNet)]
 
 
 def _agg_width(aggregation: str, embed_dim: int) -> int:
@@ -216,26 +205,20 @@ def _bias_init(rng: np.random.Generator, fan_in: int, dim: int) -> Tensor:
 
 
 def _build_net(node: SchemaNode, path: str, config: ModelConfig,
-               rng: np.random.Generator, act: Activation,
-               inner_dim: int | None) -> Net:
+               rng: np.random.Generator, act: Activation) -> Net:
     if isinstance(node, Bag):
-        child = _build_net(node.child, path + "[]", config, rng, act,
-                           inner_dim)
+        child = _build_net(node.child, path + "[]", config, rng, act)
         k = config.embed_dim
         phi_w = glorot_uniform(rng, child.out_dim, k)
         phi_b = _bias_init(rng, child.out_dim, k)
-        inner_w = None
         agg_dim = _agg_width(config.aggregation, k)
-        if inner_dim is not None:
-            inner_w = glorot_uniform(rng, k, inner_dim)
-            agg_dim = inner_dim  # mean pooling only; checked by caller
         post_w = glorot_uniform(rng, agg_dim + 1, k)
         post_b = _bias_init(rng, agg_dim + 1, k)
         return BagNet(path, child, phi_w, phi_b, post_w, post_b,
-                      config.aggregation, act, inner_w)
+                      config.aggregation, act)
     if isinstance(node, Product):
         children = [(f.name, _build_net(f.schema, f"{path}.{f.name}", config,
-                                        rng, act, inner_dim))
+                                        rng, act))
                     for f in node.fields]
         n_optional = sum(1 for f in node.fields if f.optional)
         in_dim = sum(c.out_dim for _, c in children) + n_optional
@@ -245,73 +228,18 @@ def _build_net(node: SchemaNode, path: str, config: ModelConfig,
     return LeafNet(path, node)
 
 
-def _build(schema: SchemaNode, config: ModelConfig,
-           inner_dim: int | None) -> Model:
+def build_model(schema: SchemaNode, config: ModelConfig) -> Model:
+    """Deterministic compilation: same schema, config, and seed give
+    bit-identical initial parameters."""
     rng = np.random.default_rng(config.seed)
     act = _ACTIVATIONS[config.activation]
-    root = _build_net(schema, "$", config, rng, act, inner_dim)
+    root = _build_net(schema, "$", config, rng, act)
     w1 = glorot_uniform(rng, root.out_dim, config.hidden_dim)
     b1 = _bias_init(rng, root.out_dim, config.hidden_dim)
     w2 = glorot_uniform(rng, config.hidden_dim, config.output_dim)
     b2 = _bias_init(rng, config.hidden_dim, config.output_dim)
     return Model(schema=schema, config=config, root=root,
                  head=Head(w1, b1, w2, b2, act))
-
-
-def build_model(schema: SchemaNode, config: ModelConfig) -> Model:
-    """Deterministic compilation: same schema, config, and seed give
-    bit-identical initial parameters."""
-    return _build(schema, config, inner_dim=None)
-
-
-def build_two_matrix_variant(schema: SchemaNode, config: ModelConfig,
-                             inner_dim: int = 8) -> Model:
-    """Variant with an extra per-instance linear layer inside every bag
-    (so pooling sees ``inner_dim`` columns).  Exists to demonstrate that
-    the extra matrix collapses into the post-pooling map; requires mean
-    pooling, the only aggregation linear maps commute with."""
-    if config.aggregation != "mean":
-        raise ModelError("the two-matrix variant requires mean aggregation")
-    return _build(schema, config, inner_dim=inner_dim)
-
-
-def collapse_model(model: Model) -> Model:
-    """Fold each bag's inner linear layer into its post-pooling map.
-
-    With mean pooling, pool(h @ M) == pool(h) @ M, so post weights
-    [M @ W_rows; indicator_row] reproduce the two-matrix computation up
-    to float round-off. Empty bags agree exactly: both pipelines pool
-    to a zero row.
-    """
-
-    def fold(net: Net) -> Net:
-        if isinstance(net, BagNet):
-            child = fold(net.child)
-            if net.inner_w is None:
-                return BagNet(net.path, child, net.phi_w, net.phi_b,
-                              net.post_w, net.post_b, net.aggregation,
-                              net.activation)
-            w = net.post_w.data
-            merged = np.vstack([net.inner_w.data @ w[:-1, :], w[-1:, :]])
-            return BagNet(net.path, child, net.phi_w, net.phi_b,
-                          Tensor(merged), net.post_b, net.aggregation,
-                          net.activation)
-        if isinstance(net, ProductNet):
-            return ProductNet(net.path, [(n, fold(c)) for n, c in net.children],
-                              net.n_optional, net.comb_w, net.comb_b,
-                              net.activation)
-        return net
-
-    return Model(schema=model.schema, config=model.config,
-                 root=fold(model.root), head=model.head)
-
-
-def _has_inner(net: Net) -> bool:
-    if isinstance(net, BagNet):
-        return net.inner_w is not None or _has_inner(net.child)
-    if isinstance(net, ProductNet):
-        return any(_has_inner(c) for _, c in net.children)
-    return False
 
 
 def _net_forward(net: Net, batch: RaggedBatch, tape: Tape | None,
@@ -321,8 +249,6 @@ def _net_forward(net: Net, batch: RaggedBatch, tape: Tape | None,
     if isinstance(net, BagNet):
         x = _net_forward(net.child, batch, tape, sink)
         h = dense_forward(x, net.phi_w, net.phi_b, net.activation, tape)
-        if net.inner_w is not None:
-            h = dense_forward(h, net.inner_w, None, IDENTITY, tape)
         offsets = batch.offsets[net.path]
         if net.aggregation == "mean":
             pooled = segment_mean(h, offsets, tape)
@@ -369,19 +295,6 @@ def embed(model: Model, batch: RaggedBatch, path: str) -> np.ndarray:
     return sink[path].data
 
 
-def _find_bag(net: Net, path: str) -> BagNet | None:
-    if isinstance(net, BagNet):
-        if net.path == path:
-            return net
-        return _find_bag(net.child, path)
-    if isinstance(net, ProductNet):
-        for _, child in net.children:
-            found = _find_bag(child, path)
-            if found is not None:
-                return found
-    return None
-
-
 def embedding_bound(model: Model, path: str) -> np.ndarray:
     """Per-coordinate bound on the bag embedding at ``path``: the
     absolute column sums of the post-pooling weights plus |bias|.
@@ -392,26 +305,11 @@ def embedding_bound(model: Model, path: str) -> np.ndarray:
     """
     if model.config.activation != "tanh":
         raise ModelError("embedding bounds require tanh activation")
-    net = _find_bag(model.root, path)
+    net = next((n for n in model.nets()
+                if isinstance(n, BagNet) and n.path == path), None)
     if net is None:
         raise ModelError(f"no bag node at {path!r}")
     return np.abs(net.post_w.data).sum(axis=0) + np.abs(net.post_b.data[0])
-
-
-def collapse_equivalence_check(two_matrix: Model, collapsed: Model,
-                               batches: list[RaggedBatch]) -> float:
-    """Largest absolute disagreement, over the given batches, between
-    the two models' outputs and all bag embeddings."""
-    worst = 0.0
-    for batch in batches:
-        out_a, emb_a = forward_with_embeddings(two_matrix, batch)
-        out_b, emb_b = forward_with_embeddings(collapsed, batch)
-        worst = max(worst, float(np.max(np.abs(out_a.data - out_b.data),
-                                        initial=0.0)))
-        for path in emb_a:
-            worst = max(worst, float(np.max(
-                np.abs(emb_a[path].data - emb_b[path].data), initial=0.0)))
-    return worst
 
 
 def param_count(schema: SchemaNode, config: ModelConfig) -> int:
@@ -426,39 +324,32 @@ def param_count(schema: SchemaNode, config: ModelConfig) -> int:
     k, h, o = config.embed_dim, config.hidden_dim, config.output_dim
     agg = _agg_width(config.aggregation, k)
 
-    def width_and_count(node: SchemaNode) -> tuple[int, int]:
+    def width(node: SchemaNode) -> int:
         if isinstance(node, Bag):
-            w, n = width_and_count(node.child)
-            return k, n + (w + 1) * k + (agg + 2) * k
+            return k
         if isinstance(node, Product):
-            total, n = 0, 0
-            for f in node.fields:
-                w, c = width_and_count(f.schema)
-                total += w
-                n += c
-            q = sum(1 for f in node.fields if f.optional)
-            return h, n + (total + q + 1) * h
-        return leaf_width(node), 0
+            return h
+        return leaf_width(node)
 
-    r, n = width_and_count(schema)
-    return n + (r + 1) * h + (h + 1) * o
+    n = 0
+    for _, node in node_paths(schema):
+        if isinstance(node, Bag):
+            n += (width(node.child) + 1) * k + (agg + 2) * k
+        elif isinstance(node, Product):
+            total = sum(width(f.schema) for f in node.fields)
+            q = sum(1 for f in node.fields if f.optional)
+            n += (total + q + 1) * h
+    return n + (width(schema) + 1) * h + (h + 1) * o
 
 
 def describe_model(model: Model) -> str:
     """Human-readable table of nodes, their kinds, widths, and sizes."""
     lines = [f"{'node':<40} {'kind':<10} {'out':>5} {'params':>8}"]
 
-    def visit(net: Net) -> None:
+    for net in model.nets():
         own = sum(p.data.size for p in net.own_params())
         kind = {LeafNet: "leaf", BagNet: "bag", ProductNet: "product"}[type(net)]
         lines.append(f"{net.path:<40} {kind:<10} {net.out_dim:>5} {own:>8}")
-        if isinstance(net, BagNet):
-            visit(net.child)
-        elif isinstance(net, ProductNet):
-            for _, child in net.children:
-                visit(child)
-
-    visit(model.root)
     head_params = sum(p.data.size for p in model.head.own_params())
     lines.append(f"{'(head)':<40} {'head':<10} "
                  f"{model.config.output_dim:>5} {head_params:>8}")
@@ -475,8 +366,6 @@ def save_model(model: Model, path: str, extra: dict | None = None) -> None:
     the parameters as little-endian float64 in ``parameters()`` order.
     Same model and extra give byte-identical files.
     """
-    if _has_inner(model.root):
-        raise ModelError("collapse the two-matrix variant before saving")
     schema_blob = dumps_schema(model.schema).encode("utf-8")
     config_blob = json.dumps(
         {"model": asdict(model.config), "extra": extra or {}},

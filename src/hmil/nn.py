@@ -144,8 +144,8 @@ def dense_forward(x: Tensor, w: Tensor, b: Tensor | None, act: Activation,
     """``act(x @ w + b)`` with the op recorded on ``tape`` if given.
 
     ``b`` is a single row broadcast over the batch, or None for a purely
-    linear map (used by the two-matrix bag variant, where the inner
-    matrix must commute exactly with the empty-bag convention).
+    linear map (the finite-difference gradient check uses one to reduce
+    the outputs to a scalar loss).
     """
     if x.cols != w.rows:
         raise ShapeError(f"dense: x is {x.shape}, w is {w.shape}")

@@ -30,6 +30,7 @@ __all__ = [
     "SchemaError",
     "SchemaConflict",
     "Violation",
+    "node_paths",
     "infer_schema",
     "merge_schemas",
     "validate",
@@ -209,7 +210,19 @@ def _merge_numeric(a: NumericLeaf, b: NumericLeaf) -> NumericLeaf:
     delta = b.mean - a.mean
     m2 = (a.count * a.std * a.std + b.count * b.std * b.std) \
         + delta * delta * (a.count * b.count / n)
-    return NumericLeaf(count=n, mean=mean, std=math.sqrt(max(m2, 0.0) / n))
+    std = math.sqrt(max(m2, 0.0) / n)
+    if math.isfinite(mean) and math.isfinite(std):
+        return NumericLeaf(count=n, mean=mean, std=std)
+    # sums or squares of finite numbers near the float64 limit overflowed;
+    # scaling every input by one power of two is exact and keeps them in
+    # range
+    k = math.frexp(max(abs(a.mean), abs(b.mean), a.std, b.std))[1]
+    return _scaled(_merge_numeric(_scaled(a, -k), _scaled(b, -k)), k)
+
+
+def _scaled(leaf: NumericLeaf, k: int) -> NumericLeaf:
+    return NumericLeaf(count=leaf.count, mean=math.ldexp(leaf.mean, k),
+                       std=math.ldexp(leaf.std, k))
 
 
 def _merge(a: SchemaNode, b: SchemaNode, path: str) -> SchemaNode:
@@ -249,13 +262,9 @@ def _merge(a: SchemaNode, b: SchemaNode, path: str) -> SchemaNode:
                 merged = (fa or fb).schema
             fields.append(ProductField(
                 name=name, schema=merged,
-                optional=_node_count(merged) < total))
+                optional=merged.count < total))
         return Product(count=total, fields=tuple(fields))
     raise SchemaConflict(path, a.kind, b.kind)
-
-
-def _node_count(node: SchemaNode) -> int:
-    return node.count
 
 
 def merge_schemas(a: SchemaNode, b: SchemaNode) -> SchemaNode:
@@ -287,17 +296,17 @@ def _apply_categorical_threshold(node: SchemaNode, threshold: int,
     return node
 
 
-def _find_unknown(node: SchemaNode, path: str) -> str | None:
-    if isinstance(node, Unknown):
-        return path
-    if isinstance(node, Bag):
-        return _find_unknown(node.child, f"{path}[]")
-    if isinstance(node, Product):
-        for f in node.fields:
-            found = _find_unknown(f.schema, f"{path}.{f.name}")
-            if found:
-                return found
-    return None
+def node_paths(schema: SchemaNode, path: str = "$") -> list[tuple[str, SchemaNode]]:
+    """Preorder list of (path, node) pairs for the whole tree: "$" at
+    the root, ".name" steps into a product field, "[]" into a bag's
+    element."""
+    out = [(path, schema)]
+    if isinstance(schema, Bag):
+        out.extend(node_paths(schema.child, path + "[]"))
+    elif isinstance(schema, Product):
+        for f in schema.fields:
+            out.extend(node_paths(f.schema, path + "." + f.name))
+    return out
 
 
 def infer_schema(docs: Iterable, categorical_threshold: int = DEFAULT_CATEGORICAL_THRESHOLD,
@@ -320,11 +329,11 @@ def infer_schema(docs: Iterable, categorical_threshold: int = DEFAULT_CATEGORICA
                                               ngram_n, hash_dim)
     if merged is None:
         raise SchemaError("empty corpus")
-    unknown_at = _find_unknown(merged, "$")
-    if unknown_at is not None:
-        raise SchemaError(
-            f"{unknown_at}: array was empty in every document; "
-            "element kind cannot be inferred")
+    for path, node in node_paths(merged):
+        if isinstance(node, Unknown):
+            raise SchemaError(
+                f"{path}: array was empty in every document; "
+                "element kind cannot be inferred")
     return merged
 
 
@@ -332,8 +341,9 @@ def validate(doc, schema: SchemaNode, path: str = "$") -> list[Violation]:
     """All points where ``doc`` does not fit ``schema``; empty list if it does.
 
     Unseen categorical values are fine (they encode to the unknown slot);
-    missing required fields, extra fields, kind mismatches, and non-finite
-    numbers are violations.
+    missing required fields, extra fields, kind mismatches, non-finite
+    numbers, and n-gram strings holding unpaired surrogates are
+    violations.
     """
     out: list[Violation] = []
     actual = _kind_of_value(doc)
@@ -346,6 +356,14 @@ def validate(doc, schema: SchemaNode, path: str = "$") -> list[Violation]:
     elif isinstance(schema, (StringLeaf, CategoricalLeaf)):
         if actual != "string":
             out.append(Violation(path, "string", actual))
+        elif isinstance(schema, StringLeaf):
+            # JSON can escape a lone surrogate ("\ud800"), which has no
+            # UTF-8 bytes to hash into n-grams
+            try:
+                doc.encode("utf-8")
+            except UnicodeEncodeError:
+                out.append(Violation(path, "string encodable as UTF-8",
+                                     "unpaired surrogate"))
     elif isinstance(schema, Bag):
         if actual != "bag":
             out.append(Violation(path, "array", actual))
@@ -441,10 +459,16 @@ def schema_to_dict(schema: SchemaNode) -> dict:
 
 
 def schema_from_dict(d: dict) -> SchemaNode:
-    version = d.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {version!r}")
-    return _node_from_dict(d["root"])
+    """Inverse of ``schema_to_dict``; malformed input raises
+    SchemaError, never a KeyError or TypeError."""
+    try:
+        version = d.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise SchemaError(f"unsupported schema_version {version!r}")
+        return _node_from_dict(d["root"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise SchemaError(
+            f"malformed schema: {type(exc).__name__}: {exc}") from exc
 
 
 def dumps_schema(schema: SchemaNode) -> str:

@@ -38,7 +38,7 @@ CHUNK_SIZE = 256
 class TrainingDiverged(Exception):
     def __init__(self, epoch: int, batch_index: int, value: float):
         super().__init__(
-            f"non-finite loss {value!r} in epoch {epoch}, batch {batch_index}")
+            f"non-finite loss {float(value)} in epoch {epoch}, batch {batch_index}")
         self.epoch = epoch
         self.batch_index = batch_index
 

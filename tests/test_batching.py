@@ -7,10 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from hmil.batching import build_batch, node_paths, take
+from hmil.batching import build_batch, take
 from hmil.encoding import EncodingError
 from hmil.generators import random_document, random_schema
-from hmil.schema import Bag, NumericLeaf, SchemaError, infer_schema
+from hmil.schema import (
+    Bag,
+    NumericLeaf,
+    SchemaError,
+    infer_schema,
+    node_paths,
+)
 
 
 def plain_bag() -> Bag:

@@ -405,6 +405,137 @@ class TestHugeIntegers:
         assert "mse loss needs numeric labels" in capsys.readouterr().err
 
 
+@pytest.fixture
+def text_corpus(tmp_path):
+    """Two-class corpus whose field ``s`` is an n-gram string leaf."""
+    docs = [{"s": f"word {i}", "y": i % 2} for i in range(20)]
+    train = tmp_path / "text.jsonl"
+    write_jsonl(train, docs)
+    schema = tmp_path / "text_schema.json"
+    assert main(["infer", "--input", str(train), "--output", str(schema),
+                 "--categorical-threshold", "0"]) == 0
+    return {"dir": tmp_path, "train": train, "schema": schema}
+
+
+def train_text(corpus, train):
+    return main(["train", "--schema", str(corpus["schema"]),
+                 "--train", str(train), "--label-field", "y",
+                 "--output", str(corpus["dir"] / "text.bin"),
+                 "--epochs", "1"])
+
+
+class TestInputBoundaries:
+    # a lone surrogate is valid JSON text but has no UTF-8 bytes
+    SURROGATE = '{"s": "bad \\ud800 x", "y": 1}'
+
+    def test_train_lone_surrogate_names_the_line(self, text_corpus, capsys):
+        bad = text_corpus["dir"] / "bad.jsonl"
+        bad.write_text('{"s": "ok", "y": 0}\n' + self.SURROGATE + "\n")
+        assert train_text(text_corpus, bad) == 2
+        assert f"{bad}:2: $.s: expected string encodable as UTF-8" \
+            in capsys.readouterr().err
+
+    def test_predict_lone_surrogate_writes_an_error_record(
+            self, text_corpus, tmp_path, capsys):
+        assert train_text(text_corpus, text_corpus["train"]) == 0
+        capsys.readouterr()
+        src = tmp_path / "in.jsonl"
+        src.write_text(self.SURROGATE + '\n{"s": "word 3"}\n')
+        rc = main(["predict", "--model", str(text_corpus["dir"] / "text.bin"),
+                   "--input", str(src), "--output", "-"])
+        assert rc == 1
+        first, second = [json.loads(l) for l in
+                         capsys.readouterr().out.strip().splitlines()]
+        assert first["line"] == 1 and "surrogate" in first["error"]
+        assert second["prediction"] in (0, 1)
+
+    def test_infer_invalid_utf8_names_the_line(self, tmp_path, capsys):
+        src = tmp_path / "d.jsonl"
+        src.write_bytes(b'{"s": "a"}\n{"s": "\xff\xfe"}\n')
+        rc = main(["infer", "--input", str(src),
+                   "--output", str(tmp_path / "s.json")])
+        assert rc == 2
+        assert f"{src}:2: invalid UTF-8" in capsys.readouterr().err
+
+    def test_train_invalid_utf8_names_the_line(self, text_corpus, capsys):
+        bad = text_corpus["dir"] / "bad.jsonl"
+        bad.write_bytes(b'{"s": "ok", "y": 0}\n\n{"s": "\xff", "y": 1}\n')
+        assert train_text(text_corpus, bad) == 2
+        assert f"{bad}:3: invalid UTF-8" in capsys.readouterr().err
+
+    def test_predict_invalid_utf8_writes_an_error_record(
+            self, corpus, tmp_path, capsys):
+        _, model = run_train(corpus)
+        capsys.readouterr()
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(b'{"values": [1.0], "kind": "\xff"}\n'
+                        b'{"values": [1.0]}\n')
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", "-"])
+        assert rc == 1
+        first, second = [json.loads(l) for l in
+                         capsys.readouterr().out.strip().splitlines()]
+        assert first == {"line": 1, "error": "invalid UTF-8"}
+        assert second["prediction"] in ("hot", "cold")
+
+    @pytest.mark.parametrize("flag", ["--schema", "--config"])
+    def test_train_invalid_utf8_side_file_exits_2(self, corpus, flag, capsys):
+        side = corpus["dir"] / "side.json"
+        side.write_bytes(b'{"a": "\xff"}')
+        files = {"--schema": str(corpus["schema"]), flag: str(side)}
+        rc = main(["train", "--train", str(corpus["train"]),
+                   "--label-field", "kind",
+                   "--output", str(corpus["dir"] / "m.bin"),
+                   *[arg for item in files.items() for arg in item]])
+        assert rc == 2
+        assert str(side) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '{"schema_version": 1}',
+        '{"schema_version": 1, "root": {"kind": "numeric"}}',
+        '{"schema_version": 1, "root": {"kind": "product", "count": 1, '
+        '"fields": []}}',
+    ], ids=["no_root", "no_count", "fields_list"])
+    def test_train_malformed_schema_exits_2(self, corpus, text, capsys):
+        schema = corpus["dir"] / "bad_schema.json"
+        schema.write_text(text)
+        rc = main(["train", "--schema", str(schema),
+                   "--train", str(corpus["train"]), "--label-field", "kind",
+                   "--output", str(corpus["dir"] / "m.bin")])
+        assert rc == 2
+        assert "malformed schema" in capsys.readouterr().err
+
+    def test_predict_schema_blob_missing_a_key_exits_2(self, corpus, tmp_path,
+                                                       capsys):
+        _, model = run_train(corpus)
+        blob = model.read_bytes()
+        # same length, still valid JSON, but no node has a "count" key
+        model.write_bytes(blob.replace(b'"count":', b'"cOunt":'))
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [{"values": [0.1]}])
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", "-"])
+        assert rc == 2
+        assert "corrupt schema: malformed schema" in capsys.readouterr().err
+
+    def test_numbers_near_the_float_limit(self, tmp_path, capsys):
+        src = tmp_path / "t.jsonl"
+        write_jsonl(src, [{"a": 1e308, "y": 0}, {"a": 1e308, "y": 0},
+                          {"a": 1.0, "y": 1}, {"a": 2.0, "y": 1}])
+        schema = tmp_path / "s.json"
+        assert main(["infer", "--input", str(src),
+                     "--output", str(schema)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        json.loads(schema.read_text(), parse_constant=refuse)
+        assert main(["train", "--schema", str(schema), "--train", str(src),
+                     "--label-field", "y",
+                     "--output", str(tmp_path / "m.bin")]) == 0
+
+
 class TestVerify:
     def test_concentration_suite_passes(self, capsys):
         assert main(["verify", "--suite", "concentration",

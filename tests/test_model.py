@@ -18,9 +18,6 @@ from hmil.model import (
     ModelError,
     ModelLoadError,
     build_model,
-    build_two_matrix_variant,
-    collapse_equivalence_check,
-    collapse_model,
     describe_model,
     embed,
     embedding_bound,
@@ -223,38 +220,6 @@ class TestDiracIdentity:
                                    rtol=0, atol=1e-9)
 
 
-class TestCollapse:
-    def test_requires_mean_pooling(self):
-        with pytest.raises(ModelError, match="mean"):
-            build_two_matrix_variant(PLAIN_BAG,
-                                     ModelConfig(aggregation="max"))
-
-    def test_collapsed_weights_shape(self):
-        two = build_two_matrix_variant(PLAIN_BAG, ModelConfig(embed_dim=6),
-                                       inner_dim=3)
-        assert two.root.inner_w.shape == (6, 3)
-        assert two.root.post_w.shape == (4, 6)
-        one = collapse_model(two)
-        assert one.root.inner_w is None
-        assert one.root.post_w.shape == (7, 6)
-
-    @given(st.integers(0, 2**32 - 1))
-    def test_outputs_agree_below_1e_10(self, seed):
-        case = random_case(seed)
-        assume(case is not None)
-        schema, model, raw, batch = case
-        two = build_two_matrix_variant(schema, model.config, inner_dim=5)
-        one = collapse_model(two)
-        assert collapse_equivalence_check(two, one, [batch]) < 1e-10
-
-    def test_exact_on_empty_bags(self):
-        two = build_two_matrix_variant(PLAIN_BAG, ModelConfig(seed=9))
-        one = collapse_model(two)
-        batch = build_batch([[]], PLAIN_BAG)
-        np.testing.assert_array_equal(forward(two, batch).data,
-                                      forward(one, batch).data)
-
-
 class TestFullModelGradients:
     def scalar_loss(self, model, batch, tape):
         out = forward(model, batch, tape)
@@ -343,12 +308,6 @@ class TestSaveLoad:
         c = tmp_path / "c"
         save_model(loaded, str(c))
         assert c.read_bytes() == a.read_bytes()
-
-    def test_two_matrix_variant_refuses_to_save(self, tmp_path):
-        two = build_two_matrix_variant(PLAIN_BAG, ModelConfig())
-        with pytest.raises(ModelError, match="collapse"):
-            save_model(two, str(tmp_path / "m"))
-        save_model(collapse_model(two), str(tmp_path / "m"))
 
     def test_bad_magic(self, tmp_path):
         target = tmp_path / "m"

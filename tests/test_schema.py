@@ -87,6 +87,17 @@ class TestLeafInference:
         assert isinstance(s, CategoricalLeaf)
         assert len(s.values) == 32
 
+    @given(st.lists(st.floats(min_value=-1.7e308, max_value=1.7e308),
+                    min_size=1, max_size=20))
+    def test_statistics_of_finite_numbers_stay_finite(self, values):
+        leaf = infer_schema(values)
+        assert math.isfinite(leaf.mean) and math.isfinite(leaf.std)
+
+    def test_numbers_near_the_float_limit(self):
+        leaf = infer_schema([1e308, 1e308, 1.0, 2.0])
+        np.testing.assert_allclose(leaf.mean, 5e307, rtol=1e-12)
+        np.testing.assert_allclose(leaf.std, 5e307, rtol=1e-12)
+
     def test_nonfinite_number_rejected(self):
         with pytest.raises(SchemaConflict):
             infer_schema([float("nan")])
@@ -285,6 +296,16 @@ class TestValidate:
         doc["workouts"][0]["sport"] = "rowing"
         assert validate(doc, s) == []
 
+    def test_unpaired_surrogate_at_a_string_leaf(self):
+        leaf = StringLeaf(count=1, ngram_n=3, hash_dim=8)
+        (v,) = validate("bad \ud800 x", leaf)
+        assert v.path == "$" and "UTF-8" in v.expected
+        assert validate("fine \U0001f600", leaf) == []
+
+    def test_unpaired_surrogate_is_a_fine_category(self):
+        leaf = CategoricalLeaf(count=1, values=("a",))
+        assert validate("bad \ud800 x", leaf) == []
+
     def test_nonfinite_number_is_a_violation(self):
         s = infer_schema([{"a": 1.0}])
         assert [v.path for v in validate({"a": float("inf")}, s)] == ["$.a"]
@@ -327,6 +348,19 @@ class TestSerialization:
             loads_schema("not json at all")
         with pytest.raises(SchemaError):
             loads_schema("[1,2,3]")
+
+    @pytest.mark.parametrize("text", [
+        '{"schema_version":1}',
+        '{"schema_version":1,"root":{"kind":"numeric"}}',
+        '{"schema_version":1,"root":{"count":1,"fields":[],"kind":"product"}}',
+        '{"schema_version":1,"root":{"child":5,"count":1,"kind":"bag"}}',
+        '{"schema_version":1,"root":{"count":1,"kind":"product",'
+        '"fields":{"a":{"optional":false}}}}',
+    ], ids=["no_root", "no_count", "fields_list", "child_not_object",
+            "field_without_schema"])
+    def test_malformed_schema_rejected(self, text):
+        with pytest.raises(SchemaError, match="malformed schema"):
+            loads_schema(text)
 
     def test_structural_equality_ignores_statistics(self):
         a = infer_schema([1.0, 2.0])

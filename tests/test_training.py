@@ -193,6 +193,10 @@ class TestTrainLoop:
                   TrainConfig(epochs=1, batch_size=8, loss="mse"))
         assert exc.value.epoch == 0 and exc.value.batch_index == 0
 
+    def test_divergence_message_prints_a_plain_float(self):
+        exc = TrainingDiverged(1, 2, np.float64(np.nan))
+        assert str(exc) == "non-finite loss nan in epoch 1, batch 2"
+
     def test_report_serializes_to_json(self):
         docs, labels = two_blob_dataset(n_docs=10)
         model = build_model(PLAIN_BAG, ModelConfig(output_dim=2))

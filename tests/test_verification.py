@@ -10,9 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import hmil.verification as ver
+from hmil.batching import build_batch
+from hmil.generators import random_document, random_schema
 from hmil.model import ModelConfig, build_model
+from hmil.schema import Bag, NumericLeaf, SchemaError, infer_schema
 from hmil.training import TrainConfig
 from hmil.verification import (
     MmdResult,
@@ -167,6 +171,50 @@ class TestInvariantChecks:
     def test_pipeline_small(self):
         c = check_pipeline_round_trip(0, schemas=2, docs_per_schema=100)
         assert c["passed"] and c["details"]["violations"] == 0
+
+
+PLAIN_BAG = Bag(count=1, child=NumericLeaf(count=1, mean=0.0, std=1.0))
+
+
+class TestCollapse:
+    def test_folded_weights_shape(self):
+        model = build_model(PLAIN_BAG, ModelConfig(embed_dim=6))
+        batch = build_batch([[1.0, 2.0]], PLAIN_BAG)
+        ver._collapse_deviation(model, [batch], inner_dim=3)
+        assert model.root.post_w.shape == (7, 6)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_outputs_agree_below_1e_10(self, seed):
+        rng = np.random.default_rng(seed)
+        gen = random_schema(rng, max_depth=3, require_bag=True)
+        raw = [random_document(rng, gen) for _ in range(5)]
+        try:
+            schema = infer_schema(raw)
+        except SchemaError:
+            assume(False)
+        model = build_model(schema, ModelConfig(embed_dim=4, hidden_dim=4,
+                                                seed=seed % 2**31))
+        batch = build_batch(raw, schema)
+        assert ver._collapse_deviation(model, [batch], inner_dim=5) < 1e-10
+
+    def test_exact_on_empty_bags(self):
+        model = build_model(PLAIN_BAG, ModelConfig(seed=9))
+        batch = build_batch([[], []], PLAIN_BAG)
+        assert ver._collapse_deviation(model, [batch], inner_dim=8) == 0.0
+
+    @pytest.mark.parametrize("wrong_fold", [
+        # skips the inner matrix
+        lambda inner, post: np.vstack([np.eye(*inner.shape) @ post[:-1],
+                                       post[-1:]]),
+        # drops the non-empty indicator row
+        lambda inner, post: np.vstack([inner @ post[:-1],
+                                       np.zeros_like(post[-1:])]),
+    ])
+    def test_wrong_fold_fails(self, monkeypatch, wrong_fold):
+        monkeypatch.setattr(ver, "_fold", wrong_fold)
+        c = check_matrix_collapse(0, models=5)
+        assert not c["passed"]
+        assert c["details"]["max_deviation"] > 1e-6
 
 
 class TestBenchmarkConstructions:
