@@ -1,9 +1,10 @@
 """Ragged batches: a set of documents as flat per-node arrays.
 
 Documents are encoded once, through columns: ``encode_document``
-appends each valid document to the lists from ``new_columns``, leaves
-as raw JSON values, and ``finish_batch`` turns those lists into arrays,
-encoding each leaf column in one pass (``encoding.encode_column``).  A
+appends each valid document to the lists from ``new_columns`` (leaves
+as raw JSON values, bags as element counts), and ``finish_batch``
+turns those lists into arrays, encoding each leaf column in one pass
+(``encoding.encode_column``).  A
 minibatch of an encoded corpus is then an index gather (``take``), not
 a re-encode.
 
@@ -42,9 +43,8 @@ class RaggedBatch:
 
 def new_columns(schema: SchemaNode) -> dict[str, list]:
     """Empty columns for ``encode_document``: per leaf a list of raw
-    values, per bag running offsets starting at 0, per product flag rows."""
-    return {path: [0] if isinstance(node, Bag) else []
-            for path, node in node_paths(schema)}
+    values, per bag element counts, per product flag rows."""
+    return {path: [] for path, _ in node_paths(schema)}
 
 
 def finish_batch(columns: dict[str, list], schema: SchemaNode) -> RaggedBatch:
@@ -55,17 +55,16 @@ def finish_batch(columns: dict[str, list], schema: SchemaNode) -> RaggedBatch:
     for path, node in node_paths(schema):
         column = columns[path]
         if isinstance(node, Bag):
-            offsets[path] = np.asarray(column, dtype=np.int64)
+            offsets[path] = np.zeros(len(column) + 1, dtype=np.int64)
+            np.cumsum(column, dtype=np.int64, out=offsets[path][1:])
         elif isinstance(node, Product):
             n_optional = sum(1 for f in node.fields if f.optional)
             presence[path] = np.asarray(column, dtype=np.float64).reshape(
                 len(column), n_optional)
         else:
             data[path] = encode_column(node, column)
-    # a bag root's offsets hold one entry more than there are documents
-    root_rows = len(columns["$"]) - isinstance(schema, Bag)
-    return RaggedBatch(batch_size=root_rows, data=data, offsets=offsets,
-                       presence=presence)
+    return RaggedBatch(batch_size=len(columns["$"]), data=data,
+                       offsets=offsets, presence=presence)
 
 
 def build_batch(docs: list, schema: SchemaNode) -> RaggedBatch:

@@ -80,7 +80,7 @@ def _parse_lines(fh):
             continue
         try:
             doc = json.loads(line)
-        except ValueError as exc:  # also integer literals too long
+        except (ValueError, RecursionError) as exc:  # long ints, deep nests
             yield number, None, f"invalid JSON: {exc}"
             continue
         yield number, doc, None
@@ -207,9 +207,6 @@ def cmd_train(args) -> int:
         index = {value: i for i, value in enumerate(classes)}
         targets = np.array([index[v] for v in raw_labels])
         model_kw.setdefault("output_dim", len(classes))
-        if model_kw["output_dim"] < len(classes):
-            raise CliError(f"output_dim {model_kw['output_dim']} is below "
-                           f"the {len(classes)} distinct labels")
     else:
         classes = None
         try:
@@ -223,6 +220,9 @@ def cmd_train(args) -> int:
         train_config = TrainConfig(**train_kw)
     except (ModelError, ValueError) as exc:
         raise CliError(str(exc))
+    if classes is not None and model_config.output_dim < len(classes):
+        raise CliError(f"output_dim {model_config.output_dim} is below "
+                       f"the {len(classes)} distinct labels")
 
     model = build_model(schema, model_config)
     try:
@@ -315,6 +315,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     report = run_suite(args.suite, args.seed)
     print(json.dumps(report, sort_keys=True, indent=2))
     print(summarize_report(report), file=sys.stderr)
@@ -386,6 +388,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except RecursionError:  # every recursion here follows input nesting
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -5,9 +5,10 @@ become L1-normalized histograms of hashed byte n-grams (FNV-1a 64,
 fixed constants, so histograms reproduce across platforms), and
 categorical values one-hot with a trailing unknown slot.
 
-A document is appended straight into per-node columns (see
-``batching.new_columns``): one raw JSON value per leaf (None where an
-optional leaf is absent), one running offset per bag, one row of
+A document is appended to per-node columns (see
+``batching.new_columns``) by the walk that validates it
+(``schema.validate``): one raw JSON value per leaf (None where an
+optional leaf is absent), one element count per bag, one row of
 presence flags per product.  ``encode_column`` then encodes a whole
 leaf column in one numpy pass, when ``batching.finish_batch`` builds
 the batch; the one-value encoders are one-row wrappers over it.
@@ -15,13 +16,13 @@ the batch; the one-value encoders are one-row wrappers over it.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 
 from .schema import (
-    Bag,
     CategoricalLeaf,
     NumericLeaf,
-    Product,
     SchemaNode,
     StringLeaf,
     Violation,
@@ -149,36 +150,20 @@ def leaf_width(leaf: SchemaNode) -> int:
     raise TypeError(f"not a leaf: {leaf.kind}")
 
 
-def _append(value, node: SchemaNode, path: str,
-            columns: dict[str, list]) -> None:
-    """Append ``value`` at ``path``; None stands for an absent optional
-    subtree: None leaf values, empty bags, presence flags 0."""
-    column = columns[path]
-    if isinstance(node, Bag):
-        items = value or ()
-        column.append(column[-1] + len(items))
-        child_path = path + "[]"
-        for item in items:
-            _append(item, node.child, child_path, columns)
-    elif isinstance(node, Product):
-        values = [None if value is None else value.get(f.name)
-                  for f in node.fields]
-        column.append([0.0 if v is None else 1.0
-                       for f, v in zip(node.fields, values) if f.optional])
-        for f, v in zip(node.fields, values):
-            _append(v, f.schema, path + "." + f.name, columns)
-    else:
-        column.append(value)
-
-
 def encode_document(doc, schema: SchemaNode, columns: dict[str, list]) -> None:
-    """Validate a JSON document and append it to ``columns``.
+    """Validate a JSON document and append it to ``columns``, in one walk
+    (``schema.validate``) into a fresh per-document sink.
 
     Raises EncodingError carrying the violation list, with ``columns``
     untouched, if the document does not fit.
     """
-    violations = validate(doc, schema)
+    sink: dict[str, list] = defaultdict(list)
+    try:
+        violations = validate(doc, schema, sink)
+    except RecursionError:
+        raise EncodingError("document nested too deeply") from None
     if violations:
         raise EncodingError(
             "; ".join(str(v) for v in violations), violations)
-    _append(doc, schema, "$", columns)
+    for path, values in sink.items():
+        columns[path].extend(values)

@@ -90,10 +90,12 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("embed_dim", "hidden_dim", "output_dim"):
-            if getattr(self, name) < 1:
-                raise ModelError(f"{name} must be >= 1")
-        if self.activation not in _ACTIVATIONS:
+        for name, low in (("embed_dim", 1), ("hidden_dim", 1),
+                          ("output_dim", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:  # a bool is no int
+                raise ModelError(f"{name} must be an int >= {low}")
+        if self.activation not in tuple(_ACTIVATIONS):
             raise ModelError(f"unknown activation {self.activation!r}")
         if self.aggregation not in _AGGREGATIONS:
             raise ModelError(f"unknown aggregation {self.aggregation!r}")
@@ -416,7 +418,7 @@ def load_model(path: str) -> tuple[Model, dict]:
         try:
             config = ModelConfig(**blob["model"])
             extra = blob["extra"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ModelError) as exc:
             raise ModelLoadError(f"malformed config blob: {exc}") from exc
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, "value count"))
         values = np.frombuffer(

@@ -3,8 +3,10 @@
 A schema is a tree of five node kinds: numeric, string (n-gram), and
 categorical leaves, bags (homogeneous arrays), and products (objects
 with a fixed field set). Inference folds per-document schemas together
-with ``merge_schemas`` in one streaming pass; memory grows with the
-schema and its vocabularies, never with the corpus.
+in one streaming pass that caps categorical vocabularies as they
+grow; memory grows with the schema and its vocabularies, never with
+the corpus.  ``validate`` is the one walk of a document against a
+schema: it checks the document and appends it to per-node columns.
 
 Conventions: ``null`` means "field absent" and is never a kind; JSON
 booleans are numeric 0/1; arrays must be homogeneous or inference
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -173,7 +176,15 @@ def _finite_float(value) -> float | None:
     return v if math.isfinite(v) else None
 
 
-def _schema_from_value(value, path: str) -> SchemaNode:
+def _categorical(count: int, values: tuple[str, ...], cap) -> SchemaNode:
+    """A categorical leaf, or an n-gram leaf once ``values`` outgrows the
+    threshold of ``cap`` = (threshold, ngram_n, hash_dim), if given."""
+    if cap is not None and len(values) > cap[0]:
+        return StringLeaf(count=count, ngram_n=cap[1], hash_dim=cap[2])
+    return CategoricalLeaf(count=count, values=values)
+
+
+def _schema_from_value(value, path: str, cap) -> SchemaNode:
     """Single-document schema: every leaf has count 1, every field required."""
     kind = _kind_of_value(value)
     if kind == "null":
@@ -184,12 +195,13 @@ def _schema_from_value(value, path: str) -> SchemaNode:
             raise SchemaConflict(path, "finite number", repr(value))
         return NumericLeaf(count=1, mean=v, std=0.0)
     if kind == "string":
-        return CategoricalLeaf(count=1, values=(value,))
+        return _categorical(1, (value,), cap)
     if kind == "bag":
         child: SchemaNode = Unknown()
         for i, item in enumerate(value):
-            child = _merge(child, _schema_from_value(item, f"{path}[{i}]"),
-                           f"{path}[{i}]")
+            item_path = f"{path}[{i}]"
+            child = _merge(child, _schema_from_value(item, item_path, cap),
+                           item_path, cap)
         return Bag(count=1, child=child)
     if kind == "product":
         fields = []
@@ -198,7 +210,7 @@ def _schema_from_value(value, path: str) -> SchemaNode:
                 continue  # null == absent
             fields.append(ProductField(
                 name=name,
-                schema=_schema_from_value(value[name], f"{path}.{name}"),
+                schema=_schema_from_value(value[name], f"{path}.{name}", cap),
                 optional=False))
         return Product(count=1, fields=tuple(fields))
     raise SchemaConflict(path, "a JSON value", kind)
@@ -225,7 +237,7 @@ def _scaled(leaf: NumericLeaf, k: int) -> NumericLeaf:
                        std=math.ldexp(leaf.std, k))
 
 
-def _merge(a: SchemaNode, b: SchemaNode, path: str) -> SchemaNode:
+def _merge(a: SchemaNode, b: SchemaNode, path: str, cap=None) -> SchemaNode:
     if isinstance(a, Unknown):
         return b
     if isinstance(b, Unknown):
@@ -245,11 +257,11 @@ def _merge(a: SchemaNode, b: SchemaNode, path: str) -> SchemaNode:
         return StringLeaf(count=a.count + b.count, ngram_n=b.ngram_n,
                           hash_dim=b.hash_dim)
     if isinstance(a, CategoricalLeaf) and isinstance(b, CategoricalLeaf):
-        return CategoricalLeaf(count=a.count + b.count,
-                               values=tuple(sorted(set(a.values) | set(b.values))))
+        return _categorical(a.count + b.count,
+                            tuple(sorted(set(a.values) | set(b.values))), cap)
     if isinstance(a, Bag) and isinstance(b, Bag):
         return Bag(count=a.count + b.count,
-                   child=_merge(a.child, b.child, f"{path}[]"))
+                   child=_merge(a.child, b.child, f"{path}[]", cap))
     if isinstance(a, Product) and isinstance(b, Product):
         total = a.count + b.count
         names = sorted({f.name for f in a.fields} | {f.name for f in b.fields})
@@ -257,7 +269,7 @@ def _merge(a: SchemaNode, b: SchemaNode, path: str) -> SchemaNode:
         for name in names:
             fa, fb = a.field(name), b.field(name)
             if fa is not None and fb is not None:
-                merged = _merge(fa.schema, fb.schema, f"{path}.{name}")
+                merged = _merge(fa.schema, fb.schema, f"{path}.{name}", cap)
             else:
                 merged = (fa or fb).schema
             fields.append(ProductField(
@@ -276,24 +288,6 @@ def merge_schemas(a: SchemaNode, b: SchemaNode) -> SchemaNode:
     round-off in leaf statistics.
     """
     return _merge(a, b, "$")
-
-
-def _apply_categorical_threshold(node: SchemaNode, threshold: int,
-                                 ngram_n: int, hash_dim: int) -> SchemaNode:
-    if isinstance(node, CategoricalLeaf) and len(node.values) > threshold:
-        return StringLeaf(count=node.count, ngram_n=ngram_n, hash_dim=hash_dim)
-    if isinstance(node, Bag):
-        return Bag(count=node.count,
-                   child=_apply_categorical_threshold(node.child, threshold,
-                                                      ngram_n, hash_dim))
-    if isinstance(node, Product):
-        return Product(count=node.count, fields=tuple(
-            ProductField(f.name,
-                         _apply_categorical_threshold(f.schema, threshold,
-                                                      ngram_n, hash_dim),
-                         f.optional)
-            for f in node.fields))
-    return node
 
 
 def node_paths(schema: SchemaNode, path: str = "$") -> list[tuple[str, SchemaNode]]:
@@ -320,13 +314,12 @@ def infer_schema(docs: Iterable, categorical_threshold: int = DEFAULT_CATEGORICA
     an empty corpus, SchemaConflict on irreconcilable kinds, and a
     diagnostic if some array never showed a non-empty instance.
     """
+    cap = (categorical_threshold, ngram_n, hash_dim)
     merged: SchemaNode | None = None
     for doc in docs:
-        doc_schema = _schema_from_value(doc, "$")
-        merged = doc_schema if merged is None else _merge(merged, doc_schema, "$")
-        # cap vocabulary growth as we go; the end state is unchanged
-        merged = _apply_categorical_threshold(merged, categorical_threshold,
-                                              ngram_n, hash_dim)
+        doc_schema = _schema_from_value(doc, "$", cap)
+        merged = (doc_schema if merged is None
+                  else _merge(merged, doc_schema, "$", cap))
     if merged is None:
         raise SchemaError("empty corpus")
     for path, node in node_paths(merged):
@@ -337,60 +330,75 @@ def infer_schema(docs: Iterable, categorical_threshold: int = DEFAULT_CATEGORICA
     return merged
 
 
-def validate(doc, schema: SchemaNode, path: str = "$") -> list[Violation]:
+# node kind -> the JSON values it takes, and their name in a violation
+_TAKES = {"numeric": ((int, float), "numeric"), "string": (str, "string"),
+          "categorical": (str, "string"), "bag": (list, "array"),
+          "product": (dict, "object"), "unknown": ((), "resolved element kind")}
+
+
+def validate(doc, schema: SchemaNode,
+             columns: dict[str, list] | None = None) -> list[Violation]:
     """All points where ``doc`` does not fit ``schema``; empty list if it does.
 
     Unseen categorical values are fine (they encode to the unknown slot);
     missing required fields, extra fields, kind mismatches, non-finite
     numbers, and n-gram strings holding unpaired surrogates are
     violations.
+
+    The same walk appends the document to ``columns`` (as from
+    ``batching.new_columns``): raw leaf values, with None under an absent
+    optional subtree, bag element counts, and product presence flags.
     """
     out: list[Violation] = []
-    actual = _kind_of_value(doc)
+    _walk(doc, schema, "$", "$",
+          defaultdict(list) if columns is None else columns, out)
+    return out
 
-    if isinstance(schema, NumericLeaf):
-        if actual != "numeric":
-            out.append(Violation(path, "numeric", actual))
-        elif _finite_float(doc) is None:
-            out.append(Violation(path, "finite number", repr(doc)))
-    elif isinstance(schema, (StringLeaf, CategoricalLeaf)):
-        if actual != "string":
-            out.append(Violation(path, "string", actual))
-        elif isinstance(schema, StringLeaf):
+
+def _walk(value, node: SchemaNode, path: str, column_path: str,
+          columns: dict[str, list], out: list[Violation]) -> None:
+    """``validate`` at ``node``, which ``column_path`` names; ``path``
+    names ``value`` in the document.  An absent optional subtree walks
+    as None into a throwaway ``out``: None leaves, empty bags, flags 0."""
+    types, expected = _TAKES[node.kind]
+    fits = isinstance(value, types)  # a bool is an int
+    if not fits:
+        out.append(Violation(path, expected, _kind_of_value(value)))
+    if isinstance(node, Product):
+        fields = [(f, value.get(f.name) if fits else None)
+                  for f in node.fields]
+        columns[column_path].append([0.0 if v is None else 1.0
+                                     for f, v in fields if f.optional])
+        for f, v in fields:
+            if v is None and fits and not f.optional:  # null == absent
+                out.append(Violation(f"{path}.{f.name}",
+                                     f"required field {f.name!r}", "missing"))
+            _walk(v, f.schema, f"{path}.{f.name}", f"{column_path}.{f.name}",
+                  columns, [] if v is None else out)
+        for name in sorted(value.keys() - {f.name for f in node.fields}
+                           if fits else ()):
+            if value[name] is not None:
+                out.append(Violation(f"{path}.{name}", "no such field",
+                                     "unexpected field"))
+    elif isinstance(node, Bag):
+        items = value if fits else ()
+        columns[column_path].append(len(items))
+        child_path = column_path + "[]"
+        for i, item in enumerate(items):
+            _walk(item, node.child, f"{path}[{i}]", child_path, columns, out)
+    else:
+        columns[column_path].append(value)
+        if fits and isinstance(node, NumericLeaf) \
+                and _finite_float(value) is None:
+            out.append(Violation(path, "finite number", repr(value)))
+        elif fits and isinstance(node, StringLeaf):
             # JSON can escape a lone surrogate ("\ud800"), which has no
             # UTF-8 bytes to hash into n-grams
             try:
-                doc.encode("utf-8")
+                value.encode("utf-8")
             except UnicodeEncodeError:
                 out.append(Violation(path, "string encodable as UTF-8",
                                      "unpaired surrogate"))
-    elif isinstance(schema, Bag):
-        if actual != "bag":
-            out.append(Violation(path, "array", actual))
-        else:
-            for i, item in enumerate(doc):
-                out.extend(validate(item, schema.child, f"{path}[{i}]"))
-    elif isinstance(schema, Product):
-        if actual != "product":
-            out.append(Violation(path, "object", actual))
-        else:
-            known = set(schema.field_names)
-            for f in schema.fields:
-                value = doc.get(f.name)
-                if value is None:  # missing or explicit null: absent
-                    if not f.optional:
-                        out.append(Violation(f"{path}.{f.name}",
-                                             f"required field {f.name!r}",
-                                             "missing"))
-                else:
-                    out.extend(validate(value, f.schema, f"{path}.{f.name}"))
-            for name in sorted(doc.keys()):
-                if name not in known and doc[name] is not None:
-                    out.append(Violation(f"{path}.{name}", "no such field",
-                                         "unexpected field"))
-    elif isinstance(schema, Unknown):
-        out.append(Violation(path, "resolved element kind", actual))
-    return out
 
 
 def structurally_equal(a: SchemaNode, b: SchemaNode) -> bool:
@@ -434,23 +442,52 @@ def _node_to_dict(node: SchemaNode) -> dict:
     raise SchemaError(f"cannot serialize unresolved schema node {node.kind!r}")
 
 
+def _is_finite(value) -> bool:
+    return type(value) in (int, float) and _finite_float(value) is not None
+
+
+# key -> (test, what it asks) for each value a schema node holds;
+# type(v) is int, as a bool is no int here
+_VALUE_TESTS = {
+    "count": (lambda v: type(v) is int and v >= 0, "an int >= 0"),
+    "mean": (_is_finite, "a finite number"),
+    "std": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
+    "ngram_n": (lambda v: type(v) is int and v >= 1, "an int >= 1"),
+    "hash_dim": (lambda v: type(v) is int and v >= 1, "an int >= 1"),
+    "values": (lambda v: isinstance(v, list)
+               and all(isinstance(s, str) for s in v) and v == sorted(set(v)),
+               "a sorted list of distinct strings"),
+    "optional": (lambda v: type(v) is bool, "a bool"),
+}
+
+
+def _value(d: dict, key: str):
+    test, what = _VALUE_TESTS[key]
+    if not test(d[key]):
+        raise SchemaError(f"malformed schema: {key} must be {what}")
+    return d[key]
+
+
 def _node_from_dict(d: dict) -> SchemaNode:
     kind = d.get("kind")
     if kind == "numeric":
-        return NumericLeaf(count=d["count"], mean=d["mean"], std=d["std"])
+        return NumericLeaf(count=_value(d, "count"), mean=_value(d, "mean"),
+                           std=_value(d, "std"))
     if kind == "string":
-        return StringLeaf(count=d["count"], ngram_n=d["ngram_n"],
-                          hash_dim=d["hash_dim"])
+        return StringLeaf(count=_value(d, "count"),
+                          ngram_n=_value(d, "ngram_n"),
+                          hash_dim=_value(d, "hash_dim"))
     if kind == "categorical":
-        return CategoricalLeaf(count=d["count"], values=tuple(d["values"]))
+        return CategoricalLeaf(count=_value(d, "count"),
+                               values=tuple(_value(d, "values")))
     if kind == "bag":
-        return Bag(count=d["count"], child=_node_from_dict(d["child"]))
+        return Bag(count=_value(d, "count"), child=_node_from_dict(d["child"]))
     if kind == "product":
         fields = tuple(
             ProductField(name=name, schema=_node_from_dict(fd["schema"]),
-                         optional=fd["optional"])
+                         optional=_value(fd, "optional"))
             for name, fd in sorted(d["fields"].items()))
-        return Product(count=d["count"], fields=fields)
+        return Product(count=_value(d, "count"), fields=fields)
     raise SchemaError(f"unknown schema node kind {kind!r}")
 
 
@@ -480,7 +517,7 @@ def dumps_schema(schema: SchemaNode) -> str:
 def loads_schema(text: str) -> SchemaNode:
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"schema file is not valid JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise SchemaError("schema file must hold a JSON object")

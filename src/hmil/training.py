@@ -9,6 +9,7 @@ gathers each minibatch from it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -52,8 +53,13 @@ class TrainConfig:
     loss: str = "ce"  # "ce" (softmax cross-entropy) or "mse"
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        for name, low in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:  # a bool is no int
+                raise ValueError(f"{name} must be an int >= {low}")
+        lr = self.learning_rate  # not nan, inf, or an int beyond float64
+        if type(lr) not in (int, float) or not abs(lr) <= sys.float_info.max:
+            raise ValueError("learning_rate must be a finite number")
         if self.loss not in ("ce", "mse"):
             raise ValueError(f"unknown loss {self.loss!r}")
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batching import build_batch
+from .batching import build_batch, finish_batch, new_columns
+from .encoding import EncodingError, encode_document
 from .generators import permute_bags, random_document, random_schema
 from .model import (
     BagNet,
@@ -46,7 +47,7 @@ from .nn import (
     glorot_uniform,
     segment_mean,
 )
-from .schema import Bag, NumericLeaf, SchemaError, infer_schema, validate
+from .schema import Bag, NumericLeaf, SchemaError, infer_schema
 from .training import (
     TrainConfig,
     evaluate_accuracy,
@@ -312,7 +313,7 @@ def check_embedding_bounds(seed: int, documents: int = 10000,
 
 def check_pipeline_round_trip(seed: int, schemas: int = 10,
                               docs_per_schema: int = 1000) -> dict:
-    """infer -> validate -> encode -> batch on random corpora: every
+    """infer -> validate and encode -> batch on random corpora: every
     generated document must validate cleanly and batch to full size."""
     rng = np.random.default_rng([seed, 15])
     violations = 0
@@ -320,9 +321,13 @@ def check_pipeline_round_trip(seed: int, schemas: int = 10,
     for _ in range(schemas):
         schema, raw = _inferable_case(rng, max_depth=3,
                                       n_docs=docs_per_schema)
+        columns = new_columns(schema)
         for doc in raw:
-            violations += len(validate(doc, schema))
-        batch = build_batch(raw, schema)
+            try:
+                encode_document(doc, schema, columns)
+            except EncodingError as exc:
+                violations += len(exc.violations)
+        batch = finish_batch(columns, schema)
         if batch.batch_size == len(raw):
             batched += len(raw)
     ok = violations == 0 and batched == schemas * docs_per_schema

@@ -1,6 +1,9 @@
 """Command line behavior: exit codes, file outputs, determinism, and
 the injected-fault check on the verify suite."""
 
+import contextlib
+import inspect
+import io
 import json
 import struct
 import subprocess
@@ -495,7 +498,14 @@ class TestInputBoundaries:
         '{"schema_version": 1, "root": {"kind": "numeric"}}',
         '{"schema_version": 1, "root": {"kind": "product", "count": 1, '
         '"fields": []}}',
-    ], ids=["no_root", "no_count", "fields_list"])
+        '{"schema_version": 1, "root": {"kind": "string", "count": 1, '
+        '"ngram_n": 3, "hash_dim": 0}}',
+        '{"schema_version": 1, "root": {"kind": "string", "count": 1, '
+        '"ngram_n": "3", "hash_dim": 8}}',
+        '{"schema_version": 1, "root": {"kind": "numeric", "count": 1, '
+        '"mean": "x", "std": 1.0}}',
+    ], ids=["no_root", "no_count", "fields_list", "hash_dim_0",
+            "ngram_n_string", "mean_string"])
     def test_train_malformed_schema_exits_2(self, corpus, text, capsys):
         schema = corpus["dir"] / "bad_schema.json"
         schema.write_text(text)
@@ -534,6 +544,170 @@ class TestInputBoundaries:
         assert main(["train", "--schema", str(schema), "--train", str(src),
                      "--label-field", "y",
                      "--output", str(tmp_path / "m.bin")]) == 0
+
+
+class TestValueChecks:
+    def test_predict_container_schema_value_exits_2(self, text_corpus,
+                                                    tmp_path, capsys):
+        assert train_text(text_corpus, text_corpus["train"]) == 0
+        model = text_corpus["dir"] / "text.bin"
+        # same length, so every length field still holds
+        model.write_bytes(model.read_bytes().replace(b'"hash_dim":64',
+                                                     b'"hash_dim":-4'))
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [{"s": "word 1"}])
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", "-"])
+        assert rc == 2
+        assert "corrupt schema: malformed schema" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        '{"seed": 1.5}', '{"seed": -1}', '{"batch_size": 2.5}',
+        '{"epochs": "3"}', '{"embed_dim": true}', '{"learning_rate": "x"}',
+        '{"learning_rate": NaN}', '{"activation": []}',
+    ])
+    def test_train_config_value_exits_2(self, corpus, config, capsys):
+        path = corpus["dir"] / "config.json"
+        path.write_text(config)
+        rc = main(["train", "--schema", str(corpus["schema"]),
+                   "--train", str(corpus["train"]), "--label-field", "kind",
+                   "--output", str(corpus["dir"] / "m.bin"),
+                   "--config", str(path)])
+        assert rc == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_train_negative_seed_exits_2(self, corpus, capsys):
+        rc, _ = run_train(corpus, extra_args=("--seed", "-1"))
+        assert rc == 2
+        assert "seed must be an int >= 0" in capsys.readouterr().err
+
+    def test_verify_negative_seed_exits_2(self, capsys):
+        assert main(["verify", "--suite", "invariants", "--seed", "-1"]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
+    def test_predict_container_unknown_activation_exits_2(
+            self, corpus, tmp_path, capsys):
+        _, model = run_train(corpus)
+        model.write_bytes(model.read_bytes().replace(b'"tanh"', b'"tanx"'))
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [{"values": [0.1]}])
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", "-"])
+        assert rc == 2
+        assert "unknown activation 'tanx'" in capsys.readouterr().err
+
+    def test_corrupt_container_sweep(self, tmp_path):
+        """Every byte of the header and both blobs, replaced by 0x00,
+        0xff or itself ^ 0x01: predict exits 0, 1 or 2, never raises."""
+        docs = [{"values": [0.5 * i, -1.0], "kind": ("hot", "cold")[i % 2]}
+                for i in range(4)]
+        train = tmp_path / "t.jsonl"
+        write_jsonl(train, docs)
+        schema, model = tmp_path / "s.json", tmp_path / "m.bin"
+        assert main(["infer", "--input", str(train),
+                     "--output", str(schema)]) == 0
+        assert main(["train", "--schema", str(schema), "--train", str(train),
+                     "--label-field", "kind", "--output", str(model),
+                     "--epochs", "0", "--embed-dim", "2",
+                     "--hidden-dim", "2"]) == 0
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [{"values": [0.1]}])
+        blob = model.read_bytes()
+        (n_schema,) = struct.unpack("<Q", blob[8:16])
+        (n_config,) = struct.unpack("<Q", blob[16 + n_schema:24 + n_schema])
+        codes = set()
+        for at in range(24 + n_schema + n_config):
+            for value in {0x00, 0xFF, blob[at] ^ 0x01} - {blob[at]}:
+                corrupt = bytearray(blob)
+                corrupt[at] = value
+                model.write_bytes(bytes(corrupt))
+                with contextlib.redirect_stderr(io.StringIO()):
+                    codes.add(main(["predict", "--model", str(model),
+                                    "--input", str(src),
+                                    "--output", str(tmp_path / "p.jsonl")]))
+        assert codes <= {0, 1, 2}
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "1.0" + "]" * depth
+
+
+class TestDeepJson:
+    @pytest.fixture
+    def deep_line(self, tmp_path):
+        src = tmp_path / "deep.jsonl"
+        src.write_text('{"values": [1.0], "kind": "hot"}\n'
+                       + _nested(3000) + "\n")
+        return src
+
+    def test_infer_names_the_line(self, deep_line, tmp_path, capsys):
+        rc = main(["infer", "--input", str(deep_line),
+                   "--output", str(tmp_path / "s.json")])
+        assert rc == 2
+        assert f"{deep_line}:2: invalid JSON: maximum recursion depth" in \
+            capsys.readouterr().err
+
+    def test_train_names_the_line(self, corpus, deep_line, capsys):
+        rc = main(["train", "--schema", str(corpus["schema"]),
+                   "--train", str(deep_line), "--label-field", "kind",
+                   "--output", str(corpus["dir"] / "m.bin")])
+        assert rc == 2
+        assert f"{deep_line}:2: invalid JSON: maximum recursion depth" in \
+            capsys.readouterr().err
+
+    def test_predict_writes_an_error_record(self, corpus, deep_line, capsys):
+        _, model = run_train(corpus)
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model),
+                   "--input", str(deep_line), "--output", "-"])
+        assert rc == 1
+        first, second = [json.loads(l) for l in
+                         capsys.readouterr().out.strip().splitlines()]
+        assert first["prediction"] in ("hot", "cold")
+        assert second["line"] == 2
+        assert second["error"].startswith("invalid JSON: maximum recursion")
+
+    def test_parsed_but_too_deep(self, tmp_path):
+        """Under lowered recursion limits a document parses but is too
+        deep for a later stage: every command still exits with a code."""
+        depth = 60
+        train = tmp_path / "t.jsonl"
+        train.write_text("".join(
+            f'{{"x": {_nested(depth)}, "y": {i % 2}}}\n' for i in range(4)))
+        schema, model = tmp_path / "s.json", tmp_path / "m.bin"
+        commands = {
+            "infer": ["infer", "--input", str(train),
+                      "--output", str(tmp_path / "s2.json")],
+            "train": ["train", "--schema", str(schema), "--train", str(train),
+                      "--label-field", "y", "--output", str(tmp_path / "m2"),
+                      "--epochs", "1"],
+            "predict": ["predict", "--model", str(model),
+                        "--input", str(train),
+                        "--output", str(tmp_path / "p.jsonl")],
+        }
+        assert main(["infer", "--input", str(train),
+                     "--output", str(schema)]) == 0
+        assert main([*commands["train"][:-3], str(model), "--epochs", "1"]) \
+            == 0
+        past_parsing = {"infer": False, "train": False}
+        base = len(inspect.stack())
+        limit = sys.getrecursionlimit()
+        for headroom in range(depth - 10, depth + 40):
+            for name, argv in commands.items():
+                err = io.StringIO()
+                sys.setrecursionlimit(base + headroom)
+                try:
+                    with contextlib.redirect_stderr(err), \
+                            contextlib.redirect_stdout(io.StringIO()):
+                        rc = main(argv)
+                finally:
+                    sys.setrecursionlimit(limit)
+                assert rc in (0, 1, 2)
+                if rc == 2 and "input nested too deeply" in err.getvalue():
+                    past_parsing[name] = True
+        assert past_parsing == {"infer": True, "train": True}
 
 
 class TestVerify:

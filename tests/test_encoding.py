@@ -1,8 +1,10 @@
 """Leaf encoders: hashing, standardization, one-hot, document columns."""
 
 import hashlib
+import inspect
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,9 @@ from hmil.schema import (
     CategoricalLeaf,
     NumericLeaf,
     StringLeaf,
+    Unknown,
     infer_schema,
+    validate,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -255,7 +259,7 @@ class TestDocumentEncoding:
         encode_document(docs[2], schema, columns)
         assert columns["$"] == [[0.0]]  # "sub" absent
         assert columns["$.sub"] == [[0.0]]  # and so its optional "inner"
-        assert columns["$.sub.xs"] == [0, 0]  # equal offsets: empty bag
+        assert columns["$.sub.xs"] == [0]  # element count: empty bag
         assert columns["$.sub.tag"] == [None]  # raw leaf values until
         assert columns["$.sub.inner.y"] == [None]  # finish_batch encodes
         assert columns["$.sub.inner"] == [[]]  # no optional fields
@@ -263,6 +267,23 @@ class TestDocumentEncoding:
         np.testing.assert_array_equal(batch.data["$.sub.tag"], [np.zeros(3)])
         np.testing.assert_array_equal(batch.data["$.sub.inner.y"],
                                       [np.zeros(1)])
+
+    def test_too_deep_for_the_walk_raises_encoding_error(self):
+        doc = 1.0
+        for _ in range(60):
+            doc = [doc]
+        schema = infer_schema([doc])
+        columns = new_columns(schema)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            with pytest.raises(EncodingError, match="nested too deeply"):
+                encode_document(doc, schema, columns)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert columns == new_columns(schema)
+        encode_document(doc, schema, columns)
+        assert len(columns["$"]) == 1
 
     def test_invalid_raw_document_names_its_index(self, fitness):
         doc, schema = fitness
@@ -348,3 +369,67 @@ def test_golden_batch_digest():
             got[f"{kind} {path}"] = hashlib.sha256(
                 f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
     assert got == GOLDEN_SHA256
+
+
+def _golden_with(**changes):
+    return {**GOLDEN_DOCS[0], **changes}
+
+
+# documents that do not fit: wrong kinds at each depth, missing and null
+# fields, extra fields (in unsorted order), non-finite and huge numbers,
+# and lone surrogates at n-gram and categorical leaves
+BAD_GOLDEN_DOCS = [
+    None, 5, "x", True, [], [GOLDEN_DOCS[0]], {},
+    {name: None for name in GOLDEN_DOCS[0]},
+    _golden_with(id="1", flag=[], const={}, level=3, msg=4.5, tags="a",
+                 groups=[["x"], 5, None, [[1.0]], [{"a": 1}]], sub=7),
+    _golden_with(zeta=1, alpha=[2], mid=None, Beta={"x": 1}, _=0),
+    _golden_with(id=float("inf"), flag=float("nan"), const=-float("inf")),
+    _golden_with(id=10**400, const=-(10**309), groups=[[1e308, 10**320]]),
+    _golden_with(msg="bad \ud800 x", level="\udfff", tags=["a", "\ud83d"]),
+    _golden_with(sub={"xs": [1.0, "2", None, [], {}], "note": 5,
+                      "deep": {"y": "5", "z": 1}, "extra": 0}),
+    _golden_with(sub={"deep": None, "note": None, "xs": None}),
+    _golden_with(sub={"xs": [], "note": "ok", "deep": [{"y": 1}]}),
+]
+BAD_FITNESS_DOCS = [
+    {"weekNumber": 39, "workouts": [
+        {"sport": 1, "duration": "1500", "calories": None, "avgPace": [],
+         "speedData": {"speed": ["x", 1, None], "altitude": None,
+                       "labels": [1, "\ud800"], "zz": 1, "aa": 2}},
+        5, None, []],
+     "extra_b": 1, "extra_a": 2},
+    {"workouts": [{"sport": "running", "distance": float("nan"),
+                   "duration": 10**500, "calories": 1, "avgPace": True,
+                   "speedData": {"speed": [], "altitude": [],
+                                 "labels": []}}]},
+    {"weekNumber": None, "workouts": None},
+]
+
+# sha256 of every violation's text, document by document; recorded with
+# the two-pass validate-then-append encoder
+GOLDEN_VIOLATIONS_SHA256 = (
+    "4f5fa0e78beb26dfc288f6cc3f0cea3013885b0b92e7b5705551bd728da9842d")
+
+
+def test_golden_violation_digest():
+    fitness = json.loads((DATA / "fitness_week.json").read_text())
+    cases = [(infer_schema(GOLDEN_DOCS, categorical_threshold=3),
+              BAD_GOLDEN_DOCS)]
+    cases += [(infer_schema([fitness], categorical_threshold=t),
+               BAD_FITNESS_DOCS) for t in (0, 32)]
+    cases.append((Bag(count=1, child=Unknown()), [[5], [None, "x"], 3]))
+    digest = hashlib.sha256()
+    for schema, docs in cases:
+        for doc in docs:
+            columns = new_columns(schema)
+            with pytest.raises(EncodingError) as exc:
+                encode_document(doc, schema, columns)
+            assert columns == new_columns(schema)
+            assert exc.value.violations == validate(doc, schema)
+            for v in exc.value.violations:
+                digest.update(str(v).encode("utf-8", "surrogatepass"))
+                digest.update(b"\n")
+            digest.update(b"--\n")
+    assert digest.hexdigest() == GOLDEN_VIOLATIONS_SHA256
+

@@ -52,12 +52,12 @@ def random_case(seed, max_depth=3, n_docs=5, **config_kw):
 
 class TestConfig:
     def test_rejects_bad_values(self):
-        with pytest.raises(ModelError):
-            ModelConfig(embed_dim=0)
-        with pytest.raises(ModelError):
-            ModelConfig(activation="sigmoid")
-        with pytest.raises(ModelError):
-            ModelConfig(aggregation="sum")
+        for kw in ({"embed_dim": 0}, {"activation": "sigmoid"},
+                   {"aggregation": "sum"}, {"seed": -1}, {"seed": 1.5},
+                   {"embed_dim": True}, {"hidden_dim": 2.0},
+                   {"output_dim": "2"}, {"activation": []}):
+            with pytest.raises(ModelError):
+                ModelConfig(**kw)
 
 
 class TestBuild:

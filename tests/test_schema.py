@@ -323,6 +323,37 @@ class TestValidate:
             assert validate(doc, s) == []
 
 
+# schema nodes whose keys are all there but hold a value of the wrong
+# type or range
+BAD_VALUE_NODES = [
+    {"kind": "numeric", "count": -1, "mean": 0.0, "std": 1.0},
+    {"kind": "numeric", "count": 1.5, "mean": 0.0, "std": 1.0},
+    {"kind": "numeric", "count": True, "mean": 0.0, "std": 1.0},
+    {"kind": "numeric", "count": 1, "mean": "x", "std": 1.0},
+    {"kind": "numeric", "count": 1, "mean": None, "std": 1.0},
+    {"kind": "numeric", "count": 1, "mean": 10**400, "std": 1.0},
+    {"kind": "numeric", "count": 1, "mean": 0.0, "std": -1.0},
+    {"kind": "numeric", "count": 1, "mean": 0.0, "std": False},
+    {"kind": "string", "count": 1, "ngram_n": 0, "hash_dim": 8},
+    {"kind": "string", "count": 1, "ngram_n": "3", "hash_dim": 8},
+    {"kind": "string", "count": 1, "ngram_n": 3, "hash_dim": 0},
+    {"kind": "string", "count": 1, "ngram_n": 3, "hash_dim": 8.0},
+    {"kind": "string", "count": 1, "ngram_n": True, "hash_dim": 8},
+    {"kind": "categorical", "count": 1, "values": ["b", "a"]},
+    {"kind": "categorical", "count": 1, "values": ["a", "a"]},
+    {"kind": "categorical", "count": 1, "values": ["a", 1]},
+    {"kind": "categorical", "count": 1, "values": "ab"},
+    {"kind": "bag", "count": -2, "child": {
+        "kind": "numeric", "count": 1, "mean": 0.0, "std": 0.0}},
+    {"kind": "product", "count": 1, "fields": {"a": {
+        "optional": "yes", "schema": {
+            "kind": "numeric", "count": 1, "mean": 0.0, "std": 0.0}}}},
+    {"kind": "product", "count": 1, "fields": {"a": {
+        "optional": 0, "schema": {
+            "kind": "numeric", "count": 1, "mean": 0.0, "std": 0.0}}}},
+]
+
+
 class TestSerialization:
     def test_round_trip_identity(self, fitness_doc):
         for docs in ([fitness_doc], [1, 2, 3], [{"a": ["x", "y"]}]):
@@ -350,17 +381,29 @@ class TestSerialization:
             loads_schema("[1,2,3]")
 
     @pytest.mark.parametrize("text", [
-        '{"schema_version":1}',
-        '{"schema_version":1,"root":{"kind":"numeric"}}',
-        '{"schema_version":1,"root":{"count":1,"fields":[],"kind":"product"}}',
-        '{"schema_version":1,"root":{"child":5,"count":1,"kind":"bag"}}',
-        '{"schema_version":1,"root":{"count":1,"kind":"product",'
-        '"fields":{"a":{"optional":false}}}}',
-    ], ids=["no_root", "no_count", "fields_list", "child_not_object",
-            "field_without_schema"])
+        pytest.param('{"schema_version":1}', id="no_root"),
+        pytest.param('{"schema_version":1,"root":{"kind":"numeric"}}',
+                     id="no_count"),
+        pytest.param('{"schema_version":1,"root":{"count":1,"fields":[],'
+                     '"kind":"product"}}', id="fields_list"),
+        pytest.param('{"schema_version":1,"root":{"child":5,"count":1,'
+                     '"kind":"bag"}}', id="child_not_object"),
+        pytest.param('{"schema_version":1,"root":{"count":1,'
+                     '"kind":"product","fields":{"a":{"optional":false}}}}',
+                     id="field_without_schema"),
+    ] + [pytest.param(json.dumps({"schema_version": 1, "root": node}),
+                      id=f"bad_value_{i}")
+         for i, node in enumerate(BAD_VALUE_NODES)])
     def test_malformed_schema_rejected(self, text):
         with pytest.raises(SchemaError, match="malformed schema"):
             loads_schema(text)
+
+    def test_well_formed_values_load(self):
+        node = {"kind": "product", "count": 0, "fields": {"a": {
+            "optional": True, "schema": {
+                "kind": "numeric", "count": 0, "mean": -3, "std": 0}}}}
+        s = loads_schema(json.dumps({"schema_version": 1, "root": node}))
+        assert s.fields[0].schema == NumericLeaf(count=0, mean=-3, std=0)
 
     def test_structural_equality_ignores_statistics(self):
         a = infer_schema([1.0, 2.0])

@@ -216,10 +216,13 @@ class TestTrainLoop:
         assert evaluate_mse(model, raw, targets) < 0.05
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=-1)
-        with pytest.raises(ValueError):
-            TrainConfig(loss="hinge")
+        for kw in ({"epochs": -1}, {"loss": "hinge"}, {"seed": -1},
+                   {"seed": True}, {"batch_size": 2.5}, {"epochs": "3"},
+                   {"learning_rate": "x"}, {"learning_rate": float("nan")},
+                   {"learning_rate": float("inf")},
+                   {"learning_rate": 10**400}, {"learning_rate": True}):
+            with pytest.raises(ValueError):
+                TrainConfig(**kw)
 
 
 class TestEvaluation:

@@ -172,6 +172,18 @@ class TestInvariantChecks:
         c = check_pipeline_round_trip(0, schemas=2, docs_per_schema=100)
         assert c["passed"] and c["details"]["violations"] == 0
 
+    def test_pipeline_fails_on_a_bad_document(self, monkeypatch):
+        docs = [{"a": [1.0]}, {"a": [2.0, 3.0]}]
+        schema = infer_schema(docs)
+        bad = {"a": ["x"], "b": 1}
+        monkeypatch.setattr(ver, "_inferable_case",
+                            lambda rng, max_depth, n_docs:
+                            (schema, docs + [bad]))
+        c = check_pipeline_round_trip(0, schemas=1, docs_per_schema=3)
+        assert not c["passed"]
+        assert c["details"]["violations"] == 2
+        assert c["details"]["batched"] == 0
+
 
 PLAIN_BAG = Bag(count=1, child=NumericLeaf(count=1, mean=0.0, std=1.0))
 
