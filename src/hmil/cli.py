@@ -14,20 +14,21 @@ and the effective configuration is echoed into the training report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .batching import finish_batch, new_columns
-from .encoding import EncodingError, encode_document
+# perfbench's tracer test asserts this module binds encode_document
+from .encoding import EncodingError, encode_document  # noqa: F401
 from .model import (
     ModelConfig,
     ModelError,
     ModelLoadError,
     build_model,
-    forward,
     load_model,
     save_model,
 )
@@ -41,7 +42,7 @@ from .schema import (
     loads_schema,
     node_paths,
 )
-from .training import CHUNK_SIZE, TrainConfig, TrainingDiverged, train
+from .training import TrainConfig, TrainingDiverged, predict_scores, train
 from .verification import SUITE_NAMES, run_suite, summarize_report
 
 EXIT_OK = 0
@@ -86,27 +87,40 @@ def _parse_lines(fh):
         yield number, doc, None
 
 
-def _read_jsonl(path: str) -> list[tuple[int, object]]:
-    """Parse a JSONL file into (line_number, document) pairs.  Blank
-    lines are skipped; a malformed line aborts with its location."""
-    rows = []
-    try:
-        with _open_jsonl(path) as fh:
+def _iter_jsonl(path: str):
+    """(line_number, document) per non-blank line of a JSONL file, read
+    as it is consumed; a malformed line aborts with its location."""
+    with _open_jsonl(path) as fh:
+        try:
             for number, doc, error in _parse_lines(fh):
                 if error is not None:
                     raise CliError(f"{path}:{number}: {error}")
-                rows.append((number, doc))
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}")
-    return rows
+                yield number, doc
+        except OSError as exc:
+            raise CliError(f"cannot read {path}: {exc.strerror}")
 
 
-def _write_text(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A text file written beside the file ``path`` names, which it
+    replaces when the block completes: ``path`` may be an input still
+    being read, and a failed run leaves no partial file.  A device or
+    FIFO (/dev/null) is written in place.  OSErrors are write errors."""
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = path if in_place else os.path.realpath(path)
+    tmp, fh = target if in_place else f"{target}.{os.getpid()}.tmp", None
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # "x": a file already of that name is not this run's to replace
+        fh = open(tmp, "w" if in_place else "x", encoding="utf-8")
+        with fh:
+            yield fh
+        if not in_place:
+            os.replace(tmp, target)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror}")
+    finally:
+        if fh is not None and not in_place and os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _node_counts(schema) -> dict[str, int]:
@@ -118,17 +132,17 @@ def _node_counts(schema) -> dict[str, int]:
 
 
 def cmd_infer(args) -> int:
-    rows = _read_jsonl(args.input)
     try:
         schema = infer_schema(
-            [doc for _, doc in rows],
+            (doc for _, doc in _iter_jsonl(args.input)),
             categorical_threshold=args.categorical_threshold)
     except SchemaConflict as exc:
         raise CliError(f"schema conflict at {exc.path}: "
                        f"expected {exc.expected}, saw {exc.actual}")
     except SchemaError as exc:
         raise CliError(str(exc))
-    _write_text(args.output, dumps_schema(schema) + "\n")
+    with _replacing(args.output) as fh:
+        fh.write(dumps_schema(schema) + "\n")
     counts = _node_counts(schema)
     total = sum(counts.values())
     parts = ", ".join(f"{v} {k}" for k, v in counts.items() if v)
@@ -181,7 +195,7 @@ def _resolve_configs(args) -> tuple[dict, dict]:
 
 def cmd_train(args) -> int:
     schema = _load_schema_file(args.schema)
-    rows = _read_jsonl(args.train)
+    rows = list(_iter_jsonl(args.train))
     if not rows:
         raise CliError(f"{args.train}: empty corpus")
 
@@ -218,13 +232,12 @@ def cmd_train(args) -> int:
     try:
         model_config = ModelConfig(**model_kw)
         train_config = TrainConfig(**train_kw)
+        if classes is not None and model_config.output_dim < len(classes):
+            raise ValueError(f"output_dim {model_config.output_dim} is "
+                             f"below the {len(classes)} distinct labels")
+        model = build_model(schema, model_config)
     except (ModelError, ValueError) as exc:
         raise CliError(str(exc))
-    if classes is not None and model_config.output_dim < len(classes):
-        raise CliError(f"output_dim {model_config.output_dim} is below "
-                       f"the {len(classes)} distinct labels")
-
-    model = build_model(schema, model_config)
     try:
         report = train(model, [doc for _, doc in stripped], targets,
                        train_config)
@@ -250,26 +263,24 @@ def cmd_train(args) -> int:
                "metric_name": report.metric_name,
                "epoch_loss": report.epoch_loss,
                "epoch_metric": report.epoch_metric}
-    _write_text(report_path,
-                json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with _replacing(report_path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"trained on {len(stripped)} documents for {train_config.epochs} "
           f"epochs; wrote {args.output} and {report_path}")
     return EXIT_OK
 
 
-def _score_chunk(model, columns, slots: list[int],
-                 records: list[dict | None], classes) -> None:
-    """Score the documents encoded in ``columns`` into their record slots."""
-    scores = forward(model, finish_batch(columns, model.schema)).data
-    for slot, row in zip(slots, scores):
-        listed = [float(v) for v in row]
-        if classes is not None:
-            prediction = classes[int(np.argmax(row))]
-        elif len(listed) == 1:
-            prediction = listed[0]
-        else:
-            prediction = int(np.argmax(row))
-        records[slot] = {"prediction": prediction, "scores": listed}
+def _record(outputs: np.ndarray, classes) -> dict:
+    listed = [float(v) for v in outputs]
+    if classes is not None:
+        # output_dim may exceed the class count; the extra outputs
+        # name no class
+        prediction = classes[int(np.argmax(outputs[:len(classes)]))]
+    elif len(listed) == 1:
+        prediction = listed[0]
+    else:
+        prediction = int(np.argmax(outputs))
+    return {"prediction": prediction, "scores": listed}
 
 
 def cmd_predict(args) -> int:
@@ -277,40 +288,35 @@ def cmd_predict(args) -> int:
         model, extra = load_model(args.model)
     except (OSError, ModelLoadError) as exc:
         raise CliError(f"{args.model}: {exc}")
-    label_field = extra.get("label_field")
-    classes = extra.get("classes")
+    if not isinstance(extra, dict):
+        raise CliError(f"{args.model}: malformed config blob: "
+                       "extra is not an object")
+    label_field, classes = extra.get("label_field"), extra.get("classes")
+    if not (label_field is None or isinstance(label_field, str)) or not (
+            classes is None or (isinstance(classes, list) and classes)):
+        raise CliError(f"{args.model}: malformed config blob: label_field "
+                       "is not a string or classes not a non-empty array")
 
-    records: list[dict | None] = []
-    columns = new_columns(model.schema)
-    slots: list[int] = []  # records of the documents encoded in columns
+    def items(fh):  # reads report the input; other OSErrors are writes
+        try:
+            for number, doc, error in _parse_lines(fh):
+                if isinstance(doc, dict) and label_field in doc:
+                    doc = {k: v for k, v in doc.items() if k != label_field}
+                yield number, doc, error
+        except OSError as exc:
+            raise CliError(f"cannot read {args.input}: {exc.strerror}")
+
     failed = False
-    with _open_jsonl(args.input) as fh:
-        for number, doc, error in _parse_lines(fh):
-            if error is not None:
-                records.append({"line": number, "error": error})
+    with _open_jsonl(args.input) as fh, (
+            contextlib.nullcontext(sys.stdout) if args.output == "-"
+            else _replacing(args.output)) as out:
+        for number, outputs, error in predict_scores(model, items(fh)):
+            if error is None:
+                record = _record(outputs, classes)
+            else:
+                record = {"line": number, "error": str(error)}
                 failed = True
-                continue
-            if isinstance(doc, dict) and label_field in doc:
-                doc = {k: v for k, v in doc.items() if k != label_field}
-            try:
-                encode_document(doc, model.schema, columns)
-            except EncodingError as exc:
-                records.append({"line": number, "error": str(exc)})
-                failed = True
-                continue
-            slots.append(len(records))
-            records.append(None)
-            if len(slots) == CHUNK_SIZE:
-                _score_chunk(model, columns, slots, records, classes)
-                columns, slots = new_columns(model.schema), []
-    if slots:
-        _score_chunk(model, columns, slots, records, classes)
-
-    lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    if args.output == "-":
-        sys.stdout.write(lines)
-    else:
-        _write_text(args.output, lines)
+            out.write(json.dumps(record, sort_keys=True) + "\n")
     return EXIT_FAILED if failed else EXIT_OK
 
 
@@ -390,6 +396,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except RecursionError:  # every recursion here follows input nesting
         print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # e.g. a chunk of very wide leaves
+        print("error: input too large", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -11,7 +11,7 @@ A document is appended to per-node columns (see
 optional leaf is absent), one element count per bag, one row of
 presence flags per product.  ``encode_column`` then encodes a whole
 leaf column in one numpy pass, when ``batching.finish_batch`` builds
-the batch; the one-value encoders are one-row wrappers over it.
+the batch; ``encode_string_ngram`` is a one-row wrapper over it.
 """
 
 from __future__ import annotations
@@ -31,10 +31,7 @@ from .schema import (
 
 __all__ = [
     "EncodingError",
-    "fnv1a64",
-    "encode_numeric",
     "encode_string_ngram",
-    "encode_categorical",
     "encode_column",
     "leaf_width",
     "encode_document",
@@ -42,7 +39,6 @@ __all__ = [
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 class EncodingError(Exception):
@@ -52,30 +48,12 @@ class EncodingError(Exception):
         self.index: int | None = None  # position in the batch, once known
 
 
-def fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-    return h
-
-
-def encode_numeric(v: float, mean: float, std: float) -> np.ndarray:
-    """Standardized value ``(v - mean) / std``; a degenerate leaf
-    (std == 0) always encodes to 0."""
-    return _standardize([v], mean, std)[0]
-
-
 def encode_string_ngram(s: str, n: int, dim: int) -> np.ndarray:
     """L1-normalized histogram over hashed byte n-grams of ``s``.
 
     Strings shorter than ``n`` bytes have no n-grams and stay all-zero.
     """
     return _ngram_histograms([s], n, dim)[0]
-
-
-def encode_categorical(v: str, leaf: CategoricalLeaf) -> np.ndarray:
-    """One-hot over the vocabulary; unseen values hit the extra last slot."""
-    return _one_hot([v], leaf)[0]
 
 
 def encode_column(node: SchemaNode, column: list) -> np.ndarray:
@@ -107,8 +85,8 @@ def _standardize(column: list, mean: float, std: float) -> np.ndarray:
 
 def _ngram_histograms(column: list, n: int, dim: int) -> np.ndarray:
     """Every row's histogram at once: the FNV-1a recurrence runs over all
-    n-gram windows of the column as uint64, whose multiply wraps exactly
-    like the masked scalar ``fnv1a64``."""
+    n-gram windows of the column as uint64, whose multiply wraps modulo
+    2**64 as the hash's definition asks."""
     raw = [b"" if s is None else s.encode("utf-8") for s in column]
     lengths = np.fromiter(map(len, raw), dtype=np.int64, count=len(raw))
     counts = np.maximum(lengths - n + 1, 0)  # n-grams per row

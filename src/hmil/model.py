@@ -54,6 +54,7 @@ __all__ = [
     "Model",
     "ModelError",
     "ModelLoadError",
+    "MAX_PARAMS",
     "build_model",
     "forward",
     "forward_with_embeddings",
@@ -67,6 +68,9 @@ __all__ = [
 
 MAGIC = b"HMIL"
 FORMAT_VERSION = 1
+# build_model refuses larger models before allocating: 800 MB of float64
+# weights, four times that with the gradients and Adam's moments
+MAX_PARAMS = 10**8
 
 _ACTIVATIONS = {"tanh": TANH, "relu": RELU}
 _AGGREGATIONS = ("mean", "max", "meanmax")
@@ -232,7 +236,12 @@ def _build_net(node: SchemaNode, path: str, config: ModelConfig,
 
 def build_model(schema: SchemaNode, config: ModelConfig) -> Model:
     """Deterministic compilation: same schema, config, and seed give
-    bit-identical initial parameters."""
+    bit-identical initial parameters.  Raises ModelError past
+    ``MAX_PARAMS`` parameters."""
+    n = param_count(schema, config)
+    if n > MAX_PARAMS:
+        raise ModelError(f"model would have {n} parameters, more than "
+                         f"the limit of {MAX_PARAMS}")
     rng = np.random.default_rng(config.seed)
     act = _ACTIVATIONS[config.activation]
     root = _build_net(schema, "$", config, rng, act)
@@ -425,7 +434,10 @@ def load_model(path: str) -> tuple[Model, dict]:
             _read_exact(fh, count * 8, "parameters"), dtype="<f8")
         if fh.read(1):
             raise ModelLoadError("trailing bytes after parameters")
-    model = build_model(schema, config)
+    try:
+        model = build_model(schema, config)
+    except ModelError as exc:
+        raise ModelLoadError(str(exc)) from exc
     params = model.parameters()
     expected = sum(p.data.size for p in params)
     if count != expected:

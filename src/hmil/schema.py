@@ -37,7 +37,6 @@ __all__ = [
     "infer_schema",
     "merge_schemas",
     "validate",
-    "structurally_equal",
     "schema_to_dict",
     "schema_from_dict",
     "dumps_schema",
@@ -399,26 +398,6 @@ def _walk(value, node: SchemaNode, path: str, column_path: str,
             except UnicodeEncodeError:
                 out.append(Violation(path, "string encodable as UTF-8",
                                      "unpaired surrogate"))
-
-
-def structurally_equal(a: SchemaNode, b: SchemaNode) -> bool:
-    """Equality of shape: kinds, field names/optionality, vocabularies and
-    n-gram configs, ignoring counts and numeric statistics."""
-    if a.kind != b.kind:
-        return False
-    if isinstance(a, StringLeaf):
-        return (a.ngram_n, a.hash_dim) == (b.ngram_n, b.hash_dim)
-    if isinstance(a, CategoricalLeaf):
-        return a.values == b.values
-    if isinstance(a, Bag):
-        return structurally_equal(a.child, b.child)
-    if isinstance(a, Product):
-        if a.field_names != b.field_names:
-            return False
-        return all(fa.optional == fb.optional
-                   and structurally_equal(fa.schema, fb.schema)
-                   for fa, fb in zip(a.fields, b.fields))
-    return True  # numeric / unknown carry no structure beyond kind
 
 
 def _node_to_dict(node: SchemaNode) -> dict:

@@ -4,17 +4,20 @@ Losses are recorded on the same tape as the forward pass, so one
 backward sweep yields parameter gradients.  Shuffling derives from
 (seed, epoch), making whole runs reproducible bit for bit.  Every entry
 point takes raw JSON documents; ``train`` encodes its corpus once and
-gathers each minibatch from it.
+gathers each minibatch from it, and ``predict_scores`` streams documents
+through the model one chunk at a time.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .batching import build_batch, take
+from .batching import build_batch, finish_batch, new_columns, take
+from .encoding import EncodingError, encode_document
 from .model import Model, forward
 from .nn import AdamState, ShapeError, Tape, Tensor, adam_step, backward
 
@@ -29,7 +32,6 @@ __all__ = [
     "train",
     "predict_scores",
     "evaluate_accuracy",
-    "evaluate_mse",
 ]
 
 # documents per forward pass when scoring
@@ -69,15 +71,6 @@ class TrainingReport:
     metric_name: str
     epoch_loss: list[float] = field(default_factory=list)
     epoch_metric: list[float] = field(default_factory=list)
-    n_documents: int = 0
-    config: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"metric_name": self.metric_name,
-                "epoch_loss": self.epoch_loss,
-                "epoch_metric": self.epoch_metric,
-                "n_documents": self.n_documents,
-                "config": self.config}
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -161,8 +154,7 @@ def train(model: Model, docs: list, targets,
     params = model.parameters()
     state = AdamState.for_params(params)
     report = TrainingReport(
-        metric_name="accuracy" if config.loss == "ce" else "mse",
-        n_documents=len(docs), config=asdict(config))
+        metric_name="accuracy" if config.loss == "ce" else "mse")
 
     for epoch in range(config.epochs):
         order = np.random.default_rng([config.seed, epoch]).permutation(len(docs))
@@ -199,21 +191,50 @@ def train(model: Model, docs: list, targets,
     return report
 
 
-def predict_scores(model: Model, docs: list,
-                   chunk_size: int = CHUNK_SIZE) -> np.ndarray:
-    """Raw model outputs, one row per document, computed in chunks."""
-    parts = [forward(model, build_batch(docs[i:i + chunk_size], model.schema)).data
-             for i in range(0, max(len(docs), 1), chunk_size)]
-    return np.vstack(parts) if parts else np.empty((0, model.config.output_dim))
+def predict_scores(model: Model, items: Iterable) -> Iterator[tuple]:
+    """Score ``(key, document, error)`` items, such as the lines of a
+    JSONL file, and yield ``(key, outputs, error)`` per item in input
+    order: the model's output row for a document that fits, else None
+    with the item's own error or the document's EncodingError.
+
+    One forward pass scores each ``CHUNK_SIZE`` documents that fit, and
+    a chunk's items are yielded as soon as it is scored, so a stream of
+    any length is never held whole.
+    """
+    columns, pending = new_columns(model.schema), []
+    for key, doc, error in items:
+        if error is None:
+            try:
+                encode_document(doc, model.schema, columns)
+            except EncodingError as exc:
+                error = exc
+        pending.append((key, error))
+        # forward recurses as deep as the schema nests, so it is called
+        # from this frame, not from a helper a frame deeper
+        if len(columns["$"]) == CHUNK_SIZE:  # one root row per document
+            yield from _paired(pending, forward(
+                model, finish_batch(columns, model.schema)).data)
+            columns, pending = new_columns(model.schema), []
+    yield from _paired(pending, forward(
+        model, finish_batch(columns, model.schema)).data
+        if columns["$"] else ())
+
+
+def _paired(pending: list[tuple], scores) -> Iterator[tuple]:
+    """Each pending ``(key, error)`` with its row of ``scores``, if any."""
+    rows = iter(scores)
+    for key, error in pending:
+        yield key, None if error is not None else next(rows), error
 
 
 def evaluate_accuracy(model: Model, docs: list, labels) -> float:
-    labels = np.asarray(labels)
-    scores = predict_scores(model, docs)
-    return float(np.mean(scores.argmax(axis=1) == labels)) if len(docs) else 0.0
-
-
-def evaluate_mse(model: Model, docs: list, targets) -> float:
-    targets = np.asarray(targets, dtype=np.float64)
-    scores = predict_scores(model, docs)
-    return float(np.mean((scores - targets) ** 2)) if len(docs) else 0.0
+    """Fraction of documents whose highest output is their label;
+    raises the EncodingError of the first document that does not fit."""
+    predicted = []
+    for _, outputs, error in predict_scores(
+            model, ((i, doc, None) for i, doc in enumerate(docs))):
+        if error is not None:
+            raise error
+        predicted.append(int(np.argmax(outputs)))
+    return (float(np.mean(np.array(predicted) == np.asarray(labels)))
+            if len(docs) else 0.0)

@@ -2,9 +2,12 @@
 the injected-fault check on the verify suite."""
 
 import contextlib
+import errno
 import inspect
 import io
 import json
+import os
+import stat
 import struct
 import subprocess
 import sys
@@ -12,10 +15,15 @@ import sys
 import numpy as np
 import pytest
 
+import hmil.cli as cli_mod
 import hmil.model as model_mod
+import hmil.training as training_mod
+from hmil.batching import build_batch
 from hmil.cli import main
+from hmil.model import forward
 from hmil.nn import Tensor
 from hmil.schema import StringLeaf, loads_schema
+from hmil.training import CHUNK_SIZE
 
 
 def write_jsonl(path, docs):
@@ -27,6 +35,20 @@ def write_jsonl(path, docs):
 def read_jsonl(path):
     with open(path, "r", encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]
+
+
+def edit_container(path, schema=None, config=None):
+    """Rewrite a model container with its schema and config blobs passed
+    through ``schema`` and ``config`` (bytes to bytes), fixing their
+    length fields."""
+    raw, pos, blobs = path.read_bytes(), 8, []
+    for edit in (schema, config):
+        (n,) = struct.unpack("<Q", raw[pos:pos + 8])
+        blob = raw[pos + 8:pos + 8 + n]
+        blob = edit(blob) if edit else blob
+        blobs.append(struct.pack("<Q", len(blob)) + blob)
+        pos += 8 + n
+    path.write_bytes(raw[:8] + b"".join(blobs) + raw[pos:])
 
 
 @pytest.fixture
@@ -264,6 +286,132 @@ class TestPredict:
                      "--output", str(dst)]) == 0
         assert "scores" in read_jsonl(dst)[0]
 
+    def test_chunks_match_batched_forward(self, corpus, tmp_path, capsys):
+        """Each scored line equals its row of one forward pass over its
+        chunk, every CHUNK_SIZE documents that fit; error records keep
+        their line order."""
+        _, path = run_train(corpus)
+        model, _ = model_mod.load_model(str(path))
+        rng = np.random.default_rng(1)
+        lines, fitting = [], []
+        for i in range(2 * CHUNK_SIZE + 100):
+            misfit = {3: "garbage", 5: "", 7: "null",
+                      9: '{"values": "x"}'}.get(i % 11)
+            if misfit is None:
+                doc = {"values": [float(v) for v in rng.normal(size=i % 4)]}
+                fitting.append(doc)
+                lines.append(json.dumps(doc))
+            else:
+                lines.append(misfit)
+        src = tmp_path / "in.jsonl"
+        src.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(path), "--input", str(src),
+                     "--output", "-"]) == 1
+        records = iter(json.loads(l)
+                       for l in capsys.readouterr().out.splitlines())
+        rows = iter(np.vstack([
+            forward(model, build_batch(fitting[i:i + CHUNK_SIZE],
+                                       model.schema)).data
+            for i in range(0, len(fitting), CHUNK_SIZE)]))
+        for number, line in enumerate(lines, start=1):
+            if not line:
+                continue  # a blank line has no record
+            record = next(records)
+            if line in ("garbage", "null", '{"values": "x"}'):
+                assert record == {"line": number, "error": record["error"]}
+            else:
+                assert record["scores"] == [float(v) for v in next(rows)]
+        assert next(records, None) is None and next(rows, None) is None
+
+    def test_output_may_be_the_input(self, corpus, tmp_path):
+        _, model = run_train(corpus)
+        src = tmp_path / "in.jsonl"
+        src.write_text("garbage\n" + "".join(
+            json.dumps(d) + "\n" for d in corpus["docs"] * 3))
+        separate = tmp_path / "out.jsonl"
+        argv = ["predict", "--model", str(model), "--input", str(src)]
+        assert main([*argv, "--output", str(separate)]) == 1
+        assert main([*argv, "--output", str(src)]) == 1
+        assert src.read_bytes() == separate.read_bytes()
+        assert len(read_jsonl(src)) == 1 + 3 * len(corpus["docs"])
+
+    def test_failed_run_leaves_no_output(self, corpus, tmp_path,
+                                         monkeypatch, capsys):
+        _, model = run_train(corpus)
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [{"values": [0.1]}] * (CHUNK_SIZE + 1))
+        scored = []
+
+        def fail_second_chunk(*args):
+            if scored:
+                raise RecursionError  # as from a too deep model
+            scored.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(training_mod, "forward", fail_second_chunk)
+        before = sorted(os.listdir(tmp_path))
+        assert main(["predict", "--model", str(model), "--input", str(src),
+                     "--output", str(tmp_path / "out.jsonl")]) == 2
+        assert scored and sorted(os.listdir(tmp_path)) == before
+
+    def test_output_may_be_a_device(self, corpus, tmp_path):
+        """A device is written in place, not replaced by a regular file."""
+        _, model = run_train(corpus)
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, corpus["docs"][:3])
+        assert main(["predict", "--model", str(model), "--input", str(src),
+                     "--output", os.devnull]) == 0
+        assert main(["infer", "--input", str(src),
+                     "--output", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_output_through_a_symlink(self, corpus, tmp_path):
+        """The link stays; the file it names is replaced."""
+        _, model = run_train(corpus)
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, corpus["docs"][:3])
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main(["predict", "--model", str(model), "--input", str(src),
+                     "--output", str(link)]) == 0
+        assert link.is_symlink() and len(read_jsonl(target)) == 3
+
+    def test_read_error_names_the_input(self, corpus, tmp_path,
+                                        monkeypatch, capsys):
+        _, model = run_train(corpus)
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, corpus["docs"][:3])
+
+        def failing_read(fh):
+            yield 1, {"values": [0.1]}, None
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(cli_mod, "_parse_lines", failing_read)
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--input", str(src),
+                     "--output", str(tmp_path / "out.jsonl")]) == 2
+        assert f"cannot read {src}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_output_dim_above_class_count(self, corpus, tmp_path, capsys):
+        rc, model = run_train(corpus, "wide.bin", (
+            "--output-dim", "6", "--epochs", "0", "--seed", "0"))
+        assert rc == 0
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [{"values": d["values"]} for d in corpus["docs"]])
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--input", str(src),
+                     "--output", "-"]) == 0
+        for line in capsys.readouterr().out.splitlines():
+            record = json.loads(line)
+            assert len(record["scores"]) == 6
+            # the four outputs past the two classes name no class
+            best = int(np.argmax(record["scores"][:2]))
+            assert record["prediction"] == ["cold", "hot"][best]
+
     def test_bad_model_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "m.bin"
         bad.write_bytes(b"not a container")
@@ -315,6 +463,24 @@ class TestPredict:
                    "--output", "-"])
         assert rc == 2
         assert "corrupt config blob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        ["label_field", "kind"],
+        {"label_field": ["kind"], "classes": ["cold", "hot"]},
+        {"label_field": "kind", "classes": []},
+    ], ids=["extra_array", "label_field_array", "classes_empty"])
+    def test_malformed_metadata_exits_2(self, corpus, tmp_path, capsys,
+                                        extra):
+        _, model = run_train(corpus)
+        edit_container(model, config=lambda blob: json.dumps(
+            {**json.loads(blob), "extra": extra}).encode())
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [{"values": [0.1]}])
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", "-"])
+        assert rc == 2
+        assert "malformed config blob" in capsys.readouterr().err
 
 
 # a JSON integer too large for float64
@@ -630,6 +796,57 @@ class TestValueChecks:
         assert codes <= {0, 1, 2}
 
 
+class TestHugeDimensions:
+    """Widths whose parameters numpy refuses to allocate exit 2 before
+    anything is allocated."""
+    HUGE_HASH_DIM = b'"hash_dim":%d' % 10**15
+
+    def test_train_embed_dim_flag(self, corpus, capsys):
+        rc, _ = run_train(corpus, extra_args=("--embed-dim", str(10**18)))
+        assert rc == 2
+        assert "more than the limit" in capsys.readouterr().err
+
+    def test_train_schema_hash_dim(self, text_corpus, capsys):
+        schema = text_corpus["schema"]
+        schema.write_bytes(schema.read_bytes().replace(
+            b'"hash_dim":64', self.HUGE_HASH_DIM))
+        assert train_text(text_corpus, text_corpus["train"]) == 2
+        assert "more than the limit" in capsys.readouterr().err
+
+    def test_predict_container_hash_dim(self, text_corpus, tmp_path, capsys):
+        assert train_text(text_corpus, text_corpus["train"]) == 0
+        model = text_corpus["dir"] / "text.bin"
+        edit_container(model, schema=lambda blob: blob.replace(
+            b'"hash_dim":64', self.HUGE_HASH_DIM))
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [{"s": "word 1"}])
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", "-"])
+        assert rc == 2
+        assert "more than the limit" in capsys.readouterr().err
+
+    def test_allocation_failure_exits_2(self, text_corpus, tmp_path,
+                                        monkeypatch, capsys):
+        """A model under the limit may still have leaves too wide to
+        encode a chunk of; MemoryError is injected rather than provoked,
+        which would allocate gigabytes first."""
+        assert train_text(text_corpus, text_corpus["train"]) == 0
+
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(training_mod, "finish_batch", out_of_memory)
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(text_corpus["dir"] / "text.bin"),
+                   "--input", str(text_corpus["train"]),
+                   "--output", str(tmp_path / "out.jsonl")])
+        assert rc == 2
+        assert "input too large" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+
+
 def _nested(depth: int) -> str:
     return "[" * depth + "1.0" + "]" * depth
 
@@ -760,6 +977,18 @@ class TestEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "wrote" in proc.stdout
+
+    def test_output_to_stdout_through_a_pipe(self, tmp_path):
+        """/dev/stdout names a pipe here, which is written in place."""
+        src = tmp_path / "d.jsonl"
+        write_jsonl(src, [{"a": 1.0}])
+        proc = subprocess.run(
+            [sys.executable, "-m", "hmil.cli", "infer",
+             "--input", str(src), "--output", "/dev/stdout"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert list(loads_schema(proc.stdout.splitlines()[0]).field_names) \
+            == ["a"]
 
     def test_no_arguments_exits_2(self):
         assert main([]) == 2

@@ -14,12 +14,9 @@ from hypothesis import example, given, strategies as st
 from hmil.batching import build_batch, finish_batch, new_columns
 from hmil.encoding import (
     EncodingError,
-    encode_categorical,
     encode_column,
     encode_document,
-    encode_numeric,
     encode_string_ngram,
-    fnv1a64,
     leaf_width,
 )
 from hmil.schema import (
@@ -33,6 +30,19 @@ from hmil.schema import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def fnv1a64(data: bytes) -> int:
+    """Scalar 64-bit FNV-1a: the reference the column hashing of
+    ``encode_column`` is checked against."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def encode_numeric(v, mean, std):
+    return encode_column(NumericLeaf(1, mean, std), [v])[0]
 
 
 class TestFnv1a64:
@@ -118,14 +128,13 @@ class TestCategoricalEncoder:
     LEAF = CategoricalLeaf(count=3, values=("green", "red"))
 
     def test_known_values_one_hot(self):
-        np.testing.assert_array_equal(encode_categorical("green", self.LEAF),
-                                      [1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(encode_categorical("red", self.LEAF),
-                                      [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(encode_column(self.LEAF,
+                                                    ["green", "red"]),
+                                      [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
     def test_unseen_value_hits_last_slot(self):
-        np.testing.assert_array_equal(encode_categorical("blue", self.LEAF),
-                                      [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(encode_column(self.LEAF, ["blue"]),
+                                      [[0.0, 0.0, 1.0]])
 
 
 def _scalar_histogram(s, n, dim):

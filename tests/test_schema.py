@@ -21,7 +21,6 @@ from hmil.schema import (
     infer_schema,
     loads_schema,
     merge_schemas,
-    structurally_equal,
     validate,
 )
 
@@ -196,7 +195,7 @@ class TestFitnessWeek:
         assert sport == CategoricalLeaf(count=2,
                                         values=("running", "swimming"))
         raw = infer_schema([fitness_doc], categorical_threshold=0)
-        assert not structurally_equal(s, raw)  # leaf kinds differ
+        assert raw.field("weekNumber").schema.kind == "string"
         assert s.field_names == raw.field_names
 
 
@@ -246,7 +245,6 @@ class TestMerge:
         a, b, c = schemas
         left = merge_schemas(merge_schemas(a, b), c)
         right = merge_schemas(a, merge_schemas(b, c))
-        assert structurally_equal(left, right)
         assert_schemas_close(left, right)
 
 
@@ -404,10 +402,3 @@ class TestSerialization:
                 "kind": "numeric", "count": 0, "mean": -3, "std": 0}}}}
         s = loads_schema(json.dumps({"schema_version": 1, "root": node}))
         assert s.fields[0].schema == NumericLeaf(count=0, mean=-3, std=0)
-
-    def test_structural_equality_ignores_statistics(self):
-        a = infer_schema([1.0, 2.0])
-        b = infer_schema([100.0])
-        assert structurally_equal(a, b)
-        assert not structurally_equal(infer_schema(["x"]),
-                                      infer_schema(["y"]))

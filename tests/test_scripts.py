@@ -2,6 +2,8 @@
 change that breaks one fails here instead of at its next manual run.
 run_benchmarks.py has no size flags and takes minutes; it is left out."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -22,3 +24,20 @@ def test_script_exits_0(argv):
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_layers_resolve():
+    """Every function the traced benchmark run wraps still exists, so a
+    deletion that would crash ``perfbench/run.py --trace 1`` fails here."""
+    sys.path.insert(0, str(ROOT / "perfbench"))  # layers imports tracer
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_layers", ROOT / "perfbench" / "layers.py")
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    assert layers.LAYERS
+    for layer in layers.LAYERS:
+        module = importlib.import_module(layer.module)
+        assert callable(getattr(module, layer.function, None)), layer.name

@@ -1,20 +1,23 @@
 """Loss functions, the Adam training loop, and evaluation helpers."""
 
+import itertools
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from hmil.batching import build_batch
+from hmil.encoding import EncodingError
 from hmil.model import ModelConfig, build_model, forward
 from hmil.nn import ShapeError, Tape, Tensor, backward
 from hmil.schema import Bag, NumericLeaf
 from hmil.training import (
+    CHUNK_SIZE,
     TrainConfig,
     TrainingDiverged,
     evaluate_accuracy,
-    evaluate_mse,
     loss_mse,
     loss_softmax_ce,
     predict_scores,
@@ -201,7 +204,7 @@ class TestTrainLoop:
         docs, labels = two_blob_dataset(n_docs=10)
         model = build_model(PLAIN_BAG, ModelConfig(output_dim=2))
         report = train(model, docs, labels, TrainConfig(epochs=2, seed=7))
-        text = json.dumps(report.to_dict(), sort_keys=True)
+        text = json.dumps(asdict(report), sort_keys=True)
         assert '"metric_name": "accuracy"' in text
 
     def test_mse_regression_on_bag_mean(self):
@@ -213,7 +216,8 @@ class TestTrainLoop:
         train(model, raw, targets,
               TrainConfig(epochs=60, batch_size=10, learning_rate=1e-2,
                           loss="mse", seed=1))
-        assert evaluate_mse(model, raw, targets) < 0.05
+        scores = forward(model, build_batch(raw, PLAIN_BAG)).data
+        assert np.mean((scores - targets) ** 2) < 0.05
 
     def test_config_validation(self):
         for kw in ({"epochs": -1}, {"loss": "hinge"}, {"seed": -1},
@@ -229,14 +233,43 @@ class TestEvaluation:
     def test_predict_scores_shape_and_chunking(self):
         docs, _ = two_blob_dataset(n_docs=7)
         model = build_model(PLAIN_BAG, ModelConfig(output_dim=2))
-        whole = predict_scores(model, docs, chunk_size=3)
-        assert whole.shape == (7, 2)
-        # matmul may reassociate differently per chunk shape
-        np.testing.assert_allclose(
-            whole, forward(model, build_batch(docs, PLAIN_BAG)).data,
-            rtol=1e-12, atol=1e-14)
+        items = [(f"k{i}", doc, None) for i, doc in enumerate(docs)]
+        items.insert(3, ("bad", None, "no document"))
+        items.insert(5, ("odd", {"a": 1}, None))
+        scored = list(predict_scores(model, items))
+        assert [key for key, _, _ in scored] == [key for key, _, _ in items]
+        assert scored[3] == ("bad", None, "no document")
+        assert scored[5][1] is None
+        assert isinstance(scored[5][2], EncodingError)
+        # fewer than CHUNK_SIZE documents: one forward pass, so the rows
+        # are exactly those of batching them all
+        want = forward(model, build_batch(docs, PLAIN_BAG)).data
+        got = [out for _, out, error in scored if error is None]
+        assert np.array_equal(np.vstack(got), want)
+
+    def test_streams_one_chunk_at_a_time(self):
+        model = build_model(PLAIN_BAG, ModelConfig(output_dim=2))
+        pulled = []
+
+        def endless():
+            for i in itertools.count():
+                pulled.append(i)
+                yield (i, None, "unparsable") if i % 3 == 0 \
+                    else (i, [float(i)], None)
+
+        first = next(predict_scores(model, endless()))
+        assert first == (0, None, "unparsable")
+        # two of every three items fit, so item 3 * CHUNK_SIZE / 2 - 1 is
+        # the CHUNK_SIZE-th that fits: it closes the first chunk, and
+        # nothing past it is read
+        assert pulled[-1] == 3 * CHUNK_SIZE // 2 - 1
 
     def test_empty_document_list(self):
         model = build_model(PLAIN_BAG, ModelConfig(output_dim=2))
-        assert predict_scores(model, []).shape == (0, 2)
+        assert list(predict_scores(model, [])) == []
         assert evaluate_accuracy(model, [], []) == 0.0
+
+    def test_accuracy_raises_the_first_misfit(self):
+        model = build_model(PLAIN_BAG, ModelConfig(output_dim=2))
+        with pytest.raises(EncodingError, match="expected array"):
+            evaluate_accuracy(model, [[1.0], "x", {}], [0, 1, 0])
