@@ -205,6 +205,9 @@ def cmd_train(args) -> int:
         if not isinstance(doc, dict) or doc.get(args.label_field) is None:
             raise CliError(f"{args.train}:{number}: missing label field "
                            f"{args.label_field!r}")
+        if isinstance(doc[args.label_field], (list, dict)):
+            raise CliError(f"{args.train}:{number}: label field "
+                           f"{args.label_field!r} is an array or object")
         doc = dict(doc)
         raw_labels.append(doc.pop(args.label_field))
         stripped.append((number, doc))
@@ -215,11 +218,15 @@ def cmd_train(args) -> int:
     model_kw, train_kw = _resolve_configs(args)
     loss = train_kw.get("loss", "ce")
     if loss == "ce":
-        classes = sorted(set(raw_labels), key=lambda v: (str(type(v)), str(v)))
+        # keyed by JSON text, not by Python equality, which merges true
+        # with 1 and false with 0
+        texts = [json.dumps(v) for v in raw_labels]
+        classes = sorted(dict(zip(texts, raw_labels)).values(),
+                         key=lambda v: (str(type(v)), str(v)))
         if len(classes) < 2:
             raise CliError("training needs at least two distinct labels")
-        index = {value: i for i, value in enumerate(classes)}
-        targets = np.array([index[v] for v in raw_labels])
+        index = {json.dumps(value): i for i, value in enumerate(classes)}
+        targets = np.array([index[t] for t in texts])
         model_kw.setdefault("output_dim", len(classes))
     else:
         classes = None
@@ -235,6 +242,9 @@ def cmd_train(args) -> int:
         if classes is not None and model_config.output_dim < len(classes):
             raise ValueError(f"output_dim {model_config.output_dim} is "
                              f"below the {len(classes)} distinct labels")
+        if classes is None and model_config.output_dim != 1:
+            raise ValueError("mse loss needs output_dim 1, "
+                             f"got {model_config.output_dim}")
         model = build_model(schema, model_config)
     except (ModelError, ValueError) as exc:
         raise CliError(str(exc))

@@ -7,6 +7,12 @@ concatenates child outputs plus presence flags for its optional fields
 and mixes them with a dense layer.  A two-layer head on the root
 representation produces task outputs.
 
+The network has exactly the shape of the schema tree, so the model holds
+no tree of its own: ``Model.layers`` is a table of each node's dense
+layers keyed by its ``schema.node_paths`` path (plus ``"head"``), and
+the forward pass is one loop over the schema's nodes, children before
+parents.
+
 The linear map after pooling keeps two facts checkable: an extra
 per-instance linear layer before mean pooling folds into it exactly
 (``verification.check_matrix_collapse``), and with tanh units every
@@ -20,7 +26,6 @@ import json
 import os
 import struct
 from dataclasses import asdict, dataclass
-from typing import Union
 
 import numpy as np
 
@@ -105,101 +110,32 @@ class ModelConfig:
             raise ModelError(f"unknown aggregation {self.aggregation!r}")
 
 
-class LeafNet:
-    """Pass-through for encoded leaf matrices; holds no parameters."""
-
-    def __init__(self, path: str, node: SchemaNode):
-        self.path = path
-        self.node = node
-        self.out_dim = leaf_width(node)
-
-    def own_params(self) -> list[Tensor]:
-        return []
-
-
-class BagNet:
-    def __init__(self, path: str, child: "Net", phi_w: Tensor, phi_b: Tensor,
-                 post_w: Tensor, post_b: Tensor, aggregation: str,
-                 activation: Activation):
-        self.path = path
-        self.child = child
-        self.phi_w = phi_w
-        self.phi_b = phi_b
-        self.post_w = post_w
-        self.post_b = post_b
-        self.aggregation = aggregation
-        self.activation = activation
-        self.out_dim = post_w.cols
-
-    def own_params(self) -> list[Tensor]:
-        return [self.phi_w, self.phi_b, self.post_w, self.post_b]
-
-
-class ProductNet:
-    def __init__(self, path: str, children: list[tuple[str, "Net"]],
-                 n_optional: int, comb_w: Tensor, comb_b: Tensor,
-                 activation: Activation):
-        self.path = path
-        self.children = children
-        self.n_optional = n_optional
-        self.comb_w = comb_w
-        self.comb_b = comb_b
-        self.activation = activation
-        self.out_dim = comb_w.cols
-
-    def own_params(self) -> list[Tensor]:
-        return [self.comb_w, self.comb_b]
-
-
-Net = Union[LeafNet, BagNet, ProductNet]
-
-
-class Head:
-    def __init__(self, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-                 activation: Activation):
-        self.w1 = w1
-        self.b1 = b1
-        self.w2 = w2
-        self.b2 = b2
-        self.activation = activation
-
-    def own_params(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
-
 @dataclass
 class Model:
+    """A schema and its dense layers.
+
+    ``layers`` maps the path of every bag node to (phi_w, phi_b, post_w,
+    post_b), of every product node to (comb_w, comb_b), and ``"head"``
+    to (w1, b1, w2, b2).  Leaves hold no parameters and have no entry.
+    """
+
     schema: SchemaNode
     config: ModelConfig
-    root: Net
-    head: Head
+    layers: dict[str, tuple[Tensor, ...]]
 
-    def nets(self) -> list[Net]:
-        """Every node of the net tree in preorder: each node, then its
-        children in field order."""
-        out: list[Net] = []
-        stack: list[Net] = [self.root]
-        while stack:
-            net = stack.pop()
-            out.append(net)
-            if isinstance(net, BagNet):
-                stack.append(net.child)
-            elif isinstance(net, ProductNet):
-                stack.extend(child for _, child in reversed(net.children))
-        return out
+    @property
+    def activation(self) -> Activation:
+        return _ACTIVATIONS[self.config.activation]
 
     def parameters(self) -> list[Tensor]:
-        """Each node's own tensors in ``nets()`` order, head last.
+        """Each node's tensors in ``node_paths`` preorder, head last.
         Serialization relies on this order."""
-        return [p for net in self.nets() for p in net.own_params()] \
-            + self.head.own_params()
+        return [p for path, _ in node_paths(self.schema)
+                for p in self.layers.get(path, ())] + list(self.layers["head"])
 
     def bag_paths(self) -> list[str]:
-        return [net.path for net in self.nets() if isinstance(net, BagNet)]
-
-
-def _agg_width(aggregation: str, embed_dim: int) -> int:
-    return 2 * embed_dim if aggregation == "meanmax" else embed_dim
+        return [path for path, node in node_paths(self.schema)
+                if isinstance(node, Bag)]
 
 
 def _bias_init(rng: np.random.Generator, fan_in: int, dim: int) -> Tensor:
@@ -210,28 +146,46 @@ def _bias_init(rng: np.random.Generator, fan_in: int, dim: int) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, dim))
 
 
-def _build_net(node: SchemaNode, path: str, config: ModelConfig,
-               rng: np.random.Generator, act: Activation) -> Net:
+def _plan(node: SchemaNode, path: str, config: ModelConfig
+          ) -> tuple[int, list[tuple[str, list[tuple[int, int]]]]]:
+    """Output width of ``node`` and the (fan_in, fan_out) of each dense
+    layer in its subtree, grouped by node path in the order ``build_model``
+    draws them: children first, fields in order.
+
+    A bag over a child of width w maps instances through (w, k) and
+    [pooled, non-empty] through (A+1, k), where k is embed_dim and A the
+    pooled width (k, or 2k for meanmax).  A product over children of
+    total width s with q optional fields mixes them through (s+q, h).
+    """
+    k, h = config.embed_dim, config.hidden_dim
     if isinstance(node, Bag):
-        child = _build_net(node.child, path + "[]", config, rng, act)
-        k = config.embed_dim
-        phi_w = glorot_uniform(rng, child.out_dim, k)
-        phi_b = _bias_init(rng, child.out_dim, k)
-        agg_dim = _agg_width(config.aggregation, k)
-        post_w = glorot_uniform(rng, agg_dim + 1, k)
-        post_b = _bias_init(rng, agg_dim + 1, k)
-        return BagNet(path, child, phi_w, phi_b, post_w, post_b,
-                      config.aggregation, act)
+        width, plan = _plan(node.child, path + "[]", config)
+        pooled = 2 * k if config.aggregation == "meanmax" else k
+        return k, plan + [(path, [(width, k), (pooled + 1, k)])]
     if isinstance(node, Product):
-        children = [(f.name, _build_net(f.schema, f"{path}.{f.name}", config,
-                                        rng, act))
-                    for f in node.fields]
-        n_optional = sum(1 for f in node.fields if f.optional)
-        in_dim = sum(c.out_dim for _, c in children) + n_optional
-        comb_w = glorot_uniform(rng, in_dim, config.hidden_dim)
-        comb_b = _bias_init(rng, in_dim, config.hidden_dim)
-        return ProductNet(path, children, n_optional, comb_w, comb_b, act)
-    return LeafNet(path, node)
+        width, plan = sum(1 for f in node.fields if f.optional), []
+        for f in node.fields:
+            w, sub = _plan(f.schema, f"{path}.{f.name}", config)
+            width += w
+            plan += sub
+        return h, plan + [(path, [(width, h)])]
+    return leaf_width(node), []
+
+
+def _layer_plan(schema: SchemaNode, config: ModelConfig
+                ) -> list[tuple[str, list[tuple[int, int]]]]:
+    """``_plan`` of the whole tree followed by the two-layer head."""
+    width, plan = _plan(schema, "$", config)
+    h = config.hidden_dim
+    return plan + [("head", [(width, h), (h, config.output_dim)])]
+
+
+def param_count(schema: SchemaNode, config: ModelConfig) -> int:
+    """Parameter count of ``build_model(schema, config)``, without
+    allocating it."""
+    return sum((fan_in + 1) * fan_out
+               for _, dims in _layer_plan(schema, config)
+               for fan_in, fan_out in dims)
 
 
 def build_model(schema: SchemaNode, config: ModelConfig) -> Model:
@@ -243,41 +197,11 @@ def build_model(schema: SchemaNode, config: ModelConfig) -> Model:
         raise ModelError(f"model would have {n} parameters, more than "
                          f"the limit of {MAX_PARAMS}")
     rng = np.random.default_rng(config.seed)
-    act = _ACTIVATIONS[config.activation]
-    root = _build_net(schema, "$", config, rng, act)
-    w1 = glorot_uniform(rng, root.out_dim, config.hidden_dim)
-    b1 = _bias_init(rng, root.out_dim, config.hidden_dim)
-    w2 = glorot_uniform(rng, config.hidden_dim, config.output_dim)
-    b2 = _bias_init(rng, config.hidden_dim, config.output_dim)
-    return Model(schema=schema, config=config, root=root,
-                 head=Head(w1, b1, w2, b2, act))
-
-
-def _net_forward(net: Net, batch: RaggedBatch, tape: Tape | None,
-                 sink: dict[str, Tensor]) -> Tensor:
-    if isinstance(net, LeafNet):
-        return Tensor(batch.data[net.path])
-    if isinstance(net, BagNet):
-        x = _net_forward(net.child, batch, tape, sink)
-        h = dense_forward(x, net.phi_w, net.phi_b, net.activation, tape)
-        offsets = batch.offsets[net.path]
-        if net.aggregation == "mean":
-            pooled = segment_mean(h, offsets, tape)
-        elif net.aggregation == "max":
-            pooled = segment_max(h, offsets, tape)
-        else:
-            pooled = concat_cols([segment_mean(h, offsets, tape),
-                                  segment_max(h, offsets, tape)], tape)
-        non_empty = (np.diff(offsets) > 0).astype(np.float64).reshape(-1, 1)
-        z = concat_cols([pooled, Tensor(non_empty)], tape)
-        e = dense_forward(z, net.post_w, net.post_b, IDENTITY, tape)
-        sink[net.path] = e
-        return e
-    parts = [_net_forward(child, batch, tape, sink)
-             for _, child in net.children]
-    parts.append(Tensor(batch.presence[net.path]))
-    z = concat_cols(parts, tape)
-    return dense_forward(z, net.comb_w, net.comb_b, net.activation, tape)
+    layers = {path: tuple(t for fan_in, fan_out in dims
+                          for t in (glorot_uniform(rng, fan_in, fan_out),
+                                    _bias_init(rng, fan_in, fan_out)))
+              for path, dims in _layer_plan(schema, config)}
+    return Model(schema=schema, config=config, layers=layers)
 
 
 def forward(model: Model, batch: RaggedBatch, tape: Tape | None = None) -> Tensor:
@@ -288,13 +212,40 @@ def forward(model: Model, batch: RaggedBatch, tape: Tape | None = None) -> Tenso
 def forward_with_embeddings(model: Model, batch: RaggedBatch,
                             tape: Tape | None = None
                             ) -> tuple[Tensor, dict[str, Tensor]]:
-    """Outputs plus every bag node's embedding rows, keyed by node path."""
+    """Outputs plus every bag node's embedding rows, keyed by node path.
+
+    Reversed preorder reaches every node after all its descendants, so
+    each node's inputs are waiting in ``out`` when it is reached."""
+    act = model.activation
+    out: dict[str, Tensor] = {}
     sink: dict[str, Tensor] = {}
-    rep = _net_forward(model.root, batch, tape, sink)
-    h = dense_forward(rep, model.head.w1, model.head.b1,
-                      model.head.activation, tape)
-    out = dense_forward(h, model.head.w2, model.head.b2, IDENTITY, tape)
-    return out, sink
+    for path, node in reversed(node_paths(model.schema)):
+        if isinstance(node, Bag):
+            phi_w, phi_b, post_w, post_b = model.layers[path]
+            h = dense_forward(out.pop(path + "[]"), phi_w, phi_b, act, tape)
+            offsets = batch.offsets[path]
+            if model.config.aggregation == "mean":
+                pooled = segment_mean(h, offsets, tape)
+            elif model.config.aggregation == "max":
+                pooled = segment_max(h, offsets, tape)
+            else:
+                pooled = concat_cols([segment_mean(h, offsets, tape),
+                                      segment_max(h, offsets, tape)], tape)
+            non_empty = (np.diff(offsets) > 0).astype(np.float64).reshape(-1, 1)
+            z = concat_cols([pooled, Tensor(non_empty)], tape)
+            out[path] = sink[path] = dense_forward(z, post_w, post_b,
+                                                   IDENTITY, tape)
+        elif isinstance(node, Product):
+            comb_w, comb_b = model.layers[path]
+            parts = [out.pop(f"{path}.{f.name}") for f in node.fields]
+            parts.append(Tensor(batch.presence[path]))
+            out[path] = dense_forward(concat_cols(parts, tape), comb_w, comb_b,
+                                      act, tape)
+        else:
+            out[path] = Tensor(batch.data[path])
+    w1, b1, w2, b2 = model.layers["head"]
+    h = dense_forward(out["$"], w1, b1, act, tape)
+    return dense_forward(h, w2, b2, IDENTITY, tape), sink
 
 
 def embed(model: Model, batch: RaggedBatch, path: str) -> np.ndarray:
@@ -316,52 +267,23 @@ def embedding_bound(model: Model, path: str) -> np.ndarray:
     """
     if model.config.activation != "tanh":
         raise ModelError("embedding bounds require tanh activation")
-    net = next((n for n in model.nets()
-                if isinstance(n, BagNet) and n.path == path), None)
-    if net is None:
+    if path not in model.bag_paths():
         raise ModelError(f"no bag node at {path!r}")
-    return np.abs(net.post_w.data).sum(axis=0) + np.abs(net.post_b.data[0])
-
-
-def param_count(schema: SchemaNode, config: ModelConfig) -> int:
-    """Closed-form parameter count of ``build_model(schema, config)``.
-
-    Per bag over a child of width w: w*k + k for the instance layer and
-    (A+2)*k for the post-pooling map, where k is embed_dim and A is the
-    pooled width (k, or 2k for meanmax).  Per product over children of
-    total width s with q optional fields: (s+q+1)*h.  Head over a root
-    of width r: (r+1)*h + (h+1)*o.
-    """
-    k, h, o = config.embed_dim, config.hidden_dim, config.output_dim
-    agg = _agg_width(config.aggregation, k)
-
-    def width(node: SchemaNode) -> int:
-        if isinstance(node, Bag):
-            return k
-        if isinstance(node, Product):
-            return h
-        return leaf_width(node)
-
-    n = 0
-    for _, node in node_paths(schema):
-        if isinstance(node, Bag):
-            n += (width(node.child) + 1) * k + (agg + 2) * k
-        elif isinstance(node, Product):
-            total = sum(width(f.schema) for f in node.fields)
-            q = sum(1 for f in node.fields if f.optional)
-            n += (total + q + 1) * h
-    return n + (width(schema) + 1) * h + (h + 1) * o
+    _, _, post_w, post_b = model.layers[path]
+    return np.abs(post_w.data).sum(axis=0) + np.abs(post_b.data[0])
 
 
 def describe_model(model: Model) -> str:
     """Human-readable table of nodes, their kinds, widths, and sizes."""
     lines = [f"{'node':<40} {'kind':<10} {'out':>5} {'params':>8}"]
-
-    for net in model.nets():
-        own = sum(p.data.size for p in net.own_params())
-        kind = {LeafNet: "leaf", BagNet: "bag", ProductNet: "product"}[type(net)]
-        lines.append(f"{net.path:<40} {kind:<10} {net.out_dim:>5} {own:>8}")
-    head_params = sum(p.data.size for p in model.head.own_params())
+    for path, node in node_paths(model.schema):
+        own = model.layers.get(path, ())
+        kind = ("bag" if isinstance(node, Bag) else
+                "product" if isinstance(node, Product) else "leaf")
+        width = own[-1].cols if own else leaf_width(node)
+        size = sum(p.data.size for p in own)
+        lines.append(f"{path:<40} {kind:<10} {width:>5} {size:>8}")
+    head_params = sum(p.data.size for p in model.layers["head"])
     lines.append(f"{'(head)':<40} {'head':<10} "
                  f"{model.config.output_dim:>5} {head_params:>8}")
     total = sum(p.data.size for p in model.parameters())

@@ -28,8 +28,6 @@ from .batching import build_batch, finish_batch, new_columns
 from .encoding import EncodingError, encode_document
 from .generators import permute_bags, random_document, random_schema
 from .model import (
-    BagNet,
-    LeafNet,
     Model,
     ModelConfig,
     build_model,
@@ -47,7 +45,14 @@ from .nn import (
     glorot_uniform,
     segment_mean,
 )
-from .schema import Bag, NumericLeaf, SchemaError, infer_schema
+from .schema import (
+    Bag,
+    NumericLeaf,
+    Product,
+    SchemaError,
+    infer_schema,
+    node_paths,
+)
 from .training import (
     TrainConfig,
     evaluate_accuracy,
@@ -165,32 +170,33 @@ def _two_matrix_forward(model: Model, batch, extra: dict
     before mean pooling, and W2 maps [pooled, non-empty] to the
     embedding.  Plain numpy, none of the tape ops the production
     forward uses."""
+    act = model.activation
+    out: dict[str, np.ndarray] = {}
     embeddings: dict[str, np.ndarray] = {}
-
-    def run(net) -> np.ndarray:
-        if isinstance(net, LeafNet):
-            return batch.data[net.path]
-        if isinstance(net, BagNet):
-            h = net.activation.apply(run(net.child) @ net.phi_w.data
-                                     + net.phi_b.data)
-            inner, post = extra[net.path]
+    for path, node in reversed(node_paths(model.schema)):
+        if isinstance(node, Bag):
+            phi_w, phi_b, _, post_b = model.layers[path]
+            h = act.apply(out.pop(path + "[]") @ phi_w.data + phi_b.data)
+            inner, post = extra[path]
             h = h @ inner
-            offsets = batch.offsets[net.path]
+            offsets = batch.offsets[path]
             pooled = np.zeros((len(offsets) - 1, h.shape[1]))
             for i, (s, e) in enumerate(zip(offsets[:-1], offsets[1:])):
                 if e > s:
                     pooled[i] = h[s:e].sum(axis=0) / (e - s)
             non_empty = (np.diff(offsets) > 0).astype(np.float64)[:, None]
-            out = np.hstack([pooled, non_empty]) @ post + net.post_b.data
-            embeddings[net.path] = out
-            return out
-        z = np.hstack([run(child) for _, child in net.children]
-                      + [batch.presence[net.path]])
-        return net.activation.apply(z @ net.comb_w.data + net.comb_b.data)
-
-    head = model.head
-    rep = head.activation.apply(run(model.root) @ head.w1.data + head.b1.data)
-    return rep @ head.w2.data + head.b2.data, embeddings
+            out[path] = embeddings[path] = (
+                np.hstack([pooled, non_empty]) @ post + post_b.data)
+        elif isinstance(node, Product):
+            comb_w, comb_b = model.layers[path]
+            z = np.hstack([out.pop(f"{path}.{f.name}") for f in node.fields]
+                          + [batch.presence[path]])
+            out[path] = act.apply(z @ comb_w.data + comb_b.data)
+        else:
+            out[path] = batch.data[path]
+    w1, b1, w2, b2 = model.layers["head"]
+    rep = act.apply(out["$"] @ w1.data + b1.data)
+    return rep @ w2.data + b2.data, embeddings
 
 
 def _collapse_deviation(model: Model, batches: list, inner_dim: int) -> float:
@@ -201,14 +207,14 @@ def _collapse_deviation(model: Model, batches: list, inner_dim: int) -> float:
     embeddings."""
     rng = np.random.default_rng([model.config.seed, 13])
     k = model.config.embed_dim
-    bags = [net for net in model.nets() if isinstance(net, BagNet)]
-    extra = {net.path: (glorot_uniform(rng, k, inner_dim).data,
-                        glorot_uniform(rng, inner_dim + 1, k).data)
-             for net in bags}
+    extra = {path: (glorot_uniform(rng, k, inner_dim).data,
+                    glorot_uniform(rng, inner_dim + 1, k).data)
+             for path in model.bag_paths()}
     references = [_two_matrix_forward(model, batch, extra)
                   for batch in batches]
-    for net in bags:
-        net.post_w = Tensor(_fold(*extra[net.path]))
+    for path, (inner, post) in extra.items():
+        phi_w, phi_b, _, post_b = model.layers[path]
+        model.layers[path] = (phi_w, phi_b, Tensor(_fold(inner, post)), post_b)
     worst = 0.0
     for batch, (out_ref, emb_ref) in zip(batches, references):
         out, emb = forward_with_embeddings(model, batch)

@@ -3,6 +3,7 @@ the injected-fault check on the verify suite."""
 
 import contextlib
 import errno
+import hashlib
 import inspect
 import io
 import json
@@ -226,6 +227,47 @@ class TestTrain:
         rc, _ = run_train(corpus, "r.bin", ("--output-dim", "1"))
         assert rc == 2
         assert "output_dim" in capsys.readouterr().err
+
+    @staticmethod
+    def train_labelled(tmp_path, labels, *flags):
+        """Train on one bag document per label; returns the exit code."""
+        src = tmp_path / "t.jsonl"
+        write_jsonl(src, [{"xs": [float(i)], "y": y}
+                          for i, y in enumerate(labels)])
+        write_jsonl(tmp_path / "u.jsonl",
+                    [{"xs": [float(i)]} for i in range(len(labels))])
+        assert main(["infer", "--input", str(tmp_path / "u.jsonl"),
+                     "--output", str(tmp_path / "s.json")]) == 0
+        return main(["train", "--schema", str(tmp_path / "s.json"),
+                     "--train", str(src), "--label-field", "y",
+                     "--output", str(tmp_path / "m.bin"), "--epochs", "1",
+                     *flags])
+
+    def test_mse_output_dim_above_1_exits_2(self, tmp_path, capsys):
+        rc = self.train_labelled(tmp_path, [0.5, 1.5], "--loss", "mse",
+                                 "--output-dim", "2")
+        assert rc == 2
+        assert "mse loss needs output_dim 1, got 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [[1], {"a": 1}])
+    def test_array_or_object_label_names_the_line(self, tmp_path, capsys,
+                                                   bad):
+        rc = self.train_labelled(tmp_path, [0, bad, 1])
+        assert rc == 2
+        assert "t.jsonl:2: label field 'y' is an array or object" in \
+            capsys.readouterr().err
+
+    def test_bool_labels_are_not_merged_with_ints(self, tmp_path, capsys):
+        assert self.train_labelled(tmp_path, [1, True, 0, False, 1]) == 0
+        report = json.loads((tmp_path / "m.bin.report.json").read_text())
+        assert report["classes"] == [False, True, 0, 1]
+        assert report["model_config"]["output_dim"] == 4
+        capsys.readouterr()
+        assert main(["predict", "--model", str(tmp_path / "m.bin"),
+                     "--input", str(tmp_path / "u.jsonl")]) == 0
+        predictions = [json.loads(line)["prediction"]
+                       for line in capsys.readouterr().out.splitlines()]
+        assert all(p in (False, True, 0, 1) for p in predictions)
 
 
 class TestPredict:
@@ -992,3 +1034,64 @@ class TestEntry:
 
     def test_no_arguments_exits_2(self):
         assert main([]) == 2
+
+
+# a small fixed corpus with every node kind: a bag of bags (some empty),
+# a bag of records, a record with an optional field, an optional field,
+# numeric, categorical and n-gram leaves
+GOLDEN_TRAIN = [
+    {"groups": [[round(((i * 7 + j * 3 + k) % 11) / 4 - 1.2, 3)
+                 for k in range((i + j) % 3)] for j in range(i % 4)],
+     "kind": "abc"[i % 3],
+     "msg": f"request {i * 37 % 101} took {i % 5} steps",
+     "hits": [{"at": i + j, "tag": "xy"[j % 2]} for j in range(i % 3)],
+     "sub": {"x": i / 3, **({"note": "n"} if i % 4 else {})},
+     **({"extra": i * 0.5} if i % 3 else {}),
+     "label": i % 2}
+    for i in range(12)]
+
+# sha256 of the container and of the report written by `hmil train
+# --epochs 1` on GOLDEN_TRAIN, per (aggregation, activation); pins the
+# init draw order, the parameter order and the tape arithmetic
+GOLDEN_CONTAINER_SHA256 = {
+    ("mean", "tanh"): (
+        "07f50c11f48e1e17da532808689f8d88af388fecdca7024447546acf90a12f15",
+        "bc9bee519518087969e253be9f236826130f807115cd2c2f61cd2e11b7b0627d"),
+    ("mean", "relu"): (
+        "93410363eacd56388373f3c0fe9959c4b9c582ecfd7c76d37d514393f4c17100",
+        "60b32a8f0b690b2b341fd3b5a38ba60c7ec06794323017893dbe558233084871"),
+    ("max", "tanh"): (
+        "b49b2130519e7630223e5dc1fd2cadc088999bc27c0f093c01b2c1f1a097fbe4",
+        "78e2c7320cce0d0ecaa4da45f2e369bb5f2e0713d24424acd16fa79fd21bf78b"),
+    ("max", "relu"): (
+        "dcd171a2c961f526bfa429263ef5f39eaa305c2ea747aa3c82815d1b511b0b5c",
+        "cf6729ec858208387cc9bb50a6b0ff60ff981020cf3b54cad29664d0087a82a4"),
+    ("meanmax", "tanh"): (
+        "0936f260792a9b76129bbdc1b97aeb44f001434e7fad46efb395c6e812624ebd",
+        "036de7dc4f7e6ab9e4912be29b8bb69df48765006bb4d77437aa55185f91c8cc"),
+    ("meanmax", "relu"): (
+        "4c8f78b2f4c0c8533cca04171ad72399f1cdab780cc68b68bc661bea8912ba26",
+        "562fbfb54223da786ac5b26f7c79398cae7d4c3d575bfc9b20fa18d34618b341"),
+}
+
+
+def test_golden_container_digest(tmp_path):
+    train = tmp_path / "t.jsonl"
+    write_jsonl(train, GOLDEN_TRAIN)
+    schema = tmp_path / "s.json"
+    assert main(["infer", "--input", str(train), "--output", str(schema),
+                 "--categorical-threshold", "3"]) == 0
+    got = {}
+    for aggregation in ("mean", "max", "meanmax"):
+        for activation in ("tanh", "relu"):
+            out = tmp_path / f"{aggregation}-{activation}.bin"
+            assert main(["train", "--schema", str(schema),
+                         "--train", str(train), "--label-field", "label",
+                         "--output", str(out), "--epochs", "1",
+                         "--batch-size", "4", "--seed", "0",
+                         "--aggregation", aggregation,
+                         "--activation", activation]) == 0
+            got[aggregation, activation] = tuple(
+                hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in (out, tmp_path / (out.name + ".report.json")))
+    assert got == GOLDEN_CONTAINER_SHA256

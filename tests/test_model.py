@@ -119,7 +119,7 @@ class TestForwardSemantics:
     def test_empty_bag_embedding_is_exactly_the_bias(self):
         model = build_model(PLAIN_BAG, ModelConfig(seed=5))
         e = embed(model, build_batch([[]], PLAIN_BAG), "$")
-        np.testing.assert_array_equal(e, model.root.post_b.data)
+        np.testing.assert_array_equal(e, model.layers["$"][3].data)
 
     def test_hand_wired_two_level_tanh_chain(self):
         config = ModelConfig(embed_dim=1, hidden_dim=1, output_dim=1)

@@ -193,7 +193,7 @@ class TestCollapse:
         model = build_model(PLAIN_BAG, ModelConfig(embed_dim=6))
         batch = build_batch([[1.0, 2.0]], PLAIN_BAG)
         ver._collapse_deviation(model, [batch], inner_dim=3)
-        assert model.root.post_w.shape == (7, 6)
+        assert model.layers["$"][2].shape == (7, 6)
 
     @given(st.integers(0, 2**32 - 1))
     def test_outputs_agree_below_1e_10(self, seed):
