@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
@@ -132,6 +133,9 @@ def _node_counts(schema) -> dict[str, int]:
 
 
 def cmd_infer(args) -> int:
+    if args.categorical_threshold < 0:
+        raise CliError("--categorical-threshold must be >= 0, "
+                       f"got {args.categorical_threshold}")
     try:
         schema = infer_schema(
             (doc for _, doc in _iter_jsonl(args.input)),
@@ -205,9 +209,14 @@ def cmd_train(args) -> int:
         if not isinstance(doc, dict) or doc.get(args.label_field) is None:
             raise CliError(f"{args.train}:{number}: missing label field "
                            f"{args.label_field!r}")
-        if isinstance(doc[args.label_field], (list, dict)):
+        label = doc[args.label_field]
+        if isinstance(label, (list, dict)):
             raise CliError(f"{args.train}:{number}: label field "
                            f"{args.label_field!r} is an array or object")
+        if isinstance(label, float) and not math.isfinite(label):
+            # json reads NaN and Infinity, which strict JSON has not
+            raise CliError(f"{args.train}:{number}: label field "
+                           f"{args.label_field!r} is not a finite number")
         doc = dict(doc)
         raw_labels.append(doc.pop(args.label_field))
         stripped.append((number, doc))
@@ -230,10 +239,16 @@ def cmd_train(args) -> int:
         model_kw.setdefault("output_dim", len(classes))
     else:
         classes = None
-        try:
-            targets = np.array([[float(v)] for v in raw_labels])
-        except (TypeError, ValueError, OverflowError):
-            raise CliError("mse loss needs numeric labels within float range")
+        for (number, _), value in zip(stripped, raw_labels):
+            if isinstance(value, str):  # float() would read "3" or "nan"
+                raise CliError(f"{args.train}:{number}: mse loss needs a "
+                               f"numeric label, got the string {value!r}")
+            try:  # a JSON integer can lie past the float range
+                float(value)
+            except OverflowError:
+                raise CliError(f"{args.train}:{number}: mse loss needs "
+                               "numeric labels within float range")
+        targets = np.array([[float(v)] for v in raw_labels])
         model_kw.setdefault("output_dim", 1)
 
     try:

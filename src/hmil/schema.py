@@ -2,10 +2,11 @@
 
 A schema is a tree of five node kinds: numeric, string (n-gram), and
 categorical leaves, bags (homogeneous arrays), and products (objects
-with a fixed field set). Inference folds per-document schemas together
-in one streaming pass that caps categorical vocabularies as they
-grow; memory grows with the schema and its vocabularies, never with
-the corpus.  ``validate`` is the one walk of a document against a
+with a fixed field set). Inference streams: each document folds into a
+fresh mutable state, which merges in place into one corpus state that
+caps categorical vocabularies as they grow and freezes into the schema
+at the end; memory grows with the schema and its vocabularies, never
+with the corpus.  ``validate`` is the one walk of a document against a
 schema: it checks the document and appends it to per-node columns.
 
 Conventions: ``null`` means "field absent" and is never a kind; JSON
@@ -19,6 +20,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Union
 
 __all__ = [
@@ -175,118 +177,150 @@ def _finite_float(value) -> float | None:
     return v if math.isfinite(v) else None
 
 
-def _categorical(count: int, values: tuple[str, ...], cap) -> SchemaNode:
-    """A categorical leaf, or an n-gram leaf once ``values`` outgrows the
-    threshold of ``cap`` = (threshold, ngram_n, hash_dim), if given."""
-    if cap is not None and len(values) > cap[0]:
-        return StringLeaf(count=count, ngram_n=cap[1], hash_dim=cap[2])
-    return CategoricalLeaf(count=count, values=values)
+def _merge_numeric(a: tuple, b: tuple) -> tuple:
+    """(count, mean, std) of two (count, mean, std) triples merged by the
+    parallel mean/variance formula."""
+    (ca, ma, sa), (cb, mb, sb) = a, b
+    n = ca + cb
+    mean = (ca * ma + cb * mb) / n
+    delta = mb - ma
+    m2 = (ca * sa * sa + cb * sb * sb) + delta * delta * (ca * cb / n)
+    std = math.sqrt(max(m2, 0.0) / n)
+    if math.isfinite(mean) and math.isfinite(std):
+        return n, mean, std
+    # sums or squares of finite numbers near the float64 limit overflowed;
+    # scaling every input by one power of two is exact and keeps them in range
+    k = math.frexp(max(abs(ma), abs(mb), sa, sb))[1]
+    n, mean, std = _merge_numeric(
+        (ca, math.ldexp(ma, -k), math.ldexp(sa, -k)),
+        (cb, math.ldexp(mb, -k), math.ldexp(sb, -k)))
+    return n, math.ldexp(mean, k), math.ldexp(std, k)
 
 
-def _schema_from_value(value, path: str, cap) -> SchemaNode:
-    """Single-document schema: every leaf has count 1, every field required."""
+@dataclass(slots=True)
+class _State:
+    """Mutable inference state of one node of ``kind``: its count, a
+    numeric leaf's ``mean`` and ``std``, a categorical one's ``vocab``
+    (until it outgrows the threshold and turns "string"), a string one's
+    ``ngram`` config, a bag's ``child`` (None while every instance was
+    empty) and a product's ``fields``."""
+
+    kind: str
+    count: int = 1
+    mean: float = 0.0
+    std: float = 0.0
+    vocab: set | None = None
+    ngram: tuple | None = None
+    child: _State | None = None
+    fields: dict | None = None
+
+
+def _document_state(value, path: str, threshold) -> _State:
+    """The state of one document (each leaf count 1, each field
+    required); a conflict inside it names the item where it arises."""
     kind = _kind_of_value(value)
-    if kind == "null":
-        raise SchemaConflict(path, "a JSON value", "null")
     if kind == "numeric":
         v = _finite_float(value)
         if v is None:
             raise SchemaConflict(path, "finite number", repr(value))
-        return NumericLeaf(count=1, mean=v, std=0.0)
+        return _State("numeric", mean=v)
     if kind == "string":
-        return _categorical(1, (value,), cap)
+        if threshold < 1:  # one value already outgrows the vocabulary
+            return _State("string")
+        return _State("categorical", vocab={value})
+    if kind == "bag" and value and _float_run(value):
+        # the same merges as item by item, with no state per item
+        return _State("bag", child=_State("numeric", *reduce(
+            _merge_numeric, [(1, v, 0.0) for v in value])))
     if kind == "bag":
-        child: SchemaNode = Unknown()
+        child = None
         for i, item in enumerate(value):
             item_path = f"{path}[{i}]"
-            child = _merge(child, _schema_from_value(item, item_path, cap),
-                           item_path, cap)
-        return Bag(count=1, child=child)
-    if kind == "product":
-        fields = []
-        for name in sorted(value.keys()):
-            if value[name] is None:
-                continue  # null == absent
-            fields.append(ProductField(
-                name=name,
-                schema=_schema_from_value(value[name], f"{path}.{name}", cap),
-                optional=False))
-        return Product(count=1, fields=tuple(fields))
+            child = _absorb(child, _document_state(item, item_path, threshold),
+                            item_path, threshold)
+        return _State("bag", child=child)
+    if kind == "product":  # a loop, not a comprehension: one frame a level
+        state = _State("product", fields={})
+        for name in sorted(value):
+            if value[name] is not None:  # null == absent
+                state.fields[name] = _document_state(
+                    value[name], f"{path}.{name}", threshold)
+        return state
     raise SchemaConflict(path, "a JSON value", kind)
 
 
-def _merge_numeric(a: NumericLeaf, b: NumericLeaf) -> NumericLeaf:
-    n = a.count + b.count
-    mean = (a.count * a.mean + b.count * b.mean) / n
-    delta = b.mean - a.mean
-    m2 = (a.count * a.std * a.std + b.count * b.std * b.std) \
-        + delta * delta * (a.count * b.count / n)
-    std = math.sqrt(max(m2, 0.0) / n)
-    if math.isfinite(mean) and math.isfinite(std):
-        return NumericLeaf(count=n, mean=mean, std=std)
-    # sums or squares of finite numbers near the float64 limit overflowed;
-    # scaling every input by one power of two is exact and keeps them in
-    # range
-    k = math.frexp(max(abs(a.mean), abs(b.mean), a.std, b.std))[1]
-    return _scaled(_merge_numeric(_scaled(a, -k), _scaled(b, -k)), k)
+def _absorb(a, b, path: str, threshold) -> _State | None:
+    """``b`` merged into ``a`` in place, or ``b`` if ``a`` is None; past
+    ``threshold`` values a categorical leaf turns "string"."""
+    if a is None or b is None:
+        return b if a is None else a
+    if a.kind != b.kind and {a.kind, b.kind} != {"string", "categorical"}:
+        raise SchemaConflict(path, a.kind, b.kind)
+    if a.kind == "numeric":
+        _, a.mean, a.std = _merge_numeric((a.count, a.mean, a.std),
+                                          (b.count, b.mean, b.std))
+    elif a.kind == "bag":
+        a.child = _absorb(a.child, b.child, f"{path}[]", threshold)
+    elif a.kind == "product":
+        for name, field in b.fields.items():
+            a.fields[name] = _absorb(a.fields.get(name), field,
+                                     f"{path}.{name}", threshold)
+    elif a.ngram and b.ngram and a.ngram != b.ngram:
+        raise SchemaConflict(path, f"n-gram config {a.ngram}", str(b.ngram))
+    elif b.kind == "string":
+        a.kind, a.vocab, a.ngram = "string", None, a.ngram or b.ngram
+    elif a.vocab is not None:
+        a.vocab |= b.vocab
+        if len(a.vocab) > threshold:
+            a.kind, a.vocab = "string", None
+    a.count += b.count
+    return a
 
 
-def _scaled(leaf: NumericLeaf, k: int) -> NumericLeaf:
-    return NumericLeaf(count=leaf.count, mean=math.ldexp(leaf.mean, k),
-                       std=math.ldexp(leaf.std, k))
+def _thawed(node: SchemaNode) -> _State | None:
+    """A fresh state holding ``node``."""
+    if isinstance(node, Unknown):
+        return None
+    state = _State(node.kind, node.count)
+    if isinstance(node, NumericLeaf):
+        state.mean, state.std = node.mean, node.std
+    elif isinstance(node, StringLeaf):
+        state.ngram = (node.ngram_n, node.hash_dim)
+    elif isinstance(node, CategoricalLeaf):
+        state.vocab = set(node.values)
+    elif isinstance(node, Bag):
+        state.child = _thawed(node.child)
+    else:
+        state.fields = {}
+        for f in node.fields:
+            state.fields[f.name] = _thawed(f.schema)
+    return state
 
 
-def _merge(a: SchemaNode, b: SchemaNode, path: str, cap=None) -> SchemaNode:
-    if isinstance(a, Unknown):
-        return b
-    if isinstance(b, Unknown):
-        return a
-    if isinstance(a, NumericLeaf) and isinstance(b, NumericLeaf):
-        return _merge_numeric(a, b)
-    if isinstance(a, StringLeaf) and isinstance(b, StringLeaf):
-        if (a.ngram_n, a.hash_dim) != (b.ngram_n, b.hash_dim):
-            raise SchemaConflict(path, f"n-gram config {(a.ngram_n, a.hash_dim)}",
-                                 f"{(b.ngram_n, b.hash_dim)}")
-        return StringLeaf(count=a.count + b.count, ngram_n=a.ngram_n,
-                          hash_dim=a.hash_dim)
-    if isinstance(a, StringLeaf) and isinstance(b, CategoricalLeaf):
-        return StringLeaf(count=a.count + b.count, ngram_n=a.ngram_n,
-                          hash_dim=a.hash_dim)
-    if isinstance(a, CategoricalLeaf) and isinstance(b, StringLeaf):
-        return StringLeaf(count=a.count + b.count, ngram_n=b.ngram_n,
-                          hash_dim=b.hash_dim)
-    if isinstance(a, CategoricalLeaf) and isinstance(b, CategoricalLeaf):
-        return _categorical(a.count + b.count,
-                            tuple(sorted(set(a.values) | set(b.values))), cap)
-    if isinstance(a, Bag) and isinstance(b, Bag):
-        return Bag(count=a.count + b.count,
-                   child=_merge(a.child, b.child, f"{path}[]", cap))
-    if isinstance(a, Product) and isinstance(b, Product):
-        total = a.count + b.count
-        names = sorted({f.name for f in a.fields} | {f.name for f in b.fields})
-        fields = []
-        for name in names:
-            fa, fb = a.field(name), b.field(name)
-            if fa is not None and fb is not None:
-                merged = _merge(fa.schema, fb.schema, f"{path}.{name}", cap)
-            else:
-                merged = (fa or fb).schema
-            fields.append(ProductField(
-                name=name, schema=merged,
-                optional=merged.count < total))
-        return Product(count=total, fields=tuple(fields))
-    raise SchemaConflict(path, a.kind, b.kind)
+def _frozen(state: _State | None, ngram: tuple = ()) -> SchemaNode:
+    """The schema ``state`` holds; string leaves lacking one take ``ngram``."""
+    if state is None:
+        return Unknown()
+    kind, count = state.kind, state.count
+    if kind == "numeric":
+        return NumericLeaf(count, state.mean, state.std)
+    if kind == "string":
+        return StringLeaf(count, *(state.ngram or ngram))
+    if kind == "categorical":
+        return CategoricalLeaf(count, tuple(sorted(state.vocab)))
+    if kind == "bag":
+        return Bag(count, _frozen(state.child, ngram))
+    members = []
+    for name, f in sorted(state.fields.items()):  # each name is distinct
+        members.append(ProductField(name, _frozen(f, ngram),
+                                    f is None or f.count < count))
+    return Product(count, tuple(members))
 
 
 def merge_schemas(a: SchemaNode, b: SchemaNode) -> SchemaNode:
-    """Least upper bound of two schemas.
-
-    Counts add, numeric statistics combine by the parallel mean/variance
-    formula, vocabularies union, and a product field present in only one
-    operand comes out optional. Commutative; associative up to float
-    round-off in leaf statistics.
-    """
-    return _merge(a, b, "$")
+    """Least upper bound of two schemas, merged as ``_absorb`` merges states.
+    Commutative; associative up to float round-off in leaf statistics."""
+    return _frozen(_absorb(_thawed(a), _thawed(b), "$", math.inf))
 
 
 def node_paths(schema: SchemaNode, path: str = "$") -> list[tuple[str, SchemaNode]]:
@@ -313,14 +347,13 @@ def infer_schema(docs: Iterable, categorical_threshold: int = DEFAULT_CATEGORICA
     an empty corpus, SchemaConflict on irreconcilable kinds, and a
     diagnostic if some array never showed a non-empty instance.
     """
-    cap = (categorical_threshold, ngram_n, hash_dim)
-    merged: SchemaNode | None = None
+    corpus = None  # each document's state merges into it in place
     for doc in docs:
-        doc_schema = _schema_from_value(doc, "$", cap)
-        merged = (doc_schema if merged is None
-                  else _merge(merged, doc_schema, "$", cap))
-    if merged is None:
+        corpus = _absorb(corpus, _document_state(
+            doc, "$", categorical_threshold), "$", categorical_threshold)
+    if corpus is None:
         raise SchemaError("empty corpus")
+    merged = _frozen(corpus, (ngram_n, hash_dim))
     for path, node in node_paths(merged):
         if isinstance(node, Unknown):
             raise SchemaError(
@@ -383,8 +416,12 @@ def _walk(value, node: SchemaNode, path: str, column_path: str,
         items = value if fits else ()
         columns[column_path].append(len(items))
         child_path = column_path + "[]"
-        for i, item in enumerate(items):
-            _walk(item, node.child, f"{path}[{i}]", child_path, columns, out)
+        if isinstance(node.child, NumericLeaf) and _float_run(items):
+            columns[child_path].extend(items)
+        else:
+            for i, item in enumerate(items):
+                _walk(item, node.child, f"{path}[{i}]", child_path, columns,
+                      out)
     else:
         columns[column_path].append(value)
         if fits and isinstance(node, NumericLeaf) \
@@ -398,6 +435,12 @@ def _walk(value, node: SchemaNode, path: str, column_path: str,
             except UnicodeEncodeError:
                 out.append(Violation(path, "string encodable as UTF-8",
                                      "unpaired surrogate"))
+
+
+def _float_run(items: list) -> bool:
+    """Whether ``items`` are floats with a finite sum, which they have
+    only if each is finite, so a numeric leaf takes them in one step."""
+    return set(map(type, items)) <= {float} and math.isfinite(sum(items))
 
 
 def _node_to_dict(node: SchemaNode) -> dict:

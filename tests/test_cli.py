@@ -120,6 +120,17 @@ class TestInfer:
                    "--output", str(tmp_path / "s.json")])
         assert rc == 2
 
+    def test_negative_threshold_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "c.jsonl"
+        write_jsonl(src, [{"tag": "x"}, {"tag": "y"}])
+        out = tmp_path / "s.json"
+        rc = main(["infer", "--input", str(src), "--output", str(out),
+                   "--categorical-threshold", "-3"])
+        assert rc == 2
+        assert "--categorical-threshold must be >= 0, got -3" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
 
 def run_train(corpus, out_name="model.bin", extra_args=()):
     out = corpus["dir"] / out_name
@@ -256,6 +267,35 @@ class TestTrain:
         assert rc == 2
         assert "t.jsonl:2: label field 'y' is an array or object" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("loss", ["ce", "mse"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_nonfinite_label_names_the_line(self, tmp_path, capsys, loss,
+                                            bad):
+        # json writes these as NaN, Infinity and -Infinity, which json
+        # reads back as floats
+        rc = self.train_labelled(tmp_path, [0, 1, bad, 1], "--loss", loss)
+        assert rc == 2
+        assert "t.jsonl:3: label field 'y' is not a finite number" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "3"])
+    def test_string_label_under_mse_names_the_line(self, tmp_path, capsys,
+                                                   bad):
+        rc = self.train_labelled(tmp_path, [0.5, bad, 1.5], "--loss", "mse")
+        assert rc == 2
+        assert f"t.jsonl:2: mse loss needs a numeric label, got the string " \
+            f"{bad!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [10 ** 400, -10 ** 400])
+    def test_label_past_float_range_under_mse_names_the_line(
+            self, tmp_path, capsys, bad):
+        rc = self.train_labelled(tmp_path, [0.5, 1.5, bad], "--loss", "mse")
+        assert rc == 2
+        assert "t.jsonl:3: mse loss needs numeric labels within float " \
+            "range" in capsys.readouterr().err
 
     def test_bool_labels_are_not_merged_with_ints(self, tmp_path, capsys):
         assert self.train_labelled(tmp_path, [1, True, 0, False, 1]) == 0
@@ -1095,3 +1135,66 @@ def test_golden_container_digest(tmp_path):
                 hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in (out, tmp_path / (out.name + ".report.json")))
     assert got == GOLDEN_CONTAINER_SHA256
+
+
+# corpora `hmil infer` rejects, one JSON text per line: kind conflicts
+# inside one document and across documents (at every depth, before and
+# after a vocabulary outgrows the threshold), nulls, non-finite and huge
+# numbers, arrays empty in every document, an empty corpus and a
+# malformed line
+BAD_INFER_CORPORA = [
+    ['[1, "x"]'],
+    ['{"a": 1}', '{"a": "x"}'],
+    ['{"a": "x"}', '{"a": "y"}', '{"a": 5}'],
+    ['{"a": "x"}', '{"a": ["x"]}'],
+    ['["x", "y", "z", 1]'],
+    ['[1.0, 2.5, "x"]'],
+    ['[[1], ["a"]]'],
+    ['[[1], [2, "a"]]'],
+    ['[[1.0, 2.0], [3.0, "a"]]'],
+    ['[{"a": 1}, {"a": "s", "b": [1, "x"]}]'],
+    ['{"a": 1, "b": [1]}', '{"a": "x", "b": [1, "y"]}'],
+    ['{"a": {"b": 1}}', '{"a": {"b": [1]}}'],
+    ['{"a": [{"b": 1}, {"b": [2]}]}'],
+    ['{"a": [[1, 2], [[3]]]}'],
+    ['1', '{"a": 1}'],
+    ['{"a": 1}', '{"a": true}', '{"a": [1]}'],
+    ['{"a": [true, 2, -0.0]}', '{"a": [[]]}'],
+    ['{"a": NaN}'],
+    ['{"a": [1.0, Infinity]}'],
+    ['[1.0, 2.0, -Infinity, "x"]'],
+    ['{"a": 1e400}'],
+    ['{"a": [1.5, %s]}' % ("7" * 400)],
+    ['null'],
+    ['[null]'],
+    ['{"a": [1, null]}'],
+    ['{"a": [[null]]}', '{"a": 1}'],
+    ['{"xs": []}', '{"xs": []}'],
+    ['{"a": [[]]}'],
+    ['{"a": [], "b": [[], [[]]]}', '{"a": [1e308], "b": []}'],
+    ['["u", "v"]', '["w", "x"]', '[["y"]]'],
+    ['{"a": ["p", "q"], "b": 1}', '{"a": "p", "b": 2}'],
+    [],
+    ['{"a": 1}', 'not json'],
+]
+
+# sha256 of the exit code and stderr of `hmil infer` on every corpus of
+# BAD_INFER_CORPORA at categorical thresholds 0, 1, 3 and 32; recorded
+# with the inference that merged one frozen schema per document
+GOLDEN_CONFLICTS_SHA256 = (
+    "7f8bac8835e2be12fbaeaf1204493f675d515aaf83a23b0cfce3ec716466b685")
+
+
+def test_golden_conflict_digest(tmp_path, capsys):
+    src = tmp_path / "bad.jsonl"
+    digest = hashlib.sha256()
+    for lines in BAD_INFER_CORPORA:
+        src.write_text("".join(line + "\n" for line in lines))
+        for threshold in ("0", "1", "3", "32"):
+            rc = main(["infer", "--input", str(src), "--output",
+                       str(tmp_path / "s.json"),
+                       "--categorical-threshold", threshold])
+            err = capsys.readouterr().err.replace(str(src), "<input>")
+            assert rc == 2 and err.startswith("error: ")
+            digest.update(f"{rc} {err}".encode("utf-8"))
+    assert digest.hexdigest() == GOLDEN_CONFLICTS_SHA256

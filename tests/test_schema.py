@@ -2,25 +2,33 @@
 
 import json
 import math
+import random
+from collections import Counter, defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from hmil.batching import new_columns
 from hmil.generators import random_document, random_schema
 from hmil.schema import (
     Bag,
     CategoricalLeaf,
     NumericLeaf,
     Product,
+    ProductField,
     SchemaConflict,
     SchemaError,
     StringLeaf,
+    Unknown,
+    Violation,
     dumps_schema,
     infer_schema,
     loads_schema,
     merge_schemas,
+    node_paths,
     validate,
 )
 
@@ -223,9 +231,27 @@ class TestMerge:
         m = merge_schemas(infer_schema(["b"]), infer_schema(["a", "c"]))
         assert m == CategoricalLeaf(count=3, values=("a", "b", "c"))
 
+    def test_ngram_configs(self):
+        a = StringLeaf(count=1, ngram_n=3, hash_dim=64)
+        b = StringLeaf(count=2, ngram_n=2, hash_dim=8)
+        with pytest.raises(SchemaConflict, match=r"^\$\[\]: cannot reconcile "
+                           r"n-gram config \(3, 64\) with \(2, 8\)$"):
+            merge_schemas(Bag(count=1, child=a), Bag(count=1, child=b))
+        cat = CategoricalLeaf(count=4, values=("x",))
+        assert merge_schemas(cat, b) == merge_schemas(b, cat) \
+            == StringLeaf(count=6, ngram_n=2, hash_dim=8)
+
     def test_kind_conflict_raises(self):
         with pytest.raises(SchemaConflict):
             merge_schemas(infer_schema([1]), infer_schema([[1]]))
+
+    def test_field_of_unknown_kind_merges_with_count_0(self):
+        unknown = Product(count=1, fields=(ProductField("u", Unknown(), False),))
+        known = Product(count=1, fields=(
+            ProductField("u", NumericLeaf(count=1, mean=0.5, std=0.0), False),))
+        for a, b in ((unknown, known), (known, unknown), (unknown, unknown)):
+            assert merge_schemas(a, b) \
+                == _ref_merge(a, b, "$", (math.inf, 3, 64))
 
     @given(st.integers(0, 2**32 - 1))
     def test_commutes_exactly(self, seed):
@@ -321,6 +347,47 @@ class TestValidate:
             assert validate(doc, s) == []
 
 
+# items a bag of leaves may hold: floats (including -0.0, subnormal and
+# near the float64 limit), ints, bools, non-finite and huge numbers,
+# nulls, strings with and without lone surrogates, and nested values
+_RUN_FLOATS = (1.0, -0.0, 2.5, 1e308, 1.7e308, -1.7e308, 5e-324)
+_RUN_STRINGS = ("a", "", "word \U0001f600", "bad \ud800 x", "\udfff",
+                "\ud83d", "\ude00")
+_RUN_ODD = (3, 0, True, False, 10**400, -(10**309), float("nan"),
+            float("inf"), -float("inf"), None, [1.0], [], {}, {"a": 1})
+_RUN_LEAVES = (NumericLeaf(count=1, mean=0.0, std=1.0),
+               CategoricalLeaf(count=1, values=("a",)),
+               StringLeaf(count=1, ngram_n=3, hash_dim=8))
+
+
+def _walk_each_item(items, leaf):
+    """Violations and columns of ``validate`` on a bag of ``leaf``,
+    built one walk of ``leaf`` per item."""
+    out, child = [], []
+    for i, item in enumerate(items):
+        columns = defaultdict(list)
+        out += [Violation(f"$[{i}]" + v.path[1:], v.expected, v.actual)
+                for v in validate(item, leaf, columns)]
+        child += columns["$"]
+    return out, {"$": [len(items)], "$[]": child}
+
+
+@given(st.lists(st.one_of(
+    st.sampled_from(_RUN_FLOATS), st.floats(),
+    st.sampled_from(_RUN_STRINGS), st.text(max_size=4),
+    st.sampled_from(_RUN_ODD)), max_size=12), st.integers(0, 2))
+def test_bag_of_leaves_matches_one_walk_per_item(items, which):
+    leaf = _RUN_LEAVES[which]
+    for bag in (items, [v for v in items if type(v) is float],
+                [v for v in items if type(v) is str]):
+        columns = new_columns(Bag(count=1, child=leaf))
+        got = validate(bag, Bag(count=1, child=leaf), columns)
+        want, want_columns = _walk_each_item(bag, leaf)
+        assert got == want
+        # repr: NaN equals itself, and 1 differs from 1.0 and True
+        assert repr(columns) == repr(want_columns)
+
+
 # schema nodes whose keys are all there but hold a value of the wrong
 # type or range
 BAD_VALUE_NODES = [
@@ -402,3 +469,227 @@ class TestSerialization:
                 "kind": "numeric", "count": 0, "mean": -3, "std": 0}}}}
         s = loads_schema(json.dumps({"schema_version": 1, "root": node}))
         assert s.fields[0].schema == NumericLeaf(count=0, mean=-3, std=0)
+
+
+# -- reference inference -------------------------------------------------
+# A plain reference for ``infer_schema``: one frozen schema per document,
+# merged into the corpus schema one document at a time, with the
+# categorical cap applied at every merge.
+
+
+def _ref_kind(value):
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, int, float)):
+        return "numeric"
+    for types, kind in ((str, "string"), (list, "bag"), (dict, "product")):
+        if isinstance(value, types):
+            return kind
+    return type(value).__name__
+
+
+def _ref_categorical(count, values, cap):
+    if len(values) > cap[0]:
+        return StringLeaf(count=count, ngram_n=cap[1], hash_dim=cap[2])
+    return CategoricalLeaf(count=count, values=values)
+
+
+def _ref_from_value(value, path, cap):
+    kind = _ref_kind(value)
+    if kind == "numeric":
+        try:
+            v = float(value)
+        except OverflowError:
+            v = math.inf
+        if not math.isfinite(v):
+            raise SchemaConflict(path, "finite number", repr(value))
+        return NumericLeaf(count=1, mean=v, std=0.0)
+    if kind == "string":
+        return _ref_categorical(1, (value,), cap)
+    if kind == "bag":
+        child = Unknown()
+        for i, item in enumerate(value):
+            item_path = f"{path}[{i}]"
+            child = _ref_merge(child, _ref_from_value(item, item_path, cap),
+                               item_path, cap)
+        return Bag(count=1, child=child)
+    if kind == "product":
+        return Product(count=1, fields=tuple(
+            ProductField(name, _ref_from_value(value[name], f"{path}.{name}",
+                                               cap), False)
+            for name in sorted(value) if value[name] is not None))
+    raise SchemaConflict(path, "a JSON value", kind)
+
+
+def _ref_scaled(leaf, k):
+    return NumericLeaf(count=leaf.count, mean=math.ldexp(leaf.mean, k),
+                       std=math.ldexp(leaf.std, k))
+
+
+def _ref_merge_numeric(a, b):
+    n = a.count + b.count
+    mean = (a.count * a.mean + b.count * b.mean) / n
+    delta = b.mean - a.mean
+    m2 = (a.count * a.std * a.std + b.count * b.std * b.std) \
+        + delta * delta * (a.count * b.count / n)
+    std = math.sqrt(max(m2, 0.0) / n)
+    if math.isfinite(mean) and math.isfinite(std):
+        return NumericLeaf(count=n, mean=mean, std=std)
+    k = math.frexp(max(abs(a.mean), abs(b.mean), a.std, b.std))[1]
+    return _ref_scaled(_ref_merge_numeric(_ref_scaled(a, -k),
+                                          _ref_scaled(b, -k)), k)
+
+
+def _ref_merge(a, b, path, cap):
+    if isinstance(a, Unknown):
+        return b
+    if isinstance(b, Unknown):
+        return a
+    if isinstance(a, NumericLeaf) and isinstance(b, NumericLeaf):
+        return _ref_merge_numeric(a, b)
+    if isinstance(a, StringLeaf) and isinstance(b, StringLeaf) \
+            and (a.ngram_n, a.hash_dim) != (b.ngram_n, b.hash_dim):
+        raise SchemaConflict(path, f"n-gram config {(a.ngram_n, a.hash_dim)}",
+                             f"{(b.ngram_n, b.hash_dim)}")
+    if isinstance(a, StringLeaf) and isinstance(b, (StringLeaf,
+                                                    CategoricalLeaf)):
+        return replace(a, count=a.count + b.count)
+    if isinstance(a, CategoricalLeaf) and isinstance(b, StringLeaf):
+        return replace(b, count=a.count + b.count)
+    if isinstance(a, CategoricalLeaf) and isinstance(b, CategoricalLeaf):
+        return _ref_categorical(a.count + b.count,
+                                tuple(sorted(set(a.values) | set(b.values))),
+                                cap)
+    if isinstance(a, Bag) and isinstance(b, Bag):
+        return Bag(count=a.count + b.count,
+                   child=_ref_merge(a.child, b.child, f"{path}[]", cap))
+    if isinstance(a, Product) and isinstance(b, Product):
+        total = a.count + b.count
+        fields = []
+        for name in sorted(set(a.field_names) | set(b.field_names)):
+            fa, fb = a.field(name), b.field(name)
+            merged = (_ref_merge(fa.schema, fb.schema, f"{path}.{name}", cap)
+                      if fa and fb else (fa or fb).schema)
+            fields.append(ProductField(name, merged, merged.count < total))
+        return Product(count=total, fields=tuple(fields))
+    raise SchemaConflict(path, a.kind, b.kind)
+
+
+def reference_infer(docs, threshold):
+    cap = (threshold, 3, 64)
+    merged = None
+    for doc in docs:
+        one = _ref_from_value(doc, "$", cap)
+        merged = one if merged is None else _ref_merge(merged, one, "$", cap)
+    if merged is None:
+        raise SchemaError("empty corpus")
+    for path, node in node_paths(merged):
+        if isinstance(node, Unknown):
+            raise SchemaError(
+                f"{path}: array was empty in every document; "
+                "element kind cannot be inferred")
+    return merged
+
+
+# leaf values the random corpora draw from: bools and ints are numeric,
+# -0.0 keeps its sign, values near 1e308 overflow the plain mean/std
+# formula, 10**400 has no float, and a few strings go past the small
+# thresholds
+_NUMBERS = (0, 1, -3, True, False, -0.0, 0.5, 2.25, -7.125, 1e308, -1.7e308,
+            8.9e307, 5e-324, 1e-300)
+_FLOATS = tuple(v for v in _NUMBERS if type(v) is float)
+_STRINGS = ("a", "b", "c", "d", "e", "f", "g", "\ud800", "")
+_ODD = (None, "z", 1, 2.5, [], [1.0], ["q"], [[]], {"a": 1}, {},
+        float("nan"), float("inf"), -float("inf"), 10**400, True)
+
+
+def _random_shape(rng, depth):
+    kinds = ["num", "float", "str"] + (["bag", "obj"] * 2 if depth < 3 else [])
+    kind = rng.choice(kinds)
+    if kind == "bag":
+        return kind, _random_shape(rng, depth + 1)
+    if kind == "obj":
+        names = rng.sample("abcd", rng.randint(1, 3))
+        return kind, {n: _random_shape(rng, depth + 1) for n in names}
+    return kind, None
+
+
+def _random_value(rng, shape, odd):
+    if rng.random() < odd:
+        return rng.choice(_ODD)
+    kind, sub = shape
+    if kind == "num":
+        return rng.choice(_NUMBERS)
+    if kind == "float":
+        return rng.choice(_FLOATS) if rng.random() < 0.7 else rng.gauss(0, 9)
+    if kind == "str":
+        return rng.choice(_STRINGS)
+    if kind == "bag":
+        return [_random_value(rng, sub, odd)
+                for _ in range(rng.choice((0, 0, 1, 2, 3, 5, 8)))]
+    doc = {n: _random_value(rng, s, odd) for n, s in sub.items()
+           if rng.random() < 0.8}
+    if rng.random() < 0.2:
+        doc[rng.choice("abcde")] = None  # null == absent
+    return doc
+
+
+def random_corpus(seed):
+    """A few documents drawn from one random shape, each node replaced by
+    an odd value (another kind, a null, a non-finite or huge number) with
+    a small probability that varies by corpus."""
+    rng = random.Random(seed)
+    shape = _random_shape(rng, 0)
+    odd = rng.choice((0.0, 0.01, 0.05, 0.15))
+    return [_random_value(rng, shape, odd)
+            for _ in range(rng.randint(1, 5))]
+
+
+def _outcome(infer, docs, threshold):
+    """dumps_schema and the tree, or the error's type and text."""
+    try:
+        schema = infer(docs, threshold)
+    except SchemaConflict as exc:
+        return "conflict", str(exc), (exc.path, exc.expected, exc.actual)
+    except SchemaError as exc:
+        return "error", str(exc), None
+    return "schema", dumps_schema(schema), schema
+
+
+def test_inference_matches_the_reference_fold():
+    kinds = Counter()
+    for seed in range(3000):
+        docs = random_corpus(seed)
+        for threshold in (0, 1, 2, 3, 5, 32):
+            want = _outcome(reference_infer, docs, threshold)
+            got = _outcome(
+                lambda d, t: infer_schema(d, categorical_threshold=t),
+                docs, threshold)
+            assert got == want, (seed, threshold)
+            kinds[want[0]] += 1
+    # the sweep reaches schemas, conflicts and unresolved arrays alike
+    assert min(kinds.values()) > 500, kinds
+
+
+def test_merge_matches_the_reference_merge():
+    """``merge_schemas`` against ``_ref_merge`` (no cap) on the schemas of
+    two documents, inferred at mixed thresholds and n-gram configs."""
+    kinds = Counter()
+    for seed in range(3000):
+        docs, rng = random_corpus(seed), random.Random(-seed)
+        try:
+            a, b = (_ref_from_value(doc, "$", (rng.choice((0, 1, 32)), 3,
+                                               rng.choice((8, 64))))
+                    for doc in (docs[0], docs[-1]))
+        except SchemaConflict:
+            continue
+        outcomes = []
+        for merge in (merge_schemas,
+                      lambda x, y: _ref_merge(x, y, "$", (math.inf, 3, 64))):
+            try:
+                outcomes.append(("schema", repr(merge(a, b))))
+            except SchemaConflict as exc:
+                outcomes.append(("conflict", str(exc)))
+        assert outcomes[0] == outcomes[1], seed
+        kinds[outcomes[1][0]] += 1
+    assert min(kinds.values()) > 100, kinds
