@@ -2,9 +2,14 @@
 
 Only the handful of operations the bag/product architectures need:
 dense layers, segment aggregation over contiguous row ranges, column
-concatenation, and Adam. Everything is float64 and single-threaded;
-ops never mutate their inputs (parameters are updated only through
-``adam_step``).
+concatenation, and Adam. Everything is float64 and single-threaded.
+
+A tensor wraps its input array without copying it when that array is
+already float64, and gradients pass between ops uncopied, so ops never
+mutate their inputs or the upstream gradient: parameters are updated
+only through ``adam_step``. Adam keeps its two moments as flat vectors
+over the parameters in ``parameters()`` order and updates them, and
+the parameters, in one element-wise pass.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ class Tensor:
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.array(data, dtype=np.float64)
+        arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
@@ -170,7 +175,8 @@ def dense_forward(x: Tensor, w: Tensor, b: Tensor | None, act: Activation,
     return out
 
 
-def _check_offsets(offsets, n_rows: int) -> np.ndarray:
+def _check_offsets(offsets, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets as int64, and the row count of each segment."""
     offs = np.asarray(offsets, dtype=np.int64)
     # length 1 is legal: zero segments, as in a batch of zero documents
     if offs.ndim != 1 or offs.size < 1:
@@ -179,9 +185,35 @@ def _check_offsets(offsets, n_rows: int) -> np.ndarray:
         raise OffsetError(f"offsets must start at 0, got {offs[0]}")
     if offs[-1] != n_rows:
         raise OffsetError(f"offsets must end at the row count {n_rows}, got {offs[-1]}")
-    if np.any(np.diff(offs) < 0):
+    counts = offs[1:] - offs[:-1]
+    if (counts < 0).any():
         raise OffsetError("offsets must be non-decreasing")
-    return offs
+    return offs, counts
+
+
+def _segment_means(x: np.ndarray, offs: np.ndarray, counts: np.ndarray
+                   ) -> np.ndarray:
+    """Column means of each segment of ``x`` (zero for an empty one),
+    each sum started from +0.0 and added row by row in order, as
+    ``.sum(axis=0)`` adds the rows of a C-ordered slice at least two
+    columns wide.
+
+    Row j of every segment longer than j is added at once; with the
+    segments sorted longest first, those are a prefix of the sort.
+    """
+    order = np.argsort(-counts, kind="stable")
+    starts = offs[order]
+    lens = counts[order].tolist()
+    acc = np.zeros((counts.size, x.shape[1]))
+    n = len(lens)
+    for j in range(lens[0] if n else 0):
+        while lens[n - 1] <= j:  # the shortest live segment has ended
+            n -= 1
+        acc[:n] += x[starts[:n] + j]
+    out = np.empty_like(acc)
+    out[order] = acc
+    out /= np.maximum(counts, 1)[:, None]
+    return out
 
 
 def segment_mean(instances: Tensor, offsets, tape: Tape | None = None) -> Tensor:
@@ -190,13 +222,16 @@ def segment_mean(instances: Tensor, offsets, tape: Tape | None = None) -> Tensor
     An empty segment yields a zero row (the model appends a presence
     indicator so downstream layers can tell empty from mean-zero).
     """
-    offs = _check_offsets(offsets, instances.rows)
-    counts = np.diff(offs)
-    out_data = np.zeros((counts.size, instances.cols))
-    for i in range(counts.size):
-        if counts[i] > 0:
+    offs, counts = _check_offsets(offsets, instances.rows)
+    if instances.cols == 1:
+        # numpy sums a single column of 8 rows or more pairwise, not in
+        # row order, so this width keeps its own sum per segment
+        out_data = np.zeros((counts.size, 1))
+        for i in np.flatnonzero(counts):
             s, e = offs[i], offs[i + 1]
             out_data[i] = instances.data[s:e].sum(axis=0) / counts[i]
+    else:
+        out_data = _segment_means(instances.data, offs, counts)
     out = Tensor(out_data)
     if tape is not None:
 
@@ -214,26 +249,29 @@ def segment_max(instances: Tensor, offsets, tape: Tape | None = None) -> Tensor:
     Backward routes each column's gradient to the first row attaining
     the max (deterministic subgradient on ties).
     """
-    offs = _check_offsets(offsets, instances.rows)
-    counts = np.diff(offs)
-    k = instances.cols
-    out_data = np.zeros((counts.size, k))
-    argmaxes = np.zeros((counts.size, k), dtype=np.int64)
-    for i in range(counts.size):
-        if counts[i] > 0:
-            seg = instances.data[offs[i]:offs[i + 1]]
-            idx = seg.argmax(axis=0)
-            argmaxes[i] = offs[i] + idx
-            out_data[i] = seg[idx, np.arange(k)]
+    offs, counts = _check_offsets(offsets, instances.rows)
+    x = instances.data
+    live = counts > 0
+    starts = offs[:-1][live]
+    # the first row attaining each column's max (or its first NaN, which
+    # the max propagates), as argmax finds it; the output is read from
+    # that row, since on a +0/-0 tie np.maximum keeps the later operand
+    top = np.repeat(np.maximum.reduceat(x, starts, axis=0), counts[live],
+                    axis=0)
+    rows = np.arange(x.shape[0])[:, None]
+    hit = np.where((x == top) | np.isnan(x), rows, x.shape[0])
+    argmaxes = np.minimum.reduceat(hit, starts, axis=0)
+    cols = np.arange(instances.cols)
+    out_data = np.zeros((counts.size, instances.cols))
+    out_data[live] = x[argmaxes, cols]
     out = Tensor(out_data)
     if tape is not None:
 
         def bwd(g: np.ndarray) -> list[np.ndarray]:
-            gx = np.zeros_like(instances.data)
-            cols = np.arange(k)
-            for i in range(counts.size):
-                if counts[i] > 0:
-                    gx[argmaxes[i], cols] += g[i]
+            # no two segments or columns share a target, so one scatter
+            # adds each once; adding to +0.0 keeps a -0.0 gradient +0.0
+            gx = np.zeros_like(x)
+            gx[argmaxes, cols] += g[live]
             return [gx]
 
         tape.record(out, (instances,), bwd)
@@ -278,40 +316,50 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
             continue
         for parent, pg in zip(node.parents, node.backward_fn(g)):
             acc = grads.get(parent)
-            grads[parent] = pg.copy() if acc is None else acc + pg
+            grads[parent] = pg if acc is None else acc + pg
     return grads
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter."""
+    """First/second moment accumulators, each one flat vector over the
+    entries of every parameter in order."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":
-        return cls(m=[np.zeros(p.shape) for p in params],
-                   v=[np.zeros(p.shape) for p in params])
+        size = sum(p.data.size for p in params)
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState,
               lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """One Adam update with bias correction, in place on ``params``."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeError("params, grads and state must have equal lengths")
+    """One Adam update with bias correction over all parameters at once;
+    each parameter's ``data`` becomes its view of the updated vector."""
+    if (len(params) != len(grads)
+            or sum(p.data.size for p in params) != state.m.size):
+        raise ShapeError("params, grads and state must have equal sizes")
+    for p, g in zip(params, grads):
+        if g.shape != p.data.shape:
+            raise ShapeError(f"adam: grad {g.shape} vs param {p.data.shape}")
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g.shape != p.data.shape:
-            raise ShapeError(f"adam: grad {g.shape} vs param {p.data.shape}")
-        m[:] = beta1 * m + (1.0 - beta1) * g
-        v[:] = beta2 * v + (1.0 - beta2) * g * g
-        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    grad = np.concatenate([g.ravel() for g in grads])
+    m, v = state.m, state.v
+    m[:] = beta1 * m + (1.0 - beta1) * grad
+    v[:] = beta2 * v + (1.0 - beta2) * grad * grad
+    flat = np.concatenate([p.data.ravel() for p in params])
+    flat = flat - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    at = 0
+    for p in params:
+        p.data = flat[at:at + p.data.size].reshape(p.data.shape)
+        at += p.data.size
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:

@@ -1090,50 +1090,72 @@ GOLDEN_TRAIN = [
      "label": i % 2}
     for i in range(12)]
 
+# bags of 9 to 14 numbers, and bags of 9 to 11 such bags: numpy sums a
+# slice this long pairwise at width 1, and relu units tie at zero
+GOLDEN_LONG_BAGS = [
+    {"xs": [round(((i * 5 + k * 3) % 13) / 3 - 2, 3)
+            for k in range(9 + i % 6)],
+     "groups": [[round(((i + j * 7 + k) % 17) / 5 - 1.6, 3)
+                 for k in range(9 + (i + j) % 4)] for j in range(9 + i % 3)],
+     "label": i % 2}
+    for i in range(12)]
+
+GOLDEN_CORPORA = {"mixed": GOLDEN_TRAIN, "long-bags": GOLDEN_LONG_BAGS}
+
 # sha256 of the container and of the report written by `hmil train
-# --epochs 1` on GOLDEN_TRAIN, per (aggregation, activation); pins the
-# init draw order, the parameter order and the tape arithmetic
+# --epochs 1`, per (corpus, aggregation, activation, --embed-dim or None
+# for the default); pins the init draw order, the parameter order and
+# the tape arithmetic
 GOLDEN_CONTAINER_SHA256 = {
-    ("mean", "tanh"): (
+    ("mixed", "mean", "tanh", None): (
         "07f50c11f48e1e17da532808689f8d88af388fecdca7024447546acf90a12f15",
         "bc9bee519518087969e253be9f236826130f807115cd2c2f61cd2e11b7b0627d"),
-    ("mean", "relu"): (
+    ("mixed", "mean", "relu", None): (
         "93410363eacd56388373f3c0fe9959c4b9c582ecfd7c76d37d514393f4c17100",
         "60b32a8f0b690b2b341fd3b5a38ba60c7ec06794323017893dbe558233084871"),
-    ("max", "tanh"): (
+    ("mixed", "max", "tanh", None): (
         "b49b2130519e7630223e5dc1fd2cadc088999bc27c0f093c01b2c1f1a097fbe4",
         "78e2c7320cce0d0ecaa4da45f2e369bb5f2e0713d24424acd16fa79fd21bf78b"),
-    ("max", "relu"): (
+    ("mixed", "max", "relu", None): (
         "dcd171a2c961f526bfa429263ef5f39eaa305c2ea747aa3c82815d1b511b0b5c",
         "cf6729ec858208387cc9bb50a6b0ff60ff981020cf3b54cad29664d0087a82a4"),
-    ("meanmax", "tanh"): (
+    ("mixed", "meanmax", "tanh", None): (
         "0936f260792a9b76129bbdc1b97aeb44f001434e7fad46efb395c6e812624ebd",
         "036de7dc4f7e6ab9e4912be29b8bb69df48765006bb4d77437aa55185f91c8cc"),
-    ("meanmax", "relu"): (
+    ("mixed", "meanmax", "relu", None): (
         "4c8f78b2f4c0c8533cca04171ad72399f1cdab780cc68b68bc661bea8912ba26",
         "562fbfb54223da786ac5b26f7c79398cae7d4c3d575bfc9b20fa18d34618b341"),
+    ("long-bags", "mean", "tanh", 1): (
+        "46d8681633463abd8c5326b0ee87eaf26cca5befb5d542881b9542c7c365cf48",
+        "ac1940abb866aecccc1fdf7d9a5ccdc347943296e691ed933772d6bfde93b78a"),
+    ("long-bags", "meanmax", "tanh", None): (
+        "c8b79bb2d3b6712cc54e182a284e52cfce9e0d3df4ef931b31e67aafa25617db",
+        "28fc84383450458ad4d3c002f44d23b9e8352bea3640fbbdb3f0032a8b01f151"),
+    ("long-bags", "max", "relu", None): (
+        "288aad28c25e73d29afa698271030b81728860fa6e540b36bbeaab6082a92f55",
+        "3b5e30f4d506c3b353e6aa5e31cfffc19cad8473ec2b10b8a02c14616d0e97fd"),
 }
 
 
 def test_golden_container_digest(tmp_path):
-    train = tmp_path / "t.jsonl"
-    write_jsonl(train, GOLDEN_TRAIN)
-    schema = tmp_path / "s.json"
-    assert main(["infer", "--input", str(train), "--output", str(schema),
-                 "--categorical-threshold", "3"]) == 0
     got = {}
-    for aggregation in ("mean", "max", "meanmax"):
-        for activation in ("tanh", "relu"):
-            out = tmp_path / f"{aggregation}-{activation}.bin"
-            assert main(["train", "--schema", str(schema),
-                         "--train", str(train), "--label-field", "label",
-                         "--output", str(out), "--epochs", "1",
-                         "--batch-size", "4", "--seed", "0",
-                         "--aggregation", aggregation,
-                         "--activation", activation]) == 0
-            got[aggregation, activation] = tuple(
-                hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in (out, tmp_path / (out.name + ".report.json")))
+    for corpus, aggregation, activation, embed_dim in GOLDEN_CONTAINER_SHA256:
+        train = tmp_path / f"{corpus}.jsonl"
+        write_jsonl(train, GOLDEN_CORPORA[corpus])
+        schema = tmp_path / f"{corpus}.schema.json"
+        assert main(["infer", "--input", str(train), "--output", str(schema),
+                     "--categorical-threshold", "3"]) == 0
+        out = tmp_path / f"{corpus}-{aggregation}-{activation}.bin"
+        args = ["train", "--schema", str(schema), "--train", str(train),
+                "--label-field", "label", "--output", str(out),
+                "--epochs", "1", "--batch-size", "4", "--seed", "0",
+                "--aggregation", aggregation, "--activation", activation]
+        if embed_dim is not None:
+            args += ["--embed-dim", str(embed_dim)]
+        assert main(args) == 0
+        got[corpus, aggregation, activation, embed_dim] = tuple(
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (out, tmp_path / (out.name + ".report.json")))
     assert got == GOLDEN_CONTAINER_SHA256
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hmil.nn import (
     IDENTITY,
@@ -19,6 +20,7 @@ from hmil.nn import (
     segment_max,
     segment_mean,
 )
+from hmil.training import loss_mse, loss_softmax_ce
 
 
 def fd_grad(f, arr, eps=1e-5):
@@ -133,6 +135,78 @@ class TestSegmentMax:
     def test_empty_bag_convention(self):
         out = segment_max(Tensor(np.empty((0, 3))), [0, 0])
         np.testing.assert_array_equal(out.data, [[0.0, 0.0, 0.0]])
+
+
+def ref_segment_mean(x, offsets, g):
+    """The per-segment loop that pooled before the row sweep: ``.sum`` of
+    each segment's slice, and the upstream gradient spread evenly."""
+    counts = np.diff(offsets)
+    out = np.zeros((counts.size, x.shape[1]))
+    for i in range(counts.size):
+        if counts[i] > 0:
+            out[i] = x[offsets[i]:offsets[i + 1]].sum(axis=0) / counts[i]
+    gx = np.repeat(g / np.maximum(counts, 1)[:, None], counts, axis=0)
+    return out, gx
+
+
+def ref_segment_max(x, offsets, g):
+    """The per-segment argmax loop: the output and the upstream gradient
+    both go through each column's first maximal row."""
+    counts = np.diff(offsets)
+    cols = np.arange(x.shape[1])
+    out = np.zeros((counts.size, x.shape[1]))
+    gx = np.zeros_like(x)
+    for i in range(counts.size):
+        if counts[i] > 0:
+            seg = x[offsets[i]:offsets[i + 1]]
+            idx = seg.argmax(axis=0)
+            out[i] = seg[idx, cols]
+            gx[offsets[i] + idx, cols] += g[i]
+    return out, gx
+
+
+# value pools: spread magnitudes (the sum order shows in the last bits),
+# exact ties with both signed zeros, and non-finite values
+POOLS = {"ties": [-1.0, -0.0, 0.0, 0.5, 1.0],
+         "nonfinite": [-0.0, 0.0, 1.0, np.nan, np.inf, -np.inf]}
+
+
+def draw(rng, pool, shape):
+    if pool == "spread":
+        return rng.normal(size=shape) * 10.0 ** rng.integers(-4, 5, size=shape)
+    return rng.choice(POOLS[pool], size=shape)
+
+
+def assert_same_bits(got, want):
+    """Byte equality, except that a NaN need only be a NaN: its sign bit
+    depends on the order in which numpy combined the operands."""
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes()
+
+
+@given(width=st.sampled_from([1, 2]) | st.integers(1, 40),
+       counts=st.lists(st.integers(0, 20), max_size=8),
+       pool=st.sampled_from(["spread", "ties", "nonfinite"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(width=3, counts=[], pool="spread", seed=0)
+@example(width=1, counts=[0, 0, 0], pool="spread", seed=0)
+@example(width=1, counts=[9, 0, 17], pool="spread", seed=1)
+@example(width=40, counts=[2, 0, 5], pool="ties", seed=2)
+def test_pooling_matches_the_segment_loops(width, counts, pool, seed):
+    rng = np.random.default_rng(seed)
+    offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+    x = draw(rng, pool, (int(offsets[-1]), width))
+    g = draw(rng, "ties" if seed % 2 else "spread", (len(counts), width))
+    for op, ref in ((segment_mean, ref_segment_mean),
+                    (segment_max, ref_segment_max)):
+        with np.errstate(invalid="ignore"):
+            tape = Tape()
+            out = op(Tensor(x), offsets, tape)
+            (gx,) = tape.nodes[-1].backward_fn(g)
+            want_out, want_gx = ref(x, offsets, g)
+        assert_same_bits(out.data, want_out)
+        assert_same_bits(gx, want_gx)
 
 
 class TestBackward:
@@ -281,6 +355,119 @@ class TestAdam:
         state = AdamState.for_params([p])
         with pytest.raises(ShapeError):
             adam_step([p, Tensor([[0.0]])], [np.zeros((1, 1))] * 2, state)
+
+
+def test_fused_adam_matches_a_per_parameter_update():
+    rng = np.random.default_rng(17)
+    shapes = [(3, 4), (1, 4), (1, 1), (5, 2), (2, 7)]
+    start = [rng.normal(size=shape) for shape in shapes]
+    params = [Tensor(a.copy()) for a in start]
+    state = AdamState.for_params(params)
+    ref_p, ref_m, ref_v = start, [np.zeros(s) for s in shapes], \
+        [np.zeros(s) for s in shapes]
+    for t in range(1, 6):
+        grads = [draw(rng, "ties" if t % 2 else "spread", s) for s in shapes]
+        adam_step(params, grads, state, lr=0.01)
+        # the update as written per parameter before it was fused
+        c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for i, g in enumerate(grads):
+            ref_m[i] = 0.9 * ref_m[i] + (1.0 - 0.9) * g
+            ref_v[i] = 0.999 * ref_v[i] + (1.0 - 0.999) * g * g
+            ref_p[i] = ref_p[i] - 0.01 * (ref_m[i] / c1) / (
+                np.sqrt(ref_v[i] / c2) + 1e-8)
+        for p, want in zip(params, ref_p):
+            assert p.data.shape == want.shape
+            assert p.data.tobytes() == want.tobytes()
+    assert state.step == 5
+    assert state.m.tobytes() == np.concatenate(
+        [m.ravel() for m in ref_m]).tobytes()
+    assert state.v.tobytes() == np.concatenate(
+        [v.ravel() for v in ref_v]).tobytes()
+
+
+def _dense(act):
+    def case(rng):
+        arrays = [rng.normal(size=(5, 3)), rng.normal(size=(3, 4)),
+                  rng.normal(size=(1, 4))]
+        return arrays, lambda tape: dense_forward(
+            *(Tensor(a) for a in arrays), act, tape)
+    return case
+
+
+def _segment(op):
+    def case(rng):
+        arrays = [rng.choice([-0.0, 0.0, 1.0, 2.0], size=(6, 3)),
+                  np.array([0, 2, 2, 6])]
+        return arrays, lambda tape: op(Tensor(arrays[0]), arrays[1], tape)
+    return case
+
+
+def _concat(rng):
+    arrays = [rng.normal(size=(4, 2)), rng.normal(size=(4, 1))]
+    return arrays, lambda tape: concat_cols([Tensor(a) for a in arrays], tape)
+
+
+def _softmax_ce(rng):
+    arrays = [rng.normal(size=(4, 3)), np.array([0, 2, 1, 2])]
+    return arrays, lambda tape: loss_softmax_ce(Tensor(arrays[0]), arrays[1],
+                                                tape)
+
+
+def _mse(rng):
+    arrays = [rng.normal(size=(4, 2)), rng.normal(size=(4, 2))]
+    return arrays, lambda tape: loss_mse(Tensor(arrays[0]), arrays[1], tape)
+
+
+class TestNoMutation:
+    """A tensor shares the array it wraps, so no op may write to its
+    inputs, forward or backward, nor to the upstream gradient."""
+
+    @pytest.mark.parametrize("case", [
+        _dense(TANH), _dense(RELU), _dense(IDENTITY), _segment(segment_mean),
+        _segment(segment_max), _concat, _softmax_ce, _mse],
+        ids=["dense-tanh", "dense-relu", "dense-identity", "segment-mean",
+             "segment-max", "concat", "softmax-ce", "mse"])
+    def test_op_leaves_inputs_and_gradient_alone(self, case):
+        rng = np.random.default_rng(23)
+        arrays, run = case(rng)
+        before = [a.copy() for a in arrays]
+        tape = Tape()
+        out = run(tape)
+        g = rng.normal(size=out.shape)
+        g_before = g.copy()
+        tape.nodes[-1].backward_fn(g)
+        for a, b in zip(arrays, before):
+            assert a.tobytes() == b.tobytes()
+        assert g.tobytes() == g_before.tobytes()
+
+    def test_backward_leaves_every_tensor_alone(self):
+        rng = np.random.default_rng(29)
+        x = Tensor(rng.normal(size=(6, 3)))
+        w1, b1 = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=4))
+        w2 = Tensor(rng.normal(size=(9, 3)))
+        tape = Tape()
+        h = dense_forward(x, w1, b1, TANH, tape)
+        pooled = concat_cols([segment_mean(h, [0, 2, 6], tape),
+                              segment_max(h, [0, 2, 6], tape),
+                              Tensor(np.ones((2, 1)))], tape)
+        loss = loss_softmax_ce(dense_forward(pooled, w2, None, RELU, tape),
+                               np.array([0, 2]), tape)
+        seen = {id(t): t for node in tape.nodes for t in (node.out, *node.parents)}
+        before = {key: t.data.copy() for key, t in seen.items()}
+        backward(tape, loss)
+        for key, t in seen.items():
+            assert t.data.tobytes() == before[key].tobytes()
+
+
+def test_tensor_wraps_floats_and_converts_ints_and_lists():
+    floats = np.ones((2, 3))
+    assert np.shares_memory(Tensor(floats).data, floats)
+    ints = np.array([[1, 2], [3, 4]])
+    t = Tensor(ints)
+    assert t.data.dtype == np.float64 and not np.shares_memory(t.data, ints)
+    np.testing.assert_array_equal(t.data, [[1.0, 2.0], [3.0, 4.0]])
+    row = Tensor([1, 2])
+    assert row.data.dtype == np.float64 and row.shape == (1, 2)
 
 
 def test_determinism_bit_identical():
