@@ -23,6 +23,7 @@ from .schema import (
 
 __all__ = ["random_schema", "random_document", "permute_bags"]
 
+MAX_ITEMS = 4
 _WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
           "hotel", "india", "juliet", "kilo", "lima", "mike", "november")
 
@@ -77,11 +78,10 @@ def _random_word(rng: np.random.Generator) -> str:
     return str(rng.choice(_WORDS)) + str(rng.integers(0, 100))
 
 
-def random_document(rng: np.random.Generator, schema: SchemaNode,
-                    max_items: int = 4):
+def random_document(rng: np.random.Generator, schema: SchemaNode):
     """Sample one JSON-style document conforming to ``schema``.
 
-    Bags draw 0..max_items elements, optional fields are omitted 30% of
+    Bags draw 0..MAX_ITEMS elements, optional fields are omitted 30% of
     the time, categorical values stay inside the vocabulary.
     """
     if isinstance(schema, NumericLeaf):
@@ -92,15 +92,14 @@ def random_document(rng: np.random.Generator, schema: SchemaNode,
     if isinstance(schema, CategoricalLeaf):
         return str(rng.choice(schema.values))
     if isinstance(schema, Bag):
-        n = int(rng.integers(0, max_items + 1))
-        return [random_document(rng, schema.child, max_items)
-                for _ in range(n)]
+        n = int(rng.integers(0, MAX_ITEMS + 1))
+        return [random_document(rng, schema.child) for _ in range(n)]
     if isinstance(schema, Product):
         doc = {}
         for f in schema.fields:
             if f.optional and rng.random() < 0.3:
                 continue
-            doc[f.name] = random_document(rng, f.schema, max_items)
+            doc[f.name] = random_document(rng, f.schema)
         return doc
     raise TypeError(f"cannot sample from {schema.kind!r}")
 

@@ -68,7 +68,6 @@ __all__ = [
     "param_count",
     "save_model",
     "load_model",
-    "describe_model",
 ]
 
 MAGIC = b"HMIL"
@@ -271,24 +270,6 @@ def embedding_bound(model: Model, path: str) -> np.ndarray:
         raise ModelError(f"no bag node at {path!r}")
     _, _, post_w, post_b = model.layers[path]
     return np.abs(post_w.data).sum(axis=0) + np.abs(post_b.data[0])
-
-
-def describe_model(model: Model) -> str:
-    """Human-readable table of nodes, their kinds, widths, and sizes."""
-    lines = [f"{'node':<40} {'kind':<10} {'out':>5} {'params':>8}"]
-    for path, node in node_paths(model.schema):
-        own = model.layers.get(path, ())
-        kind = ("bag" if isinstance(node, Bag) else
-                "product" if isinstance(node, Product) else "leaf")
-        width = own[-1].cols if own else leaf_width(node)
-        size = sum(p.data.size for p in own)
-        lines.append(f"{path:<40} {kind:<10} {width:>5} {size:>8}")
-    head_params = sum(p.data.size for p in model.layers["head"])
-    lines.append(f"{'(head)':<40} {'head':<10} "
-                 f"{model.config.output_dim:>5} {head_params:>8}")
-    total = sum(p.data.size for p in model.parameters())
-    lines.append(f"{'total':<40} {'':<10} {'':>5} {total:>8}")
-    return "\n".join(lines)
 
 
 def save_model(model: Model, path: str, extra: dict | None = None) -> None:

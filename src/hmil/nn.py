@@ -320,6 +320,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     return grads
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's defaults
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators, each one flat vector over the
@@ -336,8 +339,7 @@ class AdamState:
 
 
 def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState,
-              lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+              lr: float = 1e-3) -> None:
     """One Adam update with bias correction over all parameters at once;
     each parameter's ``data`` becomes its view of the updated vector."""
     if (len(params) != len(grads)
@@ -348,14 +350,14 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState,
             raise ShapeError(f"adam: grad {g.shape} vs param {p.data.shape}")
     state.step += 1
     t = state.step
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     grad = np.concatenate([g.ravel() for g in grads])
     m, v = state.m, state.v
-    m[:] = beta1 * m + (1.0 - beta1) * grad
-    v[:] = beta2 * v + (1.0 - beta2) * grad * grad
+    m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
     flat = np.concatenate([p.data.ravel() for p in params])
-    flat = flat - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    flat = flat - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     at = 0
     for p in params:
         p.data = flat[at:at + p.data.size].reshape(p.data.shape)

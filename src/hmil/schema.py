@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Union
@@ -37,10 +37,7 @@ __all__ = [
     "Violation",
     "node_paths",
     "infer_schema",
-    "merge_schemas",
     "validate",
-    "schema_to_dict",
-    "schema_from_dict",
     "dumps_schema",
     "loads_schema",
 ]
@@ -201,16 +198,15 @@ def _merge_numeric(a: tuple, b: tuple) -> tuple:
 class _State:
     """Mutable inference state of one node of ``kind``: its count, a
     numeric leaf's ``mean`` and ``std``, a categorical one's ``vocab``
-    (until it outgrows the threshold and turns "string"), a string one's
-    ``ngram`` config, a bag's ``child`` (None while every instance was
-    empty) and a product's ``fields``."""
+    (until it outgrows the threshold and turns "string"), a bag's
+    ``child`` (None while every instance was empty) and a product's
+    ``fields``."""
 
     kind: str
     count: int = 1
     mean: float = 0.0
     std: float = 0.0
     vocab: set | None = None
-    ngram: tuple | None = None
     child: _State | None = None
     fields: dict | None = None
 
@@ -265,10 +261,8 @@ def _absorb(a, b, path: str, threshold) -> _State | None:
         for name, field in b.fields.items():
             a.fields[name] = _absorb(a.fields.get(name), field,
                                      f"{path}.{name}", threshold)
-    elif a.ngram and b.ngram and a.ngram != b.ngram:
-        raise SchemaConflict(path, f"n-gram config {a.ngram}", str(b.ngram))
     elif b.kind == "string":
-        a.kind, a.vocab, a.ngram = "string", None, a.ngram or b.ngram
+        a.kind, a.vocab = "string", None
     elif a.vocab is not None:
         a.vocab |= b.vocab
         if len(a.vocab) > threshold:
@@ -277,50 +271,24 @@ def _absorb(a, b, path: str, threshold) -> _State | None:
     return a
 
 
-def _thawed(node: SchemaNode) -> _State | None:
-    """A fresh state holding ``node``."""
-    if isinstance(node, Unknown):
-        return None
-    state = _State(node.kind, node.count)
-    if isinstance(node, NumericLeaf):
-        state.mean, state.std = node.mean, node.std
-    elif isinstance(node, StringLeaf):
-        state.ngram = (node.ngram_n, node.hash_dim)
-    elif isinstance(node, CategoricalLeaf):
-        state.vocab = set(node.values)
-    elif isinstance(node, Bag):
-        state.child = _thawed(node.child)
-    else:
-        state.fields = {}
-        for f in node.fields:
-            state.fields[f.name] = _thawed(f.schema)
-    return state
-
-
-def _frozen(state: _State | None, ngram: tuple = ()) -> SchemaNode:
-    """The schema ``state`` holds; string leaves lacking one take ``ngram``."""
+def _frozen(state: _State | None) -> SchemaNode:
+    """The schema ``state`` holds."""
     if state is None:
         return Unknown()
     kind, count = state.kind, state.count
     if kind == "numeric":
         return NumericLeaf(count, state.mean, state.std)
     if kind == "string":
-        return StringLeaf(count, *(state.ngram or ngram))
+        return StringLeaf(count, DEFAULT_NGRAM_N, DEFAULT_HASH_DIM)
     if kind == "categorical":
         return CategoricalLeaf(count, tuple(sorted(state.vocab)))
     if kind == "bag":
-        return Bag(count, _frozen(state.child, ngram))
+        return Bag(count, _frozen(state.child))
     members = []
     for name, f in sorted(state.fields.items()):  # each name is distinct
-        members.append(ProductField(name, _frozen(f, ngram),
+        members.append(ProductField(name, _frozen(f),
                                     f is None or f.count < count))
     return Product(count, tuple(members))
-
-
-def merge_schemas(a: SchemaNode, b: SchemaNode) -> SchemaNode:
-    """Least upper bound of two schemas, merged as ``_absorb`` merges states.
-    Commutative; associative up to float round-off in leaf statistics."""
-    return _frozen(_absorb(_thawed(a), _thawed(b), "$", math.inf))
 
 
 def node_paths(schema: SchemaNode, path: str = "$") -> list[tuple[str, SchemaNode]]:
@@ -336,16 +304,27 @@ def node_paths(schema: SchemaNode, path: str = "$") -> list[tuple[str, SchemaNod
     return out
 
 
-def infer_schema(docs: Iterable, categorical_threshold: int = DEFAULT_CATEGORICAL_THRESHOLD,
-                 ngram_n: int = DEFAULT_NGRAM_N,
-                 hash_dim: int = DEFAULT_HASH_DIM) -> SchemaNode:
+def _distinct_paths(schema: SchemaNode) -> list[tuple[str, SchemaNode]]:
+    """``node_paths(schema)``, or SchemaError naming a path two nodes
+    share: columns and layers are keyed by path, and a field name holding
+    "." or "[]" can spell another node's path."""
+    pairs = node_paths(schema)
+    for path, n in Counter(path for path, _ in pairs).items():
+        if n > 1:
+            raise SchemaError(f"{path}: two schema nodes share this path; "
+                              "a field name holds '.' or '[]'")
+    return pairs
+
+
+def infer_schema(docs: Iterable, categorical_threshold: int =
+                 DEFAULT_CATEGORICAL_THRESHOLD) -> SchemaNode:
     """Fold a stream of JSON values into one schema.
 
     String leaves end up categorical iff their corpus-wide distinct-value
     count is at most ``categorical_threshold``; beyond that they become
-    hashed n-gram histograms with the given config. Raises SchemaError on
-    an empty corpus, SchemaConflict on irreconcilable kinds, and a
-    diagnostic if some array never showed a non-empty instance.
+    hashed n-gram histograms of the default config. Raises SchemaError on
+    an empty corpus, a path two nodes share, or an array empty in every
+    document, and SchemaConflict on irreconcilable kinds.
     """
     corpus = None  # each document's state merges into it in place
     for doc in docs:
@@ -353,8 +332,8 @@ def infer_schema(docs: Iterable, categorical_threshold: int = DEFAULT_CATEGORICA
             doc, "$", categorical_threshold), "$", categorical_threshold)
     if corpus is None:
         raise SchemaError("empty corpus")
-    merged = _frozen(corpus, (ngram_n, hash_dim))
-    for path, node in node_paths(merged):
+    merged = _frozen(corpus)
+    for path, node in _distinct_paths(merged):
         if isinstance(node, Unknown):
             raise SchemaError(
                 f"{path}: array was empty in every document; "
@@ -513,34 +492,29 @@ def _node_from_dict(d: dict) -> SchemaNode:
     raise SchemaError(f"unknown schema node kind {kind!r}")
 
 
-def schema_to_dict(schema: SchemaNode) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "root": _node_to_dict(schema)}
-
-
-def schema_from_dict(d: dict) -> SchemaNode:
-    """Inverse of ``schema_to_dict``; malformed input raises
-    SchemaError, never a KeyError or TypeError."""
-    try:
-        version = d.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise SchemaError(f"unsupported schema_version {version!r}")
-        return _node_from_dict(d["root"])
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise SchemaError(
-            f"malformed schema: {type(exc).__name__}: {exc}") from exc
-
-
 def dumps_schema(schema: SchemaNode) -> str:
     """Canonical JSON: sorted keys, compact separators, versioned."""
-    return json.dumps(schema_to_dict(schema), sort_keys=True,
-                      separators=(",", ":"))
+    return json.dumps({"schema_version": SCHEMA_VERSION,
+                       "root": _node_to_dict(schema)},
+                      sort_keys=True, separators=(",", ":"))
 
 
 def loads_schema(text: str) -> SchemaNode:
+    """Inverse of ``dumps_schema``; malformed input raises SchemaError,
+    never a KeyError or TypeError."""
     try:
         d = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"schema file is not valid JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise SchemaError("schema file must hold a JSON object")
-    return schema_from_dict(d)
+    try:
+        version = d.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise SchemaError(f"unsupported schema_version {version!r}")
+        schema = _node_from_dict(d["root"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise SchemaError(
+            f"malformed schema: {type(exc).__name__}: {exc}") from exc
+    _distinct_paths(schema)
+    return schema

@@ -12,9 +12,11 @@ import stat
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import hmil.cli as cli_mod
 import hmil.model as model_mod
@@ -1007,6 +1009,139 @@ class TestDeepJson:
                 if rc == 2 and "input nested too deeply" in err.getvalue():
                     past_parsing[name] = True
         assert past_parsing == {"infer": True, "train": True}
+
+
+# a document whose field name spells the path of another node: "."
+# steps into a field and "[]" into a bag's element
+COLLISIONS = [
+    ({"a.b": 1.5, "a": {"b": "x"}}, "a.b", "$.a.b"),
+    ({"a": {"b": 1.0}, "a.b": 2.0}, "a.b", "$.a.b"),
+    ({"a": ["x"], "a[]": 1.0}, "a[]", "$.a[]"),
+]
+
+
+class TestPathCollisions:
+    @staticmethod
+    def labeled(doc, name):
+        """Two labeled documents, with field ``name`` renamed to "z"
+        when ``name`` is not None."""
+        if name is not None:
+            doc = {("z" if k == name else k): v for k, v in doc.items()}
+        return [{**doc, "y": 0}, {**doc, "y": 1}]
+
+    @pytest.mark.parametrize("doc, name, path", COLLISIONS)
+    def test_infer_exits_2(self, tmp_path, capsys, doc, name, path):
+        src = tmp_path / "d.jsonl"
+        write_jsonl(src, self.labeled(doc, None))
+        rc = main(["infer", "--input", str(src),
+                   "--output", str(tmp_path / "s.json")])
+        assert rc == 2
+        assert f"error: {path}: two schema nodes share this path" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, name, path", COLLISIONS)
+    def test_train_schema_file_exits_2(self, tmp_path, capsys, doc, name,
+                                       path):
+        src, schema = tmp_path / "d.jsonl", tmp_path / "s.json"
+        write_jsonl(src, self.labeled(doc, name))
+        assert main(["infer", "--input", str(src),
+                     "--output", str(schema)]) == 0
+        schema.write_text(schema.read_text().replace(
+            '"z":', json.dumps(name) + ":"))
+        write_jsonl(src, self.labeled(doc, None))
+        rc = main(["train", "--schema", str(schema), "--train", str(src),
+                   "--label-field", "y", "--output", str(tmp_path / "m.bin"),
+                   "--epochs", "1"])
+        assert rc == 2
+        assert f"{schema}: {path}: two schema nodes share this path" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, name, path", COLLISIONS)
+    def test_predict_container_exits_2(self, tmp_path, capsys, doc, name,
+                                       path):
+        src, schema = tmp_path / "d.jsonl", tmp_path / "s.json"
+        model = tmp_path / "m.bin"
+        write_jsonl(src, self.labeled(doc, name))
+        assert main(["infer", "--input", str(src),
+                     "--output", str(schema)]) == 0
+        assert main(["train", "--schema", str(schema), "--train", str(src),
+                     "--label-field", "y", "--output", str(model),
+                     "--epochs", "1"]) == 0
+        edit_container(model, schema=lambda b: b.replace(
+            b'"z":', json.dumps(name).encode() + b":"))
+        write_jsonl(src, [doc])
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", "-"])
+        assert rc == 2
+        assert f"corrupt schema: {path}: two schema nodes share this path" \
+            in capsys.readouterr().err
+
+    def test_dotted_name_without_collision_works(self, tmp_path):
+        src, schema = tmp_path / "d.jsonl", tmp_path / "s.json"
+        model = tmp_path / "m.bin"
+        write_jsonl(src, [{"a.b": float(i), "a[]": [1.0], "c": {"b": "x"},
+                           "y": i % 2} for i in range(4)])
+        assert main(["infer", "--input", str(src),
+                     "--output", str(schema)]) == 0
+        assert main(["train", "--schema", str(schema), "--train", str(src),
+                     "--label-field", "y", "--output", str(model),
+                     "--epochs", "1"]) == 0
+        assert main(["predict", "--model", str(model), "--input", str(src),
+                     "--output", str(tmp_path / "p.jsonl")]) == 0
+
+# JSON values at the edges of what the CLI reads: deep nesting, integers
+# past float64, -0.0, NaN and infinities, non-BMP characters and lone
+# surrogates, empty containers, nulls, and keys that hold path syntax
+_KEYS = st.text(alphabet="ab.[]\u00e9\ud800", max_size=4)
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.sampled_from([-0.0, 10**400, -(2**64), 1e308])
+           | st.floats() | st.text(st.sampled_from(["\ud800", "\U0001f600"])
+                                   | st.characters(exclude_categories=()),
+                                   max_size=6))
+_VALUES = st.recursive(_LEAVES, lambda inner: (
+    st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=12)
+# one JSONL line for a given label: a document of random fields, or
+# one field nested up to past the recursion limit
+_LINES = (st.builds(lambda d: lambda y: json.dumps({**d, "y": y}),
+                    st.dictionaries(_KEYS, _VALUES, max_size=4))
+          | st.builds(lambda depth, leaf: lambda y: '{"x": %s, "y": %d}' % (
+              _nested(depth).replace("1.0", json.dumps(leaf)), y),
+              st.integers(0, 1200), _LEAVES))
+
+
+# a corpus of one repeated shape trains more often than a random mix
+@given(lines=st.lists(_LINES, min_size=1, max_size=5)
+       | _LINES.map(lambda line: [line] * 4),
+       raw=st.lists(_VALUES.map(json.dumps), max_size=3),
+       junk=st.lists(st.binary(max_size=30), max_size=3))
+def test_cli_boundary_fuzz(lines, raw, junk):
+    """infer -> train -> predict on arbitrary JSON and byte lines ends
+    with a documented exit code, never an exception."""
+    docs = [line(i % 2) for i, line in enumerate(lines)]
+    codes = []
+    with tempfile.TemporaryDirectory() as work, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        src, loose, mixed, schema, model = (
+            os.path.join(work, name) for name in "dlxsm")
+        for path, text in ((src, docs), (loose, raw)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(line + "\n" for line in text))
+        with open(mixed, "wb") as fh:
+            fh.write(b"".join(line.encode() + b"\n" for line in docs + raw)
+                     + b"\n".join(junk))
+        codes.append(main(["infer", "--input", loose, "--output", schema]))
+        codes.append(main(["infer", "--input", src, "--output", schema]))
+        if codes[-1] == 0:
+            codes.append(main(["train", "--schema", schema, "--train", src,
+                               "--label-field", "y", "--output", model,
+                               "--epochs", "1"]))
+        if codes[-1] == 0:
+            codes.append(main(["predict", "--model", model, "--input", mixed,
+                               "--output", os.path.join(work, "p")]))
+    assert set(codes) <= {0, 1, 2, 3}, codes
 
 
 class TestVerify:

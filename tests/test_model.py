@@ -18,7 +18,6 @@ from hmil.model import (
     ModelError,
     ModelLoadError,
     build_model,
-    describe_model,
     embed,
     embedding_bound,
     forward,
@@ -395,15 +394,3 @@ class TestSaveLoad:
             fh.write(struct.pack("<Q", 3) + np.zeros(3).tobytes())
         with pytest.raises(ModelLoadError, match="mismatch"):
             load_model(str(target))
-
-
-class TestDescribe:
-    def test_lists_nodes_and_total(self):
-        docs = [{"a": [1.0], "b": "x"}]
-        schema = infer_schema(docs)
-        model = build_model(schema, ModelConfig())
-        text = describe_model(model)
-        assert "$.a" in text and "$.a[]" in text
-        assert "total" in text
-        total = sum(p.data.size for p in model.parameters())
-        assert str(total) in text

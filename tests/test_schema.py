@@ -1,4 +1,4 @@
-"""Schema inference, merging, validation, and serialization."""
+"""Schema inference, validation, and serialization."""
 
 import json
 import math
@@ -27,7 +27,6 @@ from hmil.schema import (
     dumps_schema,
     infer_schema,
     loads_schema,
-    merge_schemas,
     node_paths,
     validate,
 )
@@ -38,26 +37,6 @@ DATA = Path(__file__).parent / "data"
 @pytest.fixture()
 def fitness_doc():
     return json.loads((DATA / "fitness_week.json").read_text())
-
-
-def assert_schemas_close(a, b, rtol=1e-9):
-    """Equal shape and counts, numeric statistics equal up to round-off."""
-    assert a.kind == b.kind
-    assert a.count == b.count
-    if isinstance(a, NumericLeaf):
-        np.testing.assert_allclose(a.mean, b.mean, rtol=rtol, atol=1e-12)
-        np.testing.assert_allclose(a.std, b.std, rtol=rtol, atol=1e-12)
-    elif isinstance(a, StringLeaf):
-        assert (a.ngram_n, a.hash_dim) == (b.ngram_n, b.hash_dim)
-    elif isinstance(a, CategoricalLeaf):
-        assert a.values == b.values
-    elif isinstance(a, Bag):
-        assert_schemas_close(a.child, b.child, rtol)
-    elif isinstance(a, Product):
-        assert a.field_names == b.field_names
-        for fa, fb in zip(a.fields, b.fields):
-            assert fa.optional == fb.optional
-            assert_schemas_close(fa.schema, fb.schema, rtol)
 
 
 class TestLeafInference:
@@ -205,73 +184,6 @@ class TestFitnessWeek:
         raw = infer_schema([fitness_doc], categorical_threshold=0)
         assert raw.field("weekNumber").schema.kind == "string"
         assert s.field_names == raw.field_names
-
-
-def _doc_schema(doc):
-    try:
-        return infer_schema([doc])
-    except SchemaError:
-        return None
-
-
-class TestMerge:
-    def test_merge_with_self_doubles_counts(self):
-        s = infer_schema([1, 2, 3])
-        m = merge_schemas(s, s)
-        assert m.count == 6
-        assert m.mean == 2.0
-        np.testing.assert_allclose(m.std, s.std, rtol=1e-12)
-
-    def test_merge_matches_single_pass_inference(self):
-        d1, d2 = {"a": 1, "c": "x"}, {"a": 2, "b": [3.5]}
-        assert merge_schemas(infer_schema([d1]), infer_schema([d2])) \
-            == infer_schema([d1, d2])
-
-    def test_vocabularies_union_sorted(self):
-        m = merge_schemas(infer_schema(["b"]), infer_schema(["a", "c"]))
-        assert m == CategoricalLeaf(count=3, values=("a", "b", "c"))
-
-    def test_ngram_configs(self):
-        a = StringLeaf(count=1, ngram_n=3, hash_dim=64)
-        b = StringLeaf(count=2, ngram_n=2, hash_dim=8)
-        with pytest.raises(SchemaConflict, match=r"^\$\[\]: cannot reconcile "
-                           r"n-gram config \(3, 64\) with \(2, 8\)$"):
-            merge_schemas(Bag(count=1, child=a), Bag(count=1, child=b))
-        cat = CategoricalLeaf(count=4, values=("x",))
-        assert merge_schemas(cat, b) == merge_schemas(b, cat) \
-            == StringLeaf(count=6, ngram_n=2, hash_dim=8)
-
-    def test_kind_conflict_raises(self):
-        with pytest.raises(SchemaConflict):
-            merge_schemas(infer_schema([1]), infer_schema([[1]]))
-
-    def test_field_of_unknown_kind_merges_with_count_0(self):
-        unknown = Product(count=1, fields=(ProductField("u", Unknown(), False),))
-        known = Product(count=1, fields=(
-            ProductField("u", NumericLeaf(count=1, mean=0.5, std=0.0), False),))
-        for a, b in ((unknown, known), (known, unknown), (unknown, unknown)):
-            assert merge_schemas(a, b) \
-                == _ref_merge(a, b, "$", (math.inf, 3, 64))
-
-    @given(st.integers(0, 2**32 - 1))
-    def test_commutes_exactly(self, seed):
-        rng = np.random.default_rng(seed)
-        base = random_schema(rng, max_depth=2)
-        a = _doc_schema(random_document(rng, base))
-        b = _doc_schema(random_document(rng, base))
-        assume(a is not None and b is not None)
-        assert merge_schemas(a, b) == merge_schemas(b, a)
-
-    @given(st.integers(0, 2**32 - 1))
-    def test_associates_up_to_round_off(self, seed):
-        rng = np.random.default_rng(seed)
-        base = random_schema(rng, max_depth=2)
-        schemas = [_doc_schema(random_document(rng, base)) for _ in range(3)]
-        assume(all(s is not None for s in schemas))
-        a, b, c = schemas
-        left = merge_schemas(merge_schemas(a, b), c)
-        right = merge_schemas(a, merge_schemas(b, c))
-        assert_schemas_close(left, right)
 
 
 class TestValidate:
@@ -547,10 +459,6 @@ def _ref_merge(a, b, path, cap):
         return a
     if isinstance(a, NumericLeaf) and isinstance(b, NumericLeaf):
         return _ref_merge_numeric(a, b)
-    if isinstance(a, StringLeaf) and isinstance(b, StringLeaf) \
-            and (a.ngram_n, a.hash_dim) != (b.ngram_n, b.hash_dim):
-        raise SchemaConflict(path, f"n-gram config {(a.ngram_n, a.hash_dim)}",
-                             f"{(b.ngram_n, b.hash_dim)}")
     if isinstance(a, StringLeaf) and isinstance(b, (StringLeaf,
                                                     CategoricalLeaf)):
         return replace(a, count=a.count + b.count)
@@ -669,27 +577,3 @@ def test_inference_matches_the_reference_fold():
             kinds[want[0]] += 1
     # the sweep reaches schemas, conflicts and unresolved arrays alike
     assert min(kinds.values()) > 500, kinds
-
-
-def test_merge_matches_the_reference_merge():
-    """``merge_schemas`` against ``_ref_merge`` (no cap) on the schemas of
-    two documents, inferred at mixed thresholds and n-gram configs."""
-    kinds = Counter()
-    for seed in range(3000):
-        docs, rng = random_corpus(seed), random.Random(-seed)
-        try:
-            a, b = (_ref_from_value(doc, "$", (rng.choice((0, 1, 32)), 3,
-                                               rng.choice((8, 64))))
-                    for doc in (docs[0], docs[-1]))
-        except SchemaConflict:
-            continue
-        outcomes = []
-        for merge in (merge_schemas,
-                      lambda x, y: _ref_merge(x, y, "$", (math.inf, 3, 64))):
-            try:
-                outcomes.append(("schema", repr(merge(a, b))))
-            except SchemaConflict as exc:
-                outcomes.append(("conflict", str(exc)))
-        assert outcomes[0] == outcomes[1], seed
-        kinds[outcomes[1][0]] += 1
-    assert min(kinds.values()) > 100, kinds

@@ -58,7 +58,7 @@ class TestMmd:
 
     def test_bandwidth_must_be_positive(self):
         x = np.zeros((3, 1))
-        for bad in (0.0, -1.0):
+        for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="bandwidth"):
                 mmd_baseline(x, x, kernel_bandwidth=bad)
 
