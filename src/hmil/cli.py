@@ -5,7 +5,9 @@ Exit codes are part of the interface and stay stable:
 * 0 success,
 * 1 verification bars failed, or at least one predict line failed,
 * 2 usage or data errors (bad flags, malformed input, schema conflicts),
-* 3 training aborted on non-finite numbers.
+  and a closed stdout or a failed write to it,
+* 3 training aborted on non-finite numbers,
+* 130 interrupted (Ctrl-C); no partial output file is left behind.
 
 Config precedence for training is flags over config file over defaults,
 and the effective configuration is echoed into the training report.
@@ -31,6 +33,7 @@ from .model import (
     ModelLoadError,
     build_model,
     load_model,
+    replacing,
     save_model,
 )
 from .schema import (
@@ -50,6 +53,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 class CliError(Exception):
@@ -103,25 +107,12 @@ def _iter_jsonl(path: str):
 
 @contextlib.contextmanager
 def _replacing(path: str):
-    """A text file written beside the file ``path`` names, which it
-    replaces when the block completes: ``path`` may be an input still
-    being read, and a failed run leaves no partial file.  A device or
-    FIFO (/dev/null) is written in place.  OSErrors are write errors."""
-    in_place = os.path.exists(path) and not os.path.isfile(path)
-    target = path if in_place else os.path.realpath(path)
-    tmp, fh = target if in_place else f"{target}.{os.getpid()}.tmp", None
+    """``model.replacing`` for text; OSErrors are write errors."""
     try:
-        # "x": a file already of that name is not this run's to replace
-        fh = open(tmp, "w" if in_place else "x", encoding="utf-8")
-        with fh:
+        with replacing(path) as fh:
             yield fh
-        if not in_place:
-            os.replace(tmp, target)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror}")
-    finally:
-        if fh is not None and not in_place and os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _node_counts(schema) -> dict[str, int]:
@@ -408,13 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+def _run(argv: list[str] | None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if sys.stdout is None and (args.command != "predict"
+                                   or args.output == "-"):
+            raise CliError("cannot write stdout")  # fd 1 was closed
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -425,6 +418,25 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:  # e.g. a chunk of very wide leaves
         print("error: input too large", file=sys.stderr)
         return EXIT_USAGE
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # so a failed write shows here, not at exit
+        return code
+    except OSError:  # every file's errors are CliErrors: this is stdout's
+        print("error: cannot write stdout", file=sys.stderr)
+        # the interpreter flushes stdout again at exit: point fd 1 at
+        # /dev/null, as the Python docs' note on SIGPIPE does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entry() -> None:

@@ -22,6 +22,7 @@ embedding coordinate obeys the data-independent bound returned by
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -66,6 +67,7 @@ __all__ = [
     "embed",
     "embedding_bound",
     "param_count",
+    "replacing",
     "save_model",
     "load_model",
 ]
@@ -272,13 +274,37 @@ def embedding_bound(model: Model, path: str) -> np.ndarray:
     return np.abs(post_w.data).sum(axis=0) + np.abs(post_b.data[0])
 
 
+@contextlib.contextmanager
+def replacing(path: str, mode: str = "w"):
+    """A file (text, or bytes under mode "wb") written beside the file
+    ``path`` names, which it replaces when the block completes: ``path``
+    may be an input still being read, and a failed write leaves the old
+    file in place and no partial one.  A device or FIFO (/dev/null) is
+    written in place."""
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = path if in_place else os.path.realpath(path)
+    tmp, fh = target if in_place else f"{target}.{os.getpid()}.tmp", None
+    try:
+        # "x": a file already of that name is not this run's to replace
+        fh = open(tmp, mode if in_place else mode.replace("w", "x"),
+                  encoding=None if "b" in mode else "utf-8")
+        with fh:
+            yield fh
+        if not in_place:
+            os.replace(tmp, target)
+    finally:
+        if fh is not None and not in_place and os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def save_model(model: Model, path: str, extra: dict | None = None) -> None:
     """Write a self-contained model container.
 
     Layout: magic "HMIL", u32 format version, then length-prefixed
     canonical schema JSON and config JSON, then a u64 value count and
     the parameters as little-endian float64 in ``parameters()`` order.
-    Same model and extra give byte-identical files.
+    Same model and extra give byte-identical files, and a failed write
+    leaves any old file at ``path`` as it was (see ``replacing``).
     """
     schema_blob = dumps_schema(model.schema).encode("utf-8")
     config_blob = json.dumps(
@@ -287,7 +313,7 @@ def save_model(model: Model, path: str, extra: dict | None = None) -> None:
     values = np.concatenate(
         [p.data.reshape(-1) for p in model.parameters()]) \
         if model.parameters() else np.empty(0)
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(schema_blob)))

@@ -19,9 +19,6 @@ enters a report; callers wanting it measure around these functions.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
 from .batching import build_batch, finish_batch, new_columns
@@ -61,7 +58,6 @@ from .training import (
 
 __all__ = [
     "SUITE_NAMES",
-    "MmdResult",
     "concentration_experiment",
     "run_concentration",
     "benchmark_variance_task",
@@ -80,19 +76,18 @@ __all__ = [
     "summarize_report",
 ]
 
-SUITE_NAMES = ("invariants", "concentration", "benchmarks", "all")
-
 PLAIN_BAG = Bag(count=1, child=NumericLeaf(count=1, mean=0.0, std=1.0))
 REF_FACTOR = 100
-MIN_DEPTH = 1  # of a random schema in the invariant checks
+MIN_DEPTH, MAX_DEPTH = 1, 3  # of a random schema in the invariant checks
+FD_EPS = 1e-5  # finite-difference step of the gradient check
 
 
-def _inferable_case(rng, max_depth, n_docs):
+def _inferable_case(rng, n_docs):
     """Random generator schema, documents, and the schema inferred back
     from them.  Redraws until inference succeeds (it fails only when
     some array came out empty in every document)."""
     while True:
-        depth = int(rng.integers(MIN_DEPTH, max_depth + 1))
+        depth = int(rng.integers(MIN_DEPTH, MAX_DEPTH + 1))
         gen = random_schema(rng, max_depth=depth, require_bag=True)
         raw = [random_document(rng, gen) for _ in range(n_docs)]
         try:
@@ -101,10 +96,9 @@ def _inferable_case(rng, max_depth, n_docs):
             continue
 
 
-def _random_config(rng, aggregation=None, activation=None,
-                   output_dim=2) -> ModelConfig:
+def _random_config(rng, aggregation=None, activation=None) -> ModelConfig:
     return ModelConfig(
-        embed_dim=4, hidden_dim=4, output_dim=output_dim,
+        embed_dim=4, hidden_dim=4, output_dim=2,
         activation=activation or str(rng.choice(["tanh", "relu"])),
         aggregation=aggregation or str(rng.choice(["mean", "max", "meanmax"])),
         seed=int(rng.integers(2**31)))
@@ -120,8 +114,7 @@ def check_permutation_invariance(seed: int, cases: int = 1000) -> dict:
     rng = np.random.default_rng([seed, 11])
     worst = 0.0
     for _ in range(cases):
-        schema, raw = _inferable_case(rng, max_depth=3,
-                                      n_docs=int(rng.integers(2, 5)))
+        schema, raw = _inferable_case(rng, n_docs=int(rng.integers(2, 5)))
         model = build_model(schema, _random_config(rng))
         base = forward(model, build_batch(raw, schema)).data
         shuffled = [permute_bags(rng, doc, schema) for doc in raw]
@@ -236,8 +229,7 @@ def check_matrix_collapse(seed: int, models: int = 100,
     worst = 0.0
     for _ in range(models):
         # infer from the union so every batch validates against the schema
-        schema, raw = _inferable_case(rng, max_depth=3,
-                                      n_docs=3 * batches_per_model)
+        schema, raw = _inferable_case(rng, n_docs=3 * batches_per_model)
         model = build_model(schema, _random_config(rng, aggregation="mean"))
         inner_dim = int(rng.integers(2, 7))
         batches = [build_batch(raw[i:i + 3], schema)
@@ -249,7 +241,7 @@ def check_matrix_collapse(seed: int, models: int = 100,
                         "max_deviation": worst, "bound": 1e-10}}
 
 
-def _fd_max_rel_error(model: Model, batch, eps: float = 1e-5) -> float:
+def _fd_max_rel_error(model: Model, batch) -> float:
     squash = Tensor(np.full((model.config.output_dim, 1), 0.37))
 
     def scalar_loss(tape=None):
@@ -266,12 +258,12 @@ def _fd_max_rel_error(model: Model, batch, eps: float = 1e-5) -> float:
         for _ in it:
             idx = it.multi_index
             orig = p.data[idx]
-            p.data[idx] = orig + eps
+            p.data[idx] = orig + FD_EPS
             up = scalar_loss().data[0, 0]
-            p.data[idx] = orig - eps
+            p.data[idx] = orig - FD_EPS
             down = scalar_loss().data[0, 0]
             p.data[idx] = orig
-            fd = (up - down) / (2 * eps)
+            fd = (up - down) / (2 * FD_EPS)
             denom = max(abs(g[idx]), abs(fd), 1e-4)
             worst = max(worst, abs(g[idx] - fd) / denom)
     return worst
@@ -306,8 +298,7 @@ def check_embedding_bounds(seed: int, documents: int = 10000,
     violations = 0
     seen = 0
     while seen < documents:
-        schema, raw = _inferable_case(rng, max_depth=3,
-                                      n_docs=docs_per_schema)
+        schema, raw = _inferable_case(rng, n_docs=docs_per_schema)
         model = build_model(schema, _random_config(rng, activation="tanh"))
         _, embeddings = forward_with_embeddings(model,
                                                 build_batch(raw, schema))
@@ -327,8 +318,7 @@ def check_pipeline_round_trip(seed: int, schemas: int = 10,
     violations = 0
     batched = 0
     for _ in range(schemas):
-        schema, raw = _inferable_case(rng, max_depth=3,
-                                      n_docs=docs_per_schema)
+        schema, raw = _inferable_case(rng, n_docs=docs_per_schema)
         columns = new_columns(schema)
         for doc in raw:
             try:
@@ -345,13 +335,16 @@ def check_pipeline_round_trip(seed: int, schemas: int = 10,
                         "violations": violations, "batched": batched}}
 
 
+def _report(suite: str, seed: int, checks: list) -> dict:
+    return {"suite": suite, "seed": seed, "checks": checks,
+            "passed": all(c["passed"] for c in checks)}
+
+
 def run_invariants(seed: int) -> dict:
-    checks = [check(seed) for check in (
+    return _report("invariants", seed, [check(seed) for check in (
         check_permutation_invariance, check_dirac_identity,
         check_matrix_collapse, check_gradients, check_embedding_bounds,
-        check_pipeline_round_trip)]
-    return {"suite": "invariants", "seed": seed, "checks": checks,
-            "passed": all(c["passed"] for c in checks)}
+        check_pipeline_round_trip)])
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +372,11 @@ def concentration_experiment(model: Model, schema, generator,
     return table
 
 
-def run_concentration(seed: int, bag_sizes=(4, 16, 64, 256),
-                      repeats: int = 200) -> dict:
+CONCENTRATION_SIZES = (4, 16, 64, 256)
+CONCENTRATION_REPEATS = 200
+
+
+def run_concentration(seed: int) -> dict:
     rng = np.random.default_rng([seed, 21])
     model = build_model(PLAIN_BAG, ModelConfig(
         output_dim=1, seed=int(rng.integers(2**31))))
@@ -389,20 +385,20 @@ def run_concentration(seed: int, bag_sizes=(4, 16, 64, 256),
         return [float(v) for v in r.normal(0.0, 1.0, size)]
 
     table = concentration_experiment(model, PLAIN_BAG, generator,
-                                     bag_sizes, repeats, rng)
+                                     CONCENTRATION_SIZES,
+                                     CONCENTRATION_REPEATS, rng)
     sizes = sorted(table)
     medians = [table[s] for s in sizes]
     inversions = sum(1 for a, b in zip(medians, medians[1:]) if b > a)
     ratio = medians[-1] / medians[0] if medians[0] > 0 else float("inf")
-    passed = inversions <= 1 and ratio < 0.25
-    check = {"name": "concentration_decay", "passed": passed,
-             "details": {"bag_sizes": sizes, "medians": medians,
-                         "repeats": repeats, "inversions": inversions,
-                         "max_inversions": 1,
-                         "ratio_largest_over_smallest": ratio,
-                         "ratio_bound": 0.25}}
-    return {"suite": "concentration", "seed": seed, "checks": [check],
-            "passed": passed}
+    return _report("concentration", seed, [
+        {"name": "concentration_decay",
+         "passed": inversions <= 1 and ratio < 0.25,
+         "details": {"bag_sizes": sizes, "medians": medians,
+                     "repeats": CONCENTRATION_REPEATS,
+                     "inversions": inversions, "max_inversions": 1,
+                     "ratio_largest_over_smallest": ratio,
+                     "ratio_bound": 0.25}}])
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +406,16 @@ def run_concentration(seed: int, bag_sizes=(4, 16, 64, 256),
 
 
 _BENCH_TRAIN = TrainConfig(epochs=30, batch_size=64, learning_rate=3e-3)
+VARIANCE_BAG_SIZE = 50
+
+
+def _held_out_accuracy(config: ModelConfig, tc: TrainConfig, train_raw: list,
+                       train_labels, test_raw: list, test_labels) -> float:
+    """Test accuracy of a model built from ``config`` on the schema
+    inferred from ``train_raw`` and trained there under ``tc``."""
+    model = build_model(infer_schema(train_raw), config)
+    train(model, train_raw, np.array(train_labels), tc)
+    return evaluate_accuracy(model, test_raw, test_labels)
 
 
 def _antithetic_bag(rng, sigma: float, size: int) -> list:
@@ -420,7 +426,7 @@ def _antithetic_bag(rng, sigma: float, size: int) -> list:
 
 
 def benchmark_variance_task(seed: int = 0, n_train: int = 2000,
-                            n_test: int = 500, bag_size: int = 50,
+                            n_test: int = 500,
                             train_config: TrainConfig | None = None) -> dict:
     """Equal-mean scale discrimination: bags of 50 draws with sigma 1
     against sigma 2.  The instance-mean baseline sees a feature that is
@@ -432,37 +438,29 @@ def benchmark_variance_task(seed: int = 0, n_train: int = 2000,
         raw, labels = [], []
         for i in range(n):
             label = i % 2
-            raw.append(_antithetic_bag(rng, 2.0 if label else 1.0, bag_size))
+            raw.append(_antithetic_bag(rng, 2.0 if label else 1.0,
+                                       VARIANCE_BAG_SIZE))
             labels.append(label)
         return raw, labels
 
     train_raw, train_labels = make_split(n_train)
     test_raw, test_labels = make_split(n_test)
-    schema = infer_schema(train_raw)
     config = ModelConfig(output_dim=2, seed=int(rng.integers(2**31)))
     tc = train_config or _BENCH_TRAIN
-
-    mil = build_model(schema, config)
-    train(mil, train_raw, np.array(train_labels), tc)
-    mil_acc = evaluate_accuracy(mil, test_raw, test_labels)
-
-    mean_raw = [[float(np.mean(bag))] for bag in train_raw]
-    mean_schema = infer_schema(mean_raw)
-    baseline = build_model(mean_schema, config)
-    train(baseline, mean_raw, np.array(train_labels), tc)
-    base_acc = evaluate_accuracy(
-        baseline, [[float(np.mean(bag))] for bag in test_raw], test_labels)
-
+    means_train, means_test = ([[float(np.mean(bag))] for bag in raw]
+                               for raw in (train_raw, test_raw))
     shuffled_labels = np.random.default_rng([seed, 42]).permutation(
         np.array(train_labels))
-    shuffled = build_model(schema, config)
-    train(shuffled, train_raw, shuffled_labels, tc)
-    shuffled_acc = evaluate_accuracy(shuffled, test_raw, test_labels)
-
-    return {"mil_accuracy": float(mil_acc),
-            "mean_baseline_accuracy": float(base_acc),
-            "shuffled_accuracy": float(shuffled_acc),
-            "n_train": n_train, "n_test": n_test, "bag_size": bag_size,
+    return {"mil_accuracy": _held_out_accuracy(
+                config, tc, train_raw, train_labels, test_raw, test_labels),
+            "mean_baseline_accuracy": _held_out_accuracy(
+                config, tc, means_train, train_labels, means_test,
+                test_labels),
+            "shuffled_accuracy": _held_out_accuracy(
+                config, tc, train_raw, shuffled_labels, test_raw,
+                test_labels),
+            "n_train": n_train, "n_test": n_test,
+            "bag_size": VARIANCE_BAG_SIZE,
             "train_config": tc.__dict__ | {}}
 
 
@@ -500,26 +498,14 @@ def benchmark_nested_task(seed: int = 0, n_train: int = 1000,
 
     train_raw, train_labels = make_split(n_train)
     test_raw, test_labels = make_split(n_test)
-    schema = infer_schema(train_raw)
     config = ModelConfig(output_dim=2, seed=int(rng.integers(2**31)))
     tc = train_config or _BENCH_TRAIN
-
-    nested = build_model(schema, config)
-    train(nested, train_raw, np.array(train_labels), tc)
-    nested_acc = evaluate_accuracy(nested, test_raw, test_labels)
-
-    def flatten(doc):
-        return [v for bag in doc for v in bag]
-
-    flat_train = [flatten(d) for d in train_raw]
-    flat_schema = infer_schema(flat_train)
-    flat = build_model(flat_schema, config)
-    train(flat, flat_train, np.array(train_labels), tc)
-    flat_acc = evaluate_accuracy(flat, [flatten(d) for d in test_raw],
-                                 test_labels)
-
-    return {"nested_accuracy": float(nested_acc),
-            "flat_accuracy": float(flat_acc),
+    flat_train, flat_test = ([[v for bag in doc for v in bag] for doc in raw]
+                             for raw in (train_raw, test_raw))
+    return {"nested_accuracy": _held_out_accuracy(
+                config, tc, train_raw, train_labels, test_raw, test_labels),
+            "flat_accuracy": _held_out_accuracy(
+                config, tc, flat_train, train_labels, flat_test, test_labels),
             "n_train": n_train, "n_test": n_test,
             "bags_per_doc": n_bags, "bag_size": bag_size,
             "train_config": tc.__dict__ | {}}
@@ -551,32 +537,16 @@ def benchmark_product_task(seed: int = 0, n_train: int = 1500,
 
     train_raw, train_labels, train_x_labels = make_split(n_train)
     test_raw, test_labels, test_x_labels = make_split(n_test)
-    schema = infer_schema(train_raw)
     config = ModelConfig(output_dim=2, seed=int(rng.integers(2**31)))
     tc = train_config or _BENCH_TRAIN
-
-    joint = build_model(schema, config)
-    train(joint, train_raw, np.array(train_labels), tc)
-    joint_acc = evaluate_accuracy(joint, test_raw, test_labels)
-
-    def x_only(doc):
-        return {"x0": doc["x0"], "x1": doc["x1"]}
-
-    x_train = [x_only(d) for d in train_raw]
-    x_schema = infer_schema(x_train)
-    x_test = [x_only(d) for d in test_raw]
-
-    marginal = build_model(x_schema, config)
-    train(marginal, x_train, np.array(train_labels), tc)
-    marginal_acc = evaluate_accuracy(marginal, x_test, test_labels)
-
-    sanity = build_model(x_schema, config)
-    train(sanity, x_train, np.array(train_x_labels), tc)
-    sanity_acc = evaluate_accuracy(sanity, x_test, test_x_labels)
-
-    return {"joint_accuracy": float(joint_acc),
-            "x_only_accuracy": float(marginal_acc),
-            "x_only_on_x_label_accuracy": float(sanity_acc),
+    x_train, x_test = ([{"x0": doc["x0"], "x1": doc["x1"]} for doc in raw]
+                       for raw in (train_raw, test_raw))
+    return {"joint_accuracy": _held_out_accuracy(
+                config, tc, train_raw, train_labels, test_raw, test_labels),
+            "x_only_accuracy": _held_out_accuracy(
+                config, tc, x_train, train_labels, x_test, test_labels),
+            "x_only_on_x_label_accuracy": _held_out_accuracy(
+                config, tc, x_train, train_x_labels, x_test, test_x_labels),
             "n_train": n_train, "n_test": n_test, "bag_size": bag_size,
             "train_config": tc.__dict__ | {}}
 
@@ -585,37 +555,24 @@ def benchmark_product_task(seed: int = 0, n_train: int = 1500,
 # MMD baseline
 
 
-@dataclass
-class MmdResult:
-    value: float
-    n_left: int
-    n_right: int
-    seconds: float
-
-
 def _pool(bags) -> np.ndarray:
-    if isinstance(bags, np.ndarray):
-        arr = bags
-    else:
-        arr = np.vstack([np.asarray(b, dtype=np.float64).reshape(len(b), -1)
-                         for b in bags])
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    return arr
+    if not isinstance(bags, np.ndarray):
+        bags = np.vstack([np.asarray(b, dtype=np.float64).reshape(len(b), -1)
+                          for b in bags])
+    arr = np.asarray(bags, dtype=np.float64)
+    return arr.reshape(-1, 1) if arr.ndim == 1 else arr
 
 
-def mmd_baseline(bags_a, bags_b, kernel_bandwidth: float) -> MmdResult:
+def mmd_baseline(bags_a, bags_b, kernel_bandwidth: float) -> float:
     """Unbiased MMD^2 between pooled samples under an RBF kernel.
 
     Diagonals are excluded from every term (including the cross term
     when sample sizes match), so literal duplicates give exactly zero.
-    Cost is quadratic in the pooled instance counts, which is the point
-    of recording the runtime: the network embedding is linear instead.
+    Cost is quadratic in the pooled instance counts, where the network
+    embedding is linear; scripts/mmd_scaling.py times the two.
     """
     if not kernel_bandwidth > 0:
         raise ValueError("kernel bandwidth must be positive")
-    started = time.perf_counter()
     x, y = _pool(bags_a), _pool(bags_b)
     m, n = x.shape[0], y.shape[0]
     if m < 2 or n < 2:
@@ -633,19 +590,17 @@ def mmd_baseline(bags_a, bags_b, kernel_bandwidth: float) -> MmdResult:
         t_xy = (kxy.sum() - np.trace(kxy)) / (m * (m - 1))
     else:
         t_xy = kxy.mean()
-    value = t_xx + t_yy - 2.0 * t_xy
-    return MmdResult(value=float(value), n_left=m, n_right=n,
-                     seconds=time.perf_counter() - started)
+    return float(t_xx + t_yy - 2.0 * t_xy)
 
 
 def _mmd_checks(seed: int) -> dict:
     rng = np.random.default_rng([seed, 45])
     same = rng.normal(0.0, 1.0, (500, 1))
-    identical = mmd_baseline(same, same, kernel_bandwidth=1.0).value
+    identical = mmd_baseline(same, same, kernel_bandwidth=1.0)
     left = rng.normal(0.0, 1.0, (500, 1))
     right = rng.normal(5.0, 1.0, (500, 1))
-    separated = mmd_baseline(left, right, kernel_bandwidth=1.0).value
-    flipped = mmd_baseline(right, left, kernel_bandwidth=1.0).value
+    separated = mmd_baseline(left, right, kernel_bandwidth=1.0)
+    flipped = mmd_baseline(right, left, kernel_bandwidth=1.0)
     symmetry_gap = abs(separated - flipped)
     passed = (abs(identical) < 1e-12 and separated > 0.5
               and symmetry_gap < 1e-12)
@@ -665,7 +620,7 @@ def run_benchmarks(seed: int) -> dict:
     variance = benchmark_variance_task(seed)
     nested = benchmark_nested_task(seed)
     product = benchmark_product_task(seed)
-    checks = [
+    return _report("benchmarks", seed, [
         {"name": "variance_task",
          "passed": (variance["mil_accuracy"] >= 0.95
                     and variance["mean_baseline_accuracy"] <= 0.55
@@ -683,9 +638,13 @@ def run_benchmarks(seed: int) -> dict:
                                "control_band": [0.45, 0.55],
                                "sanity_bound": 0.95}},
         _mmd_checks(seed),
-    ]
-    return {"suite": "benchmarks", "seed": seed, "checks": checks,
-            "passed": all(c["passed"] for c in checks)}
+    ])
+
+
+_RUNNERS = {"invariants": run_invariants,
+            "concentration": run_concentration,
+            "benchmarks": run_benchmarks}
+SUITE_NAMES = (*_RUNNERS, "all")
 
 
 def run_suite(suite: str, seed: int) -> dict:
@@ -693,17 +652,10 @@ def run_suite(suite: str, seed: int) -> dict:
     single report dict."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    if suite == "invariants":
-        return run_invariants(seed)
-    if suite == "concentration":
-        return run_concentration(seed)
-    if suite == "benchmarks":
-        return run_benchmarks(seed)
-    parts = [run_invariants(seed), run_concentration(seed),
-             run_benchmarks(seed)]
-    return {"suite": "all", "seed": seed,
-            "checks": [c for part in parts for c in part["checks"]],
-            "passed": all(part["passed"] for part in parts)}
+    if suite != "all":
+        return _RUNNERS[suite](seed)
+    return _report(suite, seed, [c for run in _RUNNERS.values()
+                                 for c in run(seed)["checks"]])
 
 
 def summarize_report(report: dict) -> str:

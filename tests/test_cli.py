@@ -8,11 +8,13 @@ import inspect
 import io
 import json
 import os
+import resource
 import stat
 import struct
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1209,6 +1211,105 @@ class TestEntry:
 
     def test_no_arguments_exits_2(self):
         assert main([]) == 2
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_child(argv, **kwargs):
+    """``python -m hmil.cli argv`` in a child process; stderr as text."""
+    return subprocess.run(
+        [sys.executable, "-m", "hmil.cli", *argv], stderr=subprocess.PIPE,
+        text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=300,
+        **kwargs)
+
+
+def stdout_writers(corpus, model):
+    """One argv per command that writes stdout."""
+    return {"infer": ["infer", "--input", str(corpus["train"]),
+                      "--output", str(corpus["dir"] / "again.json")],
+            "predict": ["predict", "--model", str(model),
+                        "--input", str(corpus["train"])],
+            "verify": ["verify", "--suite", "concentration"]}
+
+
+class TestOutputFailures:
+    """A failed write or an interrupt ends in its documented exit code,
+    with no traceback and no partial or temporary file left behind."""
+
+    def test_failed_container_write_keeps_the_old_one(self, corpus):
+        rc, model = run_train(corpus)
+        assert rc == 0
+        old = model.read_bytes()
+        limit = len(old) // 2  # bytes any file of the child may reach
+        proc = run_child(
+            ["train", "--schema", str(corpus["schema"]),
+             "--train", str(corpus["train"]), "--label-field", "kind",
+             "--output", str(model), "--epochs", "1", "--seed", "8"],
+            preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_FSIZE, (limit, limit)))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: cannot write {model}")
+        assert model.read_bytes() == old
+        assert not list(corpus["dir"].glob("*.tmp"))
+
+    @pytest.mark.parametrize("command", ["infer", "predict", "verify"])
+    def test_stdout_pipe_closed_exits_2(self, corpus, command):
+        _, model = run_train(corpus)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_child(stdout_writers(corpus, model)[command],
+                             stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, proc.stderr
+        # no traceback, and no second report from the flush at exit
+        assert proc.stderr.splitlines()[-1] == "error: cannot write stdout"
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["infer", "predict", "verify"])
+    def test_closed_stdout_exits_2_before_any_work(self, corpus, command):
+        _, model = run_train(corpus)
+        proc = run_child(stdout_writers(corpus, model)[command],
+                         preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: cannot write stdout\n")
+        assert not (corpus["dir"] / "again.json").exists()
+
+    def test_closed_stdout_is_fine_for_predict_into_a_file(self, corpus):
+        _, model = run_train(corpus)
+        out = corpus["dir"] / "out.jsonl"
+        proc = run_child(stdout_writers(corpus, model)["predict"]
+                         + ["--output", str(out)],
+                         preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(read_jsonl(out)) == len(corpus["docs"])
+
+    def test_interrupt_exits_130(self, corpus, monkeypatch, capsys):
+        _, model = run_train(corpus)
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        def call(argv):
+            try:
+                return main(argv)
+            except KeyboardInterrupt:
+                pytest.fail("KeyboardInterrupt escaped main")
+
+        monkeypatch.setattr(cli_mod, "run_suite", interrupt)
+        monkeypatch.setattr(cli_mod, "predict_scores", interrupt)
+        capsys.readouterr()
+        out = corpus["dir"] / "out.jsonl"
+        assert call(["verify", "--suite", "concentration"]) == 130
+        assert call(["predict", "--model", str(model),
+                     "--input", str(corpus["train"]),
+                     "--output", str(out)]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n" * 2
+        assert not out.exists()
+        assert not list(corpus["dir"].glob("*.tmp"))
 
 
 # a small fixed corpus with every node kind: a bag of bags (some empty),
