@@ -9,6 +9,10 @@ Exit codes are part of the interface and stay stable:
 * 3 training aborted on non-finite numbers,
 * 130 interrupted (Ctrl-C); no partial output file is left behind.
 
+A closed or broken stderr never changes an exit code, and text meant
+for stderr never goes to stdout. A predict line whose model outputs are
+not all finite fails with the error ``non-finite model output``.
+
 Config precedence for training is flags over config file over defaults,
 and the effective configuration is echoed into the training report.
 """
@@ -28,6 +32,8 @@ import numpy as np
 # perfbench's tracer test asserts this module binds encode_document
 from .encoding import EncodingError, encode_document  # noqa: F401
 from .model import (
+    ACTIVATIONS,
+    AGGREGATIONS,
     ModelConfig,
     ModelError,
     ModelLoadError,
@@ -46,7 +52,8 @@ from .schema import (
     loads_schema,
     node_paths,
 )
-from .training import TrainConfig, TrainingDiverged, predict_scores, train
+from .training import (LOSSES, TrainConfig, TrainingDiverged,
+                       predict_scores, train)
 from .verification import SUITE_NAMES, run_suite, summarize_report
 
 EXIT_OK = 0
@@ -64,13 +71,27 @@ class CliError(Exception):
         self.code = code
 
 
+def _note(text: str) -> None:
+    """Print ``text`` on stderr; a closed or broken stderr loses it."""
+    if sys.stderr is not None:  # None if fd 2 was closed at start
+        with contextlib.suppress(OSError):  # as argparse does for usage errors
+            print(text, file=sys.stderr)
+
+
+@contextlib.contextmanager
+def _failing(verb: str, path: str):
+    """Raise an OSError from the body as ``cannot <verb> <path>``."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot {verb} {path}: {exc.strerror}")
+
+
 def _open_jsonl(path: str):
     # surrogateescape defers undecodable bytes to _parse_lines, which
     # can name their line
-    try:
+    with _failing("read", path):
         return open(path, "r", encoding="utf-8", errors="surrogateescape")
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}")
 
 
 def _parse_lines(fh):
@@ -95,24 +116,18 @@ def _parse_lines(fh):
 def _iter_jsonl(path: str):
     """(line_number, document) per non-blank line of a JSONL file, read
     as it is consumed; a malformed line aborts with its location."""
-    with _open_jsonl(path) as fh:
-        try:
-            for number, doc, error in _parse_lines(fh):
-                if error is not None:
-                    raise CliError(f"{path}:{number}: {error}")
-                yield number, doc
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc.strerror}")
+    with _open_jsonl(path) as fh, _failing("read", path):
+        for number, doc, error in _parse_lines(fh):
+            if error is not None:
+                raise CliError(f"{path}:{number}: {error}")
+            yield number, doc
 
 
 @contextlib.contextmanager
 def _replacing(path: str):
     """``model.replacing`` for text; OSErrors are write errors."""
-    try:
-        with replacing(path) as fh:
-            yield fh
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror}")
+    with _failing("write", path), replacing(path) as fh:
+        yield fh
 
 
 def _node_counts(schema) -> dict[str, int]:
@@ -147,16 +162,16 @@ def cmd_infer(args) -> int:
 
 def _load_schema_file(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _failing("read", path), open(path, "r", encoding="utf-8") as fh:
             return loads_schema(fh.read())
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}")
     except (SchemaError, UnicodeDecodeError) as exc:
         raise CliError(f"{path}: {exc}")
 
 
 _MODEL_KEYS = {f.name for f in fields(ModelConfig)}
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"seed"}
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+_SETTINGS = {f.name: f.default  # one flag each, in this order
+             for f in (*fields(ModelConfig), *fields(TrainConfig))}
 
 
 def _resolve_configs(args) -> tuple[dict, dict]:
@@ -165,26 +180,24 @@ def _resolve_configs(args) -> tuple[dict, dict]:
     merged: dict = {}
     if args.config:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with _failing("read", args.config), \
+                    open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except OSError as exc:
-            raise CliError(f"cannot read {args.config}: {exc.strerror}")
         except ValueError as exc:  # also UnicodeDecodeError
             raise CliError(f"{args.config}: invalid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise CliError(f"{args.config}: config must be a JSON object")
-        unknown = set(loaded) - _MODEL_KEYS - _TRAIN_KEYS
+        unknown = loaded.keys() - _SETTINGS.keys()
         if unknown:
             raise CliError(f"{args.config}: unknown config keys: "
                            f"{', '.join(sorted(unknown))}")
         merged.update(loaded)
-    for key in sorted(_MODEL_KEYS | _TRAIN_KEYS):
-        value = getattr(args, key, None)
+    for key in _SETTINGS:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     model_kw = {k: v for k, v in merged.items() if k in _MODEL_KEYS}
     train_kw = {k: v for k, v in merged.items() if k in _TRAIN_KEYS}
-    train_kw["seed"] = model_kw.get("seed", 0)
     return model_kw, train_kw
 
 
@@ -216,7 +229,7 @@ def cmd_train(args) -> int:
             f for f in schema.fields if f.name != args.label_field))
 
     model_kw, train_kw = _resolve_configs(args)
-    loss = train_kw.get("loss", "ce")
+    loss = train_kw.get("loss", TrainConfig.loss)
     if loss == "ce":
         # keyed by JSON text, not by Python equality, which merges true
         # with 1 and false with 0
@@ -260,15 +273,11 @@ def cmd_train(args) -> int:
     except EncodingError as exc:
         raise CliError(f"{args.train}:{stripped[exc.index][0]}: {exc}")
     except TrainingDiverged as exc:
-        print(f"error: training diverged: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise CliError(f"training diverged: {exc}", EXIT_NUMERIC)
 
-    extra = {"label_field": args.label_field, "classes": classes,
-             "loss": loss}
-    try:
-        save_model(model, args.output, extra=extra)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.output}: {exc.strerror}")
+    with _failing("write", args.output):
+        save_model(model, args.output, extra={
+            "label_field": args.label_field, "classes": classes, "loss": loss})
 
     report_path = args.report or args.output + ".report.json"
     payload = {"n_documents": len(stripped),
@@ -276,9 +285,7 @@ def cmd_train(args) -> int:
                "classes": classes,
                "model_config": asdict(model_config),
                "train_config": asdict(train_config),
-               "metric_name": report.metric_name,
-               "epoch_loss": report.epoch_loss,
-               "epoch_metric": report.epoch_metric}
+               **asdict(report)}
     with _replacing(report_path) as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"trained on {len(stripped)} documents for {train_config.epochs} "
@@ -314,19 +321,19 @@ def cmd_predict(args) -> int:
                        "is not a string or classes not a non-empty array")
 
     def items(fh):  # reads report the input; other OSErrors are writes
-        try:
+        with _failing("read", args.input):
             for number, doc, error in _parse_lines(fh):
                 if isinstance(doc, dict) and label_field in doc:
                     doc = {k: v for k, v in doc.items() if k != label_field}
                 yield number, doc, error
-        except OSError as exc:
-            raise CliError(f"cannot read {args.input}: {exc.strerror}")
 
     failed = False
     with _open_jsonl(args.input) as fh, (
             contextlib.nullcontext(sys.stdout) if args.output == "-"
             else _replacing(args.output)) as out:
         for number, outputs, error in predict_scores(model, items(fh)):
+            if error is None and not np.isfinite(outputs).all():
+                error = "non-finite model output"
             if error is None:
                 record = _record(outputs, classes)
             else:
@@ -341,13 +348,11 @@ def cmd_verify(args) -> int:
         raise CliError(f"--seed must be >= 0, got {args.seed}")
     report = run_suite(args.suite, args.seed)
     print(json.dumps(report, sort_keys=True, indent=2))
-    print(summarize_report(report), file=sys.stderr)
-    if not report["passed"]:
-        for check in report["checks"]:
-            if not check["passed"]:
-                print(f"failed: {check['name']}", file=sys.stderr)
-        return EXIT_FAILED
-    return EXIT_OK
+    _note(summarize_report(report))
+    for check in report["checks"]:
+        if not check["passed"]:
+            _note(f"failed: {check['name']}")
+    return EXIT_OK if report["passed"] else EXIT_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,16 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with config overrides")
     p.add_argument("--report", help="training report path "
                                     "(default: <output>.report.json)")
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument("--output-dim", dest="output_dim", type=int)
-    p.add_argument("--activation", choices=["tanh", "relu"])
-    p.add_argument("--aggregation", choices=["mean", "max", "meanmax"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--loss", choices=["ce", "mse"])
+    choices = {"activation": tuple(ACTIVATIONS), "aggregation": AGGREGATIONS,
+               "loss": LOSSES}
+    for name, default in _SETTINGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default),
+                       choices=choices.get(name))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="score JSONL documents with a model")
@@ -408,15 +408,16 @@ def _run(argv: list[str] | None) -> int:
         if sys.stdout is None and (args.command != "predict"
                                    or args.output == "-"):
             raise CliError("cannot write stdout")  # fd 1 was closed
-        return args.func(args)
+        with np.errstate(all="ignore"):  # overflow ends in exit 3 or 1
+            return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return exc.code
     except RecursionError:  # every recursion here follows input nesting
-        print("error: input nested too deeply", file=sys.stderr)
+        _note("error: input nested too deeply")
         return EXIT_USAGE
     except MemoryError:  # e.g. a chunk of very wide leaves
-        print("error: input too large", file=sys.stderr)
+        _note("error: input too large")
         return EXIT_USAGE
 
 
@@ -427,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.flush()  # so a failed write shows here, not at exit
         return code
     except OSError:  # every file's errors are CliErrors: this is stdout's
-        print("error: cannot write stdout", file=sys.stderr)
+        _note("error: cannot write stdout")
         # the interpreter flushes stdout again at exit: point fd 1 at
         # /dev/null, as the Python docs' note on SIGPIPE does
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -435,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return EXIT_USAGE
     except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
+        _note("error: interrupted")
         return EXIT_INTERRUPTED
 
 

@@ -78,8 +78,8 @@ FORMAT_VERSION = 1
 # weights, four times that with the gradients and Adam's moments
 MAX_PARAMS = 10**8
 
-_ACTIVATIONS = {"tanh": TANH, "relu": RELU}
-_AGGREGATIONS = ("mean", "max", "meanmax")
+ACTIVATIONS = {"tanh": TANH, "relu": RELU}
+AGGREGATIONS = ("mean", "max", "meanmax")
 
 
 class ModelError(Exception):
@@ -105,9 +105,9 @@ class ModelConfig:
             value = getattr(self, name)
             if type(value) is not int or value < low:  # a bool is no int
                 raise ModelError(f"{name} must be an int >= {low}")
-        if self.activation not in tuple(_ACTIVATIONS):
+        if self.activation not in tuple(ACTIVATIONS):  # a list is unhashable
             raise ModelError(f"unknown activation {self.activation!r}")
-        if self.aggregation not in _AGGREGATIONS:
+        if self.aggregation not in AGGREGATIONS:
             raise ModelError(f"unknown aggregation {self.aggregation!r}")
 
 
@@ -126,7 +126,7 @@ class Model:
 
     @property
     def activation(self) -> Activation:
-        return _ACTIVATIONS[self.config.activation]
+        return ACTIVATIONS[self.config.activation]
 
     def parameters(self) -> list[Tensor]:
         """Each node's tensors in ``node_paths`` preorder, head last.
@@ -310,9 +310,7 @@ def save_model(model: Model, path: str, extra: dict | None = None) -> None:
     config_blob = json.dumps(
         {"model": asdict(model.config), "extra": extra or {}},
         sort_keys=True, separators=(",", ":")).encode("utf-8")
-    values = np.concatenate(
-        [p.data.reshape(-1) for p in model.parameters()]) \
-        if model.parameters() else np.empty(0)
+    values = np.concatenate([p.data.reshape(-1) for p in model.parameters()])
     with replacing(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))

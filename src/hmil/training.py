@@ -36,6 +36,7 @@ __all__ = [
 
 # documents per forward pass when scoring
 CHUNK_SIZE = 256
+LOSSES = ("ce", "mse")  # softmax cross-entropy, mean squared error
 
 
 class TrainingDiverged(Exception):
@@ -52,7 +53,7 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     seed: int = 0
-    loss: str = "ce"  # "ce" (softmax cross-entropy) or "mse"
+    loss: str = "ce"  # one of LOSSES
 
     def __post_init__(self):
         for name, low in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
@@ -62,7 +63,7 @@ class TrainConfig:
         lr = self.learning_rate  # not nan, inf, or an int beyond float64
         if type(lr) not in (int, float) or not abs(lr) <= sys.float_info.max:
             raise ValueError("learning_rate must be a finite number")
-        if self.loss not in ("ce", "mse"):
+        if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
 
 

@@ -14,6 +14,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,10 @@ import hmil.model as model_mod
 import hmil.training as training_mod
 from hmil.batching import build_batch
 from hmil.cli import main
-from hmil.model import forward
+from hmil.model import ModelConfig, build_model, forward, save_model
 from hmil.nn import Tensor
 from hmil.schema import StringLeaf, loads_schema
-from hmil.training import CHUNK_SIZE
+from hmil.training import CHUNK_SIZE, TrainConfig
 
 
 def write_jsonl(path, docs):
@@ -230,6 +231,29 @@ class TestTrain:
         # file wins over the default for embed_dim
         assert report["train_config"]["epochs"] == 4
         assert report["model_config"]["embed_dim"] == 8
+
+    def test_every_setting_has_a_flag(self, corpus):
+        """Each ModelConfig and TrainConfig field has a flag, which wins
+        over a config file that sets every field otherwise."""
+        model = {"embed_dim": 5, "hidden_dim": 6, "output_dim": 3,
+                 "activation": "relu", "aggregation": "max", "seed": 2}
+        trainer = {"epochs": 1, "batch_size": 9, "learning_rate": 0.01,
+                   "seed": 2, "loss": "ce"}
+        assert model.keys() == {f.name for f in fields(ModelConfig)}
+        assert trainer.keys() == {f.name for f in fields(TrainConfig)}
+        cfg = corpus["dir"] / "cfg.json"
+        cfg.write_text(json.dumps({
+            "embed_dim": 4, "hidden_dim": 4, "output_dim": 1,
+            "activation": "tanh", "aggregation": "mean", "seed": 1,
+            "epochs": 3, "batch_size": 5, "learning_rate": 0.5,
+            "loss": "mse"}))
+        flags = [arg for name, value in {**model, **trainer}.items()
+                 for arg in ("--" + name.replace("_", "-"), str(value))]
+        rc, _ = run_train(corpus, "f.bin", ("--config", str(cfg), *flags))
+        assert rc == 0
+        report = json.loads((corpus["dir"] / "f.bin.report.json").read_text())
+        assert report["model_config"] == model
+        assert report["train_config"] == trainer
 
     def test_unknown_config_key_exits_2(self, corpus, capsys):
         cfg = corpus["dir"] / "cfg.json"
@@ -497,6 +521,30 @@ class TestPredict:
             # the four outputs past the two classes name no class
             best = int(np.argmax(record["scores"][:2]))
             assert record["prediction"] == ["cold", "hot"][best]
+
+    def test_nonfinite_outputs_are_line_errors(self, corpus, tmp_path):
+        """Saturated hidden units times head weights of 1e308 overflow
+        every score: each line gets an error record in strict JSON, and
+        numpy prints no warning."""
+        model = build_model(loads_schema(corpus["schema"].read_text()),
+                            ModelConfig(output_dim=2))
+        _, b1, w2, _ = model.layers["head"]
+        b1.data[...], w2.data[...] = 100.0, 1e308
+        path = tmp_path / "overflow.bin"
+        save_model(model, str(path))
+
+        def strict(token):
+            raise ValueError(f"{token} is not strict JSON")
+
+        proc = run_child(["predict", "--model", str(path),
+                          "--input", str(corpus["train"])],
+                         stdout=subprocess.PIPE)
+        assert proc.returncode == 1, proc.stderr
+        records = [json.loads(line, parse_constant=strict)
+                   for line in proc.stdout.splitlines()]
+        assert records == [{"line": n, "error": "non-finite model output"}
+                           for n in range(1, len(corpus["docs"]) + 1)]
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_bad_model_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "m.bin"
@@ -1217,11 +1265,25 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_child(argv, **kwargs):
-    """``python -m hmil.cli argv`` in a child process; stderr as text."""
+    """``python -m hmil.cli argv`` in a child process; stderr as text
+    unless ``kwargs`` send it elsewhere."""
+    kwargs.setdefault("stderr", subprocess.PIPE)
     return subprocess.run(
-        [sys.executable, "-m", "hmil.cli", *argv], stderr=subprocess.PIPE,
-        text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=300,
-        **kwargs)
+        [sys.executable, "-m", "hmil.cli", *argv], text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), timeout=300, **kwargs)
+
+
+@pytest.fixture(params=["closed", "broken"])
+def dead_stderr(request):
+    """``run_child`` keywords that leave the child no working stderr:
+    fd 2 closed at start, or a pipe whose read end is closed."""
+    if request.param == "closed":
+        yield {"stderr": None, "preexec_fn": lambda: os.close(2)}
+        return
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    yield {"stderr": write_end}
+    os.close(write_end)
 
 
 def stdout_writers(corpus, model):
@@ -1286,6 +1348,34 @@ class TestOutputFailures:
                          preexec_fn=lambda: os.close(1))
         assert (proc.returncode, proc.stderr) == (0, "")
         assert len(read_jsonl(out)) == len(corpus["docs"])
+
+    def test_dead_stderr_keeps_the_usage_exit(self, tmp_path, dead_stderr):
+        proc = run_child(["infer", "--input", str(tmp_path / "none.jsonl"),
+                          "--output", str(tmp_path / "s.json")],
+                         stdout=subprocess.PIPE, **dead_stderr)
+        assert (proc.returncode, proc.stdout) == (2, "")
+
+    def test_dead_stderr_leaves_verify_one_report(self, dead_stderr):
+        proc = run_child(["verify", "--suite", "concentration"],
+                         stdout=subprocess.PIPE, **dead_stderr)
+        assert proc.returncode == 0
+        # json.loads rejects any text after the report
+        assert json.loads(proc.stdout)["passed"] is True
+
+    def test_dead_stderr_keeps_the_divergence_exit(self, tmp_path,
+                                                   dead_stderr):
+        src, schema = tmp_path / "t.jsonl", tmp_path / "s.json"
+        write_jsonl(src, [{"xs": [1.0, 2.0], "y": 1e200},
+                          {"xs": [0.5], "y": -1e200}] * 10)
+        write_jsonl(tmp_path / "u.jsonl", [{"xs": [1.0, 2.0]}, {"xs": [0.5]}])
+        assert main(["infer", "--input", str(tmp_path / "u.jsonl"),
+                     "--output", str(schema)]) == 0
+        proc = run_child(["train", "--schema", str(schema),
+                          "--train", str(src), "--label-field", "y",
+                          "--output", str(tmp_path / "m.bin"),
+                          "--loss", "mse", "--epochs", "2"],
+                         stdout=subprocess.PIPE, **dead_stderr)
+        assert (proc.returncode, proc.stdout) == (3, "")
 
     def test_interrupt_exits_130(self, corpus, monkeypatch, capsys):
         _, model = run_train(corpus)

@@ -1,6 +1,5 @@
 """Smoke runs of the scripts in scripts/ at small sizes, so an API
-change that breaks one fails here instead of at its next manual run.
-run_benchmarks.py has no size flags and takes minutes; it is left out."""
+change that breaks one fails here instead of at its next manual run."""
 
 import importlib
 import importlib.util
