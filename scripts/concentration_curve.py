@@ -28,7 +28,7 @@ def main() -> None:
     model = build_model(PLAIN_BAG, ModelConfig(
         output_dim=1, seed=int(rng.integers(2**31))))
     table = concentration_experiment(
-        model, PLAIN_BAG, lambda r, n: [float(v) for v in r.normal(size=n)],
+        model, lambda r, n: [float(v) for v in r.normal(size=n)],
         bag_sizes=args.sizes, repeats=args.repeats, rng=rng)
 
     print(f"seed {args.seed}, {args.repeats} repeats per size\n")

@@ -45,7 +45,6 @@ from .model import (
 from .schema import (
     DEFAULT_CATEGORICAL_THRESHOLD,
     Product,
-    SchemaConflict,
     SchemaError,
     dumps_schema,
     infer_schema,
@@ -146,9 +145,6 @@ def cmd_infer(args) -> int:
         schema = infer_schema(
             (doc for _, doc in _iter_jsonl(args.input)),
             categorical_threshold=args.categorical_threshold)
-    except SchemaConflict as exc:
-        raise CliError(f"schema conflict at {exc.path}: "
-                       f"expected {exc.expected}, saw {exc.actual}")
     except SchemaError as exc:
         raise CliError(str(exc))
     with _replacing(args.output) as fh:
@@ -377,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with config overrides")
     p.add_argument("--report", help="training report path "
                                     "(default: <output>.report.json)")
-    choices = {"activation": tuple(ACTIVATIONS), "aggregation": AGGREGATIONS,
+    choices = {"activation": ACTIVATIONS, "aggregation": AGGREGATIONS,
                "loss": LOSSES}
     for name, default in _SETTINGS.items():
         p.add_argument("--" + name.replace("_", "-"), type=type(default),

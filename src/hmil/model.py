@@ -36,7 +36,6 @@ from .nn import (
     IDENTITY,
     RELU,
     TANH,
-    Activation,
     Tape,
     Tensor,
     concat_cols,
@@ -64,7 +63,6 @@ __all__ = [
     "build_model",
     "forward",
     "forward_with_embeddings",
-    "embed",
     "embedding_bound",
     "param_count",
     "replacing",
@@ -78,7 +76,7 @@ FORMAT_VERSION = 1
 # weights, four times that with the gradients and Adam's moments
 MAX_PARAMS = 10**8
 
-ACTIVATIONS = {"tanh": TANH, "relu": RELU}
+ACTIVATIONS = (TANH, RELU)
 AGGREGATIONS = ("mean", "max", "meanmax")
 
 
@@ -95,7 +93,7 @@ class ModelConfig:
     embed_dim: int = 32
     hidden_dim: int = 32
     output_dim: int = 1
-    activation: str = "tanh"
+    activation: str = TANH
     aggregation: str = "mean"
     seed: int = 0
 
@@ -105,7 +103,7 @@ class ModelConfig:
             value = getattr(self, name)
             if type(value) is not int or value < low:  # a bool is no int
                 raise ModelError(f"{name} must be an int >= {low}")
-        if self.activation not in tuple(ACTIVATIONS):  # a list is unhashable
+        if self.activation not in ACTIVATIONS:
             raise ModelError(f"unknown activation {self.activation!r}")
         if self.aggregation not in AGGREGATIONS:
             raise ModelError(f"unknown aggregation {self.aggregation!r}")
@@ -123,10 +121,6 @@ class Model:
     schema: SchemaNode
     config: ModelConfig
     layers: dict[str, tuple[Tensor, ...]]
-
-    @property
-    def activation(self) -> Activation:
-        return ACTIVATIONS[self.config.activation]
 
     def parameters(self) -> list[Tensor]:
         """Each node's tensors in ``node_paths`` preorder, head last.
@@ -217,7 +211,10 @@ def forward_with_embeddings(model: Model, batch: RaggedBatch,
 
     Reversed preorder reaches every node after all its descendants, so
     each node's inputs are waiting in ``out`` when it is reached."""
-    act = model.activation
+    act = model.config.activation
+    # looked up per call, so a wrapper bound over the nn functions sees it
+    pools = {"mean": [segment_mean], "max": [segment_max],
+             "meanmax": [segment_mean, segment_max]}[model.config.aggregation]
     out: dict[str, Tensor] = {}
     sink: dict[str, Tensor] = {}
     for path, node in reversed(node_paths(model.schema)):
@@ -225,15 +222,9 @@ def forward_with_embeddings(model: Model, batch: RaggedBatch,
             phi_w, phi_b, post_w, post_b = model.layers[path]
             h = dense_forward(out.pop(path + "[]"), phi_w, phi_b, act, tape)
             offsets = batch.offsets[path]
-            if model.config.aggregation == "mean":
-                pooled = segment_mean(h, offsets, tape)
-            elif model.config.aggregation == "max":
-                pooled = segment_max(h, offsets, tape)
-            else:
-                pooled = concat_cols([segment_mean(h, offsets, tape),
-                                      segment_max(h, offsets, tape)], tape)
             non_empty = (np.diff(offsets) > 0).astype(np.float64).reshape(-1, 1)
-            z = concat_cols([pooled, Tensor(non_empty)], tape)
+            z = concat_cols([pool(h, offsets, tape) for pool in pools]
+                            + [Tensor(non_empty)], tape)
             out[path] = sink[path] = dense_forward(z, post_w, post_b,
                                                    IDENTITY, tape)
         elif isinstance(node, Product):
@@ -249,15 +240,6 @@ def forward_with_embeddings(model: Model, batch: RaggedBatch,
     return dense_forward(h, w2, b2, IDENTITY, tape), sink
 
 
-def embed(model: Model, batch: RaggedBatch, path: str) -> np.ndarray:
-    """Embedding matrix of the bag node at ``path``, one row per bag."""
-    _, sink = forward_with_embeddings(model, batch)
-    if path not in sink:
-        raise ModelError(f"no bag node at {path!r}; "
-                         f"bag paths: {model.bag_paths()}")
-    return sink[path].data
-
-
 def embedding_bound(model: Model, path: str) -> np.ndarray:
     """Per-coordinate bound on the bag embedding at ``path``: the
     absolute column sums of the post-pooling weights plus |bias|.
@@ -266,7 +248,7 @@ def embedding_bound(model: Model, path: str) -> np.ndarray:
     outputs, their means and maxes, and the indicator column.  Only
     meaningful for tanh models; relu outputs are unbounded.
     """
-    if model.config.activation != "tanh":
+    if model.config.activation != TANH:
         raise ModelError("embedding bounds require tanh activation")
     if path not in model.bag_paths():
         raise ModelError(f"no bag node at {path!r}")

@@ -3,6 +3,8 @@
 Only the handful of operations the bag/product architectures need:
 dense layers, segment aggregation over contiguous row ranges, column
 concatenation, and Adam. Everything is float64 and single-threaded.
+An activation is named by a string, one of ``TANH``, ``RELU`` and
+``IDENTITY``.
 
 A tensor wraps its input array without copying it when that array is
 already float64, and gradients pass between ops uncopied, so ops never
@@ -21,10 +23,10 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
-    "Activation",
     "TANH",
     "RELU",
     "IDENTITY",
+    "activate",
     "ShapeError",
     "OffsetError",
     "dense_forward",
@@ -81,39 +83,19 @@ class Tensor:
         return f"Tensor({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class Activation:
-    """Element-wise non-linearity: ``tanh``, ``relu``, or ``identity``.
+TANH, RELU, IDENTITY = "tanh", "relu", "identity"
 
-    ``identity`` exists for linear layers and internal testing only; the
-    model builder refuses it as the non-linearity of a hidden layer.
-    """
 
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("tanh", "relu", "identity"):
-            raise ValueError(f"unknown activation {self.kind!r}")
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        if self.kind == "tanh":
-            return np.tanh(z)
-        if self.kind == "relu":
-            return np.maximum(z, 0.0)
+def activate(act: str, z: np.ndarray) -> np.ndarray:
+    """``act`` applied element-wise to ``z``.  ``IDENTITY`` is for linear
+    maps and tests only; ``model.ModelConfig`` refuses it."""
+    if act == TANH:
+        return np.tanh(z)
+    if act == RELU:
+        return np.maximum(z, 0.0)
+    if act == IDENTITY:
         return z
-
-    def deriv(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Derivative at pre-activation ``z`` with output ``y = apply(z)``."""
-        if self.kind == "tanh":
-            return 1.0 - y * y
-        if self.kind == "relu":
-            return (z > 0.0).astype(np.float64)
-        return np.ones_like(z)
-
-
-TANH = Activation("tanh")
-RELU = Activation("relu")
-IDENTITY = Activation("identity")
+    raise ValueError(f"unknown activation {act!r}")
 
 
 class _Node:
@@ -144,7 +126,7 @@ class Tape:
         self.nodes.append(_Node(out, parents, backward_fn))
 
 
-def dense_forward(x: Tensor, w: Tensor, b: Tensor | None, act: Activation,
+def dense_forward(x: Tensor, w: Tensor, b: Tensor | None, act: str,
                   tape: Tape | None = None) -> Tensor:
     """``act(x @ w + b)`` with the op recorded on ``tape`` if given.
 
@@ -159,13 +141,15 @@ def dense_forward(x: Tensor, w: Tensor, b: Tensor | None, act: Activation,
     z = x.data @ w.data
     if b is not None:
         z = z + b.data
-    y = act.apply(z)
+    y = activate(act, z)
     out = Tensor(y)
     if tape is not None:
         parents = (x, w) if b is None else (x, w, b)
 
         def bwd(g: np.ndarray) -> list[np.ndarray]:
-            gz = g if act.kind == "identity" else g * act.deriv(z, y)
+            # a bool array multiplies as 1.0 and 0.0
+            gz = g if act == IDENTITY else g * (
+                1.0 - y * y if act == TANH else z > 0.0)
             grads = [gz @ w.data.T, x.data.T @ gz]
             if b is not None:
                 grads.append(gz.sum(axis=0, keepdims=True))

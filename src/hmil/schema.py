@@ -11,7 +11,8 @@ schema: it checks the document and appends it to per-node columns.
 
 Conventions: ``null`` means "field absent" and is never a kind; JSON
 booleans are numeric 0/1; arrays must be homogeneous or inference
-reports a conflict at the offending path.
+reports a conflict at the offending path, and inference rejects an array
+empty in every document, whose element kind it cannot know.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "Bag",
     "Product",
     "ProductField",
-    "Unknown",
     "SchemaNode",
     "SchemaError",
     "SchemaConflict",
@@ -57,7 +57,8 @@ class SchemaConflict(SchemaError):
     """Two values at one JSON path have irreconcilable kinds."""
 
     def __init__(self, path: str, expected: str, actual: str):
-        super().__init__(f"{path}: cannot reconcile {expected} with {actual}")
+        super().__init__(
+            f"schema conflict at {path}: expected {expected}, saw {actual}")
         self.path = path
         self.expected = expected
         self.actual = actual
@@ -128,16 +129,7 @@ class Product:
         return tuple(f.name for f in self.fields)
 
 
-@dataclass(frozen=True)
-class Unknown:
-    """Placeholder for the element kind of arrays never seen non-empty."""
-
-    count: int = 0
-
-    kind = "unknown"
-
-
-SchemaNode = Union[NumericLeaf, StringLeaf, CategoricalLeaf, Bag, Product, Unknown]
+SchemaNode = Union[NumericLeaf, StringLeaf, CategoricalLeaf, Bag, Product]
 
 
 @dataclass(frozen=True)
@@ -271,10 +263,10 @@ def _absorb(a, b, path: str, threshold) -> _State | None:
     return a
 
 
-def _frozen(state: _State | None) -> SchemaNode:
-    """The schema ``state`` holds."""
+def _frozen(state: _State | None) -> SchemaNode | None:
+    """The schema ``state`` holds; None for an element never seen."""
     if state is None:
-        return Unknown()
+        return None
     kind, count = state.kind, state.count
     if kind == "numeric":
         return NumericLeaf(count, state.mean, state.std)
@@ -286,8 +278,7 @@ def _frozen(state: _State | None) -> SchemaNode:
         return Bag(count, _frozen(state.child))
     members = []
     for name, f in sorted(state.fields.items()):  # each name is distinct
-        members.append(ProductField(name, _frozen(f),
-                                    f is None or f.count < count))
+        members.append(ProductField(name, _frozen(f), f.count < count))
     return Product(count, tuple(members))
 
 
@@ -334,7 +325,7 @@ def infer_schema(docs: Iterable, categorical_threshold: int =
         raise SchemaError("empty corpus")
     merged = _frozen(corpus)
     for path, node in _distinct_paths(merged):
-        if isinstance(node, Unknown):
+        if node is None:
             raise SchemaError(
                 f"{path}: array was empty in every document; "
                 "element kind cannot be inferred")
@@ -344,7 +335,7 @@ def infer_schema(docs: Iterable, categorical_threshold: int =
 # node kind -> the JSON values it takes, and their name in a violation
 _TAKES = {"numeric": ((int, float), "numeric"), "string": (str, "string"),
           "categorical": (str, "string"), "bag": (list, "array"),
-          "product": (dict, "object"), "unknown": ((), "resolved element kind")}
+          "product": (dict, "object")}
 
 
 def validate(doc, schema: SchemaNode,
@@ -435,12 +426,10 @@ def _node_to_dict(node: SchemaNode) -> dict:
     if isinstance(node, Bag):
         return {"kind": "bag", "count": node.count,
                 "child": _node_to_dict(node.child)}
-    if isinstance(node, Product):
-        return {"kind": "product", "count": node.count,
-                "fields": {f.name: {"optional": f.optional,
-                                    "schema": _node_to_dict(f.schema)}
-                           for f in node.fields}}
-    raise SchemaError(f"cannot serialize unresolved schema node {node.kind!r}")
+    return {"kind": "product", "count": node.count,
+            "fields": {f.name: {"optional": f.optional,
+                                "schema": _node_to_dict(f.schema)}
+                       for f in node.fields}}
 
 
 def _is_finite(value) -> bool:

@@ -28,7 +28,6 @@ from .model import (
     Model,
     ModelConfig,
     build_model,
-    embed,
     embedding_bound,
     forward,
     forward_with_embeddings,
@@ -37,6 +36,7 @@ from .nn import (
     IDENTITY,
     Tape,
     Tensor,
+    activate,
     backward,
     dense_forward,
     glorot_uniform,
@@ -80,6 +80,8 @@ PLAIN_BAG = Bag(count=1, child=NumericLeaf(count=1, mean=0.0, std=1.0))
 REF_FACTOR = 100
 MIN_DEPTH, MAX_DEPTH = 1, 3  # of a random schema in the invariant checks
 FD_EPS = 1e-5  # finite-difference step of the gradient check
+COLLAPSE_BATCHES = 10  # batches of 3 documents per matrix-collapse model
+BOUND_DOCS_PER_SCHEMA = 100  # documents per embedding-bound model
 
 
 def _inferable_case(rng, n_docs):
@@ -141,9 +143,10 @@ def check_dirac_identity(seed: int, cases: int = 1000) -> dict:
             continue
         model = build_model(schema, _random_config(
             rng, aggregation="mean"))
-        whole = embed(model, build_batch([items], schema), "$")
-        singles = embed(model, build_batch([[it] for it in items], schema),
-                        "$")
+        whole = forward_with_embeddings(
+            model, build_batch([items], schema))[1]["$"].data
+        singles = forward_with_embeddings(
+            model, build_batch([[it] for it in items], schema))[1]["$"].data
         worst = max(worst, float(np.max(np.abs(whole[0] - singles.mean(axis=0)))))
         done += 1
     return {"name": "dirac_identity", "passed": worst < 1e-9,
@@ -165,13 +168,13 @@ def _two_matrix_forward(model: Model, batch, extra: dict
     before mean pooling, and W2 maps [pooled, non-empty] to the
     embedding.  Plain numpy, none of the tape ops the production
     forward uses."""
-    act = model.activation
+    act = model.config.activation
     out: dict[str, np.ndarray] = {}
     embeddings: dict[str, np.ndarray] = {}
     for path, node in reversed(node_paths(model.schema)):
         if isinstance(node, Bag):
             phi_w, phi_b, _, post_b = model.layers[path]
-            h = act.apply(out.pop(path + "[]") @ phi_w.data + phi_b.data)
+            h = activate(act, out.pop(path + "[]") @ phi_w.data + phi_b.data)
             inner, post = extra[path]
             h = h @ inner
             offsets = batch.offsets[path]
@@ -186,11 +189,11 @@ def _two_matrix_forward(model: Model, batch, extra: dict
             comb_w, comb_b = model.layers[path]
             z = np.hstack([out.pop(f"{path}.{f.name}") for f in node.fields]
                           + [batch.presence[path]])
-            out[path] = act.apply(z @ comb_w.data + comb_b.data)
+            out[path] = activate(act, z @ comb_w.data + comb_b.data)
         else:
             out[path] = batch.data[path]
     w1, b1, w2, b2 = model.layers["head"]
-    rep = act.apply(out["$"] @ w1.data + b1.data)
+    rep = activate(act, out["$"] @ w1.data + b1.data)
     return rep @ w2.data + b2.data, embeddings
 
 
@@ -221,15 +224,14 @@ def _collapse_deviation(model: Model, batches: list, inner_dim: int) -> float:
     return worst
 
 
-def check_matrix_collapse(seed: int, models: int = 100,
-                          batches_per_model: int = 10) -> dict:
+def check_matrix_collapse(seed: int, models: int = 100) -> dict:
     """An extra per-instance linear layer before mean pooling folds
     exactly into the post-pooling map."""
     rng = np.random.default_rng([seed, 13])
     worst = 0.0
     for _ in range(models):
         # infer from the union so every batch validates against the schema
-        schema, raw = _inferable_case(rng, n_docs=3 * batches_per_model)
+        schema, raw = _inferable_case(rng, n_docs=3 * COLLAPSE_BATCHES)
         model = build_model(schema, _random_config(rng, aggregation="mean"))
         inner_dim = int(rng.integers(2, 7))
         batches = [build_batch(raw[i:i + 3], schema)
@@ -237,7 +239,7 @@ def check_matrix_collapse(seed: int, models: int = 100,
         worst = max(worst, _collapse_deviation(model, batches, inner_dim))
     return {"name": "matrix_collapse", "passed": worst < 1e-10,
             "details": {"models": models,
-                        "batches_per_model": batches_per_model,
+                        "batches_per_model": COLLAPSE_BATCHES,
                         "max_deviation": worst, "bound": 1e-10}}
 
 
@@ -290,15 +292,14 @@ def check_gradients(seed: int) -> dict:
             "details": {"max_rel_error": worst, "bound": 1e-4}}
 
 
-def check_embedding_bounds(seed: int, documents: int = 10000,
-                           docs_per_schema: int = 100) -> dict:
+def check_embedding_bounds(seed: int, documents: int = 10000) -> dict:
     """Every tanh bag embedding stays inside its analytic coordinate
     bound.  The slack of 1e-12 covers float rounding only."""
     rng = np.random.default_rng([seed, 14])
     violations = 0
     seen = 0
     while seen < documents:
-        schema, raw = _inferable_case(rng, n_docs=docs_per_schema)
+        schema, raw = _inferable_case(rng, n_docs=BOUND_DOCS_PER_SCHEMA)
         model = build_model(schema, _random_config(rng, activation="tanh"))
         _, embeddings = forward_with_embeddings(model,
                                                 build_batch(raw, schema))
@@ -351,7 +352,7 @@ def run_invariants(seed: int) -> dict:
 # concentration
 
 
-def concentration_experiment(model: Model, schema, generator,
+def concentration_experiment(model: Model, generator,
                              bag_sizes, repeats: int,
                              rng: np.random.Generator) -> dict:
     """Median |f(bag of size l) - f(reference bag)| per bag size.
@@ -363,11 +364,11 @@ def concentration_experiment(model: Model, schema, generator,
     """
     sizes = sorted(bag_sizes)
     ref_doc = generator(rng, REF_FACTOR * max(sizes))
-    f_ref = forward(model, build_batch([ref_doc], schema)).data[0, 0]
+    f_ref = forward(model, build_batch([ref_doc], model.schema)).data[0, 0]
     table = {}
     for size in sizes:
         docs = [generator(rng, size) for _ in range(repeats)]
-        out = forward(model, build_batch(docs, schema)).data[:, 0]
+        out = forward(model, build_batch(docs, model.schema)).data[:, 0]
         table[size] = float(np.median(np.abs(out - f_ref)))
     return table
 
@@ -384,8 +385,7 @@ def run_concentration(seed: int) -> dict:
     def generator(r, size):
         return [float(v) for v in r.normal(0.0, 1.0, size)]
 
-    table = concentration_experiment(model, PLAIN_BAG, generator,
-                                     CONCENTRATION_SIZES,
+    table = concentration_experiment(model, generator, CONCENTRATION_SIZES,
                                      CONCENTRATION_REPEATS, rng)
     sizes = sorted(table)
     medians = [table[s] for s in sizes]

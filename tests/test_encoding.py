@@ -24,7 +24,6 @@ from hmil.schema import (
     CategoricalLeaf,
     NumericLeaf,
     StringLeaf,
-    Unknown,
     infer_schema,
     validate,
 )
@@ -418,7 +417,7 @@ BAD_FITNESS_DOCS = [
 # sha256 of every violation's text, document by document; recorded with
 # the two-pass validate-then-append encoder
 GOLDEN_VIOLATIONS_SHA256 = (
-    "4f5fa0e78beb26dfc288f6cc3f0cea3013885b0b92e7b5705551bd728da9842d")
+    "8ec74c6668aa52c9564289debb0a5abfb6637844665756a9ebe04a603dcfb805")
 
 
 def test_golden_violation_digest():
@@ -427,7 +426,6 @@ def test_golden_violation_digest():
               BAD_GOLDEN_DOCS)]
     cases += [(infer_schema([fitness], categorical_threshold=t),
                BAD_FITNESS_DOCS) for t in (0, 32)]
-    cases.append((Bag(count=1, child=Unknown()), [[5], [None, "x"], 3]))
     digest = hashlib.sha256()
     for schema, docs in cases:
         for doc in docs:

@@ -18,7 +18,6 @@ from hmil.model import (
     ModelError,
     ModelLoadError,
     build_model,
-    embed,
     embedding_bound,
     forward,
     forward_with_embeddings,
@@ -117,7 +116,8 @@ class TestForwardSemantics:
 
     def test_empty_bag_embedding_is_exactly_the_bias(self):
         model = build_model(PLAIN_BAG, ModelConfig(seed=5))
-        e = embed(model, build_batch([[]], PLAIN_BAG), "$")
+        e = forward_with_embeddings(
+            model, build_batch([[]], PLAIN_BAG))[1]["$"].data
         np.testing.assert_array_equal(e, model.layers["$"][3].data)
 
     def test_hand_wired_two_level_tanh_chain(self):
@@ -195,10 +195,10 @@ class TestDiracIdentity:
     def test_bag_embedding_is_mean_of_singletons(self, child_docs):
         schema = infer_schema([child_docs, child_docs])
         model = build_model(schema, ModelConfig(seed=3))
-        whole = embed(model, build_batch([child_docs], schema), "$")
-        singles = embed(model,
-                        build_batch([[item] for item in child_docs], schema),
-                        "$")
+        whole = forward_with_embeddings(
+            model, build_batch([child_docs], schema))[1]["$"].data
+        singles = forward_with_embeddings(model, build_batch(
+            [[item] for item in child_docs], schema))[1]["$"].data
         np.testing.assert_allclose(whole[0], singles.mean(axis=0),
                                    rtol=0, atol=1e-9)
 
@@ -213,8 +213,10 @@ class TestDiracIdentity:
             assume(False)
         model = build_model(schema, ModelConfig(embed_dim=4, hidden_dim=4,
                                                 seed=seed % 2**31))
-        whole = embed(model, build_batch([items], schema), "$")
-        singles = embed(model, build_batch([[it] for it in items], schema), "$")
+        whole = forward_with_embeddings(
+            model, build_batch([items], schema))[1]["$"].data
+        singles = forward_with_embeddings(
+            model, build_batch([[it] for it in items], schema))[1]["$"].data
         np.testing.assert_allclose(whole[0], singles.mean(axis=0),
                                    rtol=0, atol=1e-9)
 
@@ -279,7 +281,7 @@ class TestEmbeddingBound:
     def test_unknown_path(self):
         model = build_model(PLAIN_BAG, ModelConfig())
         with pytest.raises(ModelError, match="bag"):
-            embed(model, build_batch([[1.0]], PLAIN_BAG), "$.nope")
+            embedding_bound(model, "$.nope")
 
 
 class TestSaveLoad:

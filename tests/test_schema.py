@@ -22,7 +22,6 @@ from hmil.schema import (
     SchemaConflict,
     SchemaError,
     StringLeaf,
-    Unknown,
     Violation,
     dumps_schema,
     infer_schema,
@@ -419,7 +418,7 @@ def _ref_from_value(value, path, cap):
     if kind == "string":
         return _ref_categorical(1, (value,), cap)
     if kind == "bag":
-        child = Unknown()
+        child = None
         for i, item in enumerate(value):
             item_path = f"{path}[{i}]"
             child = _ref_merge(child, _ref_from_value(item, item_path, cap),
@@ -453,10 +452,8 @@ def _ref_merge_numeric(a, b):
 
 
 def _ref_merge(a, b, path, cap):
-    if isinstance(a, Unknown):
-        return b
-    if isinstance(b, Unknown):
-        return a
+    if a is None or b is None:
+        return b if a is None else a
     if isinstance(a, NumericLeaf) and isinstance(b, NumericLeaf):
         return _ref_merge_numeric(a, b)
     if isinstance(a, StringLeaf) and isinstance(b, (StringLeaf,
@@ -492,7 +489,7 @@ def reference_infer(docs, threshold):
     if merged is None:
         raise SchemaError("empty corpus")
     for path, node in node_paths(merged):
-        if isinstance(node, Unknown):
+        if node is None:
             raise SchemaError(
                 f"{path}: array was empty in every document; "
                 "element kind cannot be inferred")

@@ -105,7 +105,7 @@ class TestConcentration:
             p.data[:] = 0.0
         rng = np.random.default_rng(1)
         table = concentration_experiment(
-            model, ver.PLAIN_BAG, lambda r, n: list(r.normal(size=n)),
+            model, lambda r, n: list(r.normal(size=n)),
             bag_sizes=(4, 16), repeats=20, rng=rng)
         assert table == {4: 0.0, 16: 0.0}
 
