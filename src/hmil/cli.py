@@ -6,7 +6,8 @@ Exit codes are part of the interface and stay stable:
 * 1 verification bars failed, or at least one predict line failed,
 * 2 usage or data errors (bad flags, malformed input, schema conflicts),
   and a closed stdout or a failed write to it,
-* 3 training aborted on non-finite numbers,
+* 3 training aborted on non-finite numbers: a loss, or the outputs of
+  the last minibatch after the last step (no model file is written),
 * 130 interrupted (Ctrl-C); no partial output file is left behind.
 
 A closed or broken stderr never changes an exit code, and text meant

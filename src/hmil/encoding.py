@@ -6,17 +6,17 @@ fixed constants, so histograms reproduce across platforms), and
 categorical values one-hot with a trailing unknown slot.
 
 A document is appended to per-node columns (see
-``batching.new_columns``) by the walk that validates it
-(``schema.validate``): one raw JSON value per leaf (None where an
-optional leaf is absent), one element count per bag, one row of
-presence flags per product.  ``encode_column`` then encodes a whole
-leaf column in one numpy pass, when ``batching.finish_batch`` builds
-the batch; ``encode_string_ngram`` is a one-row wrapper over it.
+``batching.new_columns``) by the pass that validates it
+(``schema.validate``, whose walker is compiled once per schema and
+cached on it): one raw JSON value per leaf (None where an optional leaf
+is absent), one element count per bag, one row of presence flags per
+product.  A document that does not fit leaves the columns as they were.
+``encode_column`` then encodes a whole leaf column in one numpy pass,
+when ``batching.finish_batch`` builds the batch; ``encode_string_ngram``
+is a one-row wrapper over it.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 import numpy as np
 
@@ -129,19 +129,16 @@ def leaf_width(leaf: SchemaNode) -> int:
 
 
 def encode_document(doc, schema: SchemaNode, columns: dict[str, list]) -> None:
-    """Validate a JSON document and append it to ``columns``, in one walk
-    (``schema.validate``) into a fresh per-document sink.
+    """Validate a JSON document and append it to ``columns``, in one pass
+    of the schema's compiled walker (``schema.validate``).
 
     Raises EncodingError carrying the violation list, with ``columns``
-    untouched, if the document does not fit.
+    as they were, if the document does not fit.
     """
-    sink: dict[str, list] = defaultdict(list)
     try:
-        violations = validate(doc, schema, sink)
+        violations = validate(doc, schema, columns)
     except RecursionError:
         raise EncodingError("document nested too deeply") from None
     if violations:
         raise EncodingError(
             "; ".join(str(v) for v in violations), violations)
-    for path, values in sink.items():
-        columns[path].extend(values)

@@ -6,8 +6,12 @@ with a fixed field set). Inference streams: each document folds into a
 fresh mutable state, which merges in place into one corpus state that
 caps categorical vocabularies as they grow and freezes into the schema
 at the end; memory grows with the schema and its vocabularies, never
-with the corpus.  ``validate`` is the one walk of a document against a
-schema: it checks the document and appends it to per-node columns.
+with the corpus.  ``validate`` checks a document against a schema and
+appends it to per-node columns in one pass of the schema's walker: a
+tree of closures, one per node, compiled once per schema on first use
+and cached on the root node itself, so it lives as long as the schema.
+The pass builds no path strings; a document that does not fit leaves
+the columns as they were and is walked again to name its violations.
 
 Conventions: ``null`` means "field absent" and is never a kind; JSON
 booleans are numeric 0/1; arrays must be homogeneous or inference
@@ -21,7 +25,7 @@ import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Union
 
 __all__ = [
@@ -64,8 +68,20 @@ class SchemaConflict(SchemaError):
         self.actual = actual
 
 
+class _Node:
+    """Base of the five node kinds.  ``_walker`` validates documents
+    against the tree below the node; it is compiled on first use and
+    kept in the node's own ``__dict__``, so it lives exactly as long as
+    the node (a module cache keyed by ``id()`` would keep every schema
+    it ever saw alive)."""
+
+    @cached_property
+    def _walker(self):
+        return _compile(self, "$")[0]
+
+
 @dataclass(frozen=True)
-class NumericLeaf:
+class NumericLeaf(_Node):
     count: int
     mean: float
     std: float
@@ -74,7 +90,7 @@ class NumericLeaf:
 
 
 @dataclass(frozen=True)
-class StringLeaf:
+class StringLeaf(_Node):
     count: int
     ngram_n: int
     hash_dim: int
@@ -83,7 +99,7 @@ class StringLeaf:
 
 
 @dataclass(frozen=True)
-class CategoricalLeaf:
+class CategoricalLeaf(_Node):
     count: int
     values: tuple[str, ...]  # sorted; index of a value is its position
 
@@ -97,7 +113,7 @@ class CategoricalLeaf:
 
 
 @dataclass(frozen=True)
-class Bag:
+class Bag(_Node):
     count: int
     child: "SchemaNode"
 
@@ -112,7 +128,7 @@ class ProductField:
 
 
 @dataclass(frozen=True)
-class Product:
+class Product(_Node):
     count: int
     fields: tuple[ProductField, ...]  # sorted by name
 
@@ -332,10 +348,17 @@ def infer_schema(docs: Iterable, categorical_threshold: int =
     return merged
 
 
-# node kind -> the JSON values it takes, and their name in a violation
-_TAKES = {"numeric": ((int, float), "numeric"), "string": (str, "string"),
-          "categorical": (str, "string"), "bag": (list, "array"),
-          "product": (dict, "object")}
+class _Misfit(Exception):
+    """A document does not fit: raised by a walker run without paths."""
+
+
+def _misfit(out: list | None, path: str | None, expected: str,
+            actual: str) -> None:
+    """Report a misfit at ``path``: raise _Misfit when the walk builds no
+    paths, else append the Violation to ``out``."""
+    if path is None:
+        raise _Misfit
+    out.append(Violation(path, expected, actual))
 
 
 def validate(doc, schema: SchemaNode,
@@ -347,64 +370,116 @@ def validate(doc, schema: SchemaNode,
     numbers, and n-gram strings holding unpaired surrogates are
     violations.
 
-    The same walk appends the document to ``columns`` (as from
-    ``batching.new_columns``): raw leaf values, with None under an absent
-    optional subtree, bag element counts, and product presence flags.
+    A document that fits is appended to ``columns`` (as from
+    ``batching.new_columns``) in the same pass that checks it: raw leaf
+    values, with None under an absent optional subtree, bag element
+    counts, and product presence flags.  A document that does not fit,
+    or nests too deeply for the recursion limit, leaves ``columns`` as
+    they were; only then does the walk run again, building the document
+    paths that its violations name.
     """
+    walk = schema._walker
+    if columns is None:
+        columns = defaultdict(list)
+    sizes = list(map(len, columns.values()))
+    try:
+        walk(doc, columns, None, None)
+        return []
+    except BaseException as exc:  # a misfit, or too deep a document
+        for column, size in zip(columns.values(), sizes):
+            del column[size:]
+        if not isinstance(exc, _Misfit):
+            raise
     out: list[Violation] = []
-    _walk(doc, schema, "$", "$",
-          defaultdict(list) if columns is None else columns, out)
+    walk(doc, defaultdict(list), out, "$")
     return out
 
 
-def _walk(value, node: SchemaNode, path: str, column_path: str,
-          columns: dict[str, list], out: list[Violation]) -> None:
-    """``validate`` at ``node``, which ``column_path`` names; ``path``
-    names ``value`` in the document.  An absent optional subtree walks
-    as None into a throwaway ``out``: None leaves, empty bags, flags 0."""
-    types, expected = _TAKES[node.kind]
-    fits = isinstance(value, types)  # a bool is an int
-    if not fits:
-        out.append(Violation(path, expected, _kind_of_value(value)))
+def _compile(node: SchemaNode, column_path: str) -> tuple:
+    """The walker of ``node``, whose column ``column_path`` names, and
+    the column rows an absent ``node`` takes: None per leaf, 0 per bag,
+    and a zero flag per optional product field.
+
+    ``walk(value, columns, out, path)`` checks ``value`` and appends it
+    to ``columns``, calling the walker of each child directly.  With
+    ``path`` None it raises _Misfit at the first misfit; otherwise
+    ``path`` names ``value`` in the document, and each misfit appends
+    its Violation to ``out``.  Compiling and walking both take one frame
+    per nesting level.
+    """
     if isinstance(node, Product):
-        fields = [(f, value.get(f.name) if fits else None)
-                  for f in node.fields]
-        columns[column_path].append([0.0 if v is None else 1.0
-                                     for f, v in fields if f.optional])
-        for f, v in fields:
-            if v is None and fits and not f.optional:  # null == absent
-                out.append(Violation(f"{path}.{f.name}",
-                                     f"required field {f.name!r}", "missing"))
-            _walk(v, f.schema, f"{path}.{f.name}", f"{column_path}.{f.name}",
-                  columns, [] if v is None else out)
-        for name in sorted(value.keys() - {f.name for f in node.fields}
-                           if fits else ()):
-            if value[name] is not None:
-                out.append(Violation(f"{path}.{name}", "no such field",
-                                     "unexpected field"))
-    elif isinstance(node, Bag):
-        items = value if fits else ()
-        columns[column_path].append(len(items))
+        names = frozenset(node.field_names)
+        # an absent product's flags row is one list shared by every row
+        # that takes it; rows are read, never changed
+        absent = [(column_path, [0.0 for f in node.fields if f.optional])]
+        fields = []
+        for f in node.fields:
+            walk_field, absent_rows = _compile(f.schema,
+                                               f"{column_path}.{f.name}")
+            fields.append((f.name, walk_field, absent_rows, f.optional))
+            absent += absent_rows
+
+        def walk(value, columns, out, path):
+            if not isinstance(value, dict):
+                return _misfit(out, path, "object", _kind_of_value(value))
+            flags = []
+            for name, walk_field, absent_rows, optional in fields:
+                v = value.get(name)
+                if v is not None:
+                    walk_field(v, columns, out, path and f"{path}.{name}")
+                elif optional:  # null == absent
+                    for p, row in absent_rows:
+                        columns[p].append(row)
+                else:
+                    _misfit(out, path and f"{path}.{name}",
+                            f"required field {name!r}", "missing")
+                if optional:
+                    flags.append(0.0 if v is None else 1.0)
+            columns[column_path].append(flags)
+            if not names.issuperset(value):
+                for name in sorted(value.keys() - names):
+                    if value[name] is not None:
+                        _misfit(out, path and f"{path}.{name}",
+                                "no such field", "unexpected field")
+        return walk, absent
+    if isinstance(node, Bag):
         child_path = column_path + "[]"
-        if isinstance(node.child, NumericLeaf) and _float_run(items):
-            columns[child_path].extend(items)
-        else:
-            for i, item in enumerate(items):
-                _walk(item, node.child, f"{path}[{i}]", child_path, columns,
-                      out)
+        walk_item, _ = _compile(node.child, child_path)
+        numeric = isinstance(node.child, NumericLeaf)
+
+        def walk(value, columns, out, path):
+            if not isinstance(value, list):
+                return _misfit(out, path, "array", _kind_of_value(value))
+            columns[column_path].append(len(value))
+            if numeric and _float_run(value):
+                columns[child_path].extend(value)
+                return
+            for i, item in enumerate(value):
+                walk_item(item, columns, out, path and f"{path}[{i}]")
+        return walk, [(column_path, 0)]
+    if isinstance(node, NumericLeaf):
+        def walk(value, columns, out, path):
+            if not isinstance(value, (int, float)):  # a bool is an int
+                return _misfit(out, path, "numeric", _kind_of_value(value))
+            if _finite_float(value) is None:
+                return _misfit(out, path, "finite number", repr(value))
+            columns[column_path].append(value)
     else:
-        columns[column_path].append(value)
-        if fits and isinstance(node, NumericLeaf) \
-                and _finite_float(value) is None:
-            out.append(Violation(path, "finite number", repr(value)))
-        elif fits and isinstance(node, StringLeaf):
-            # JSON can escape a lone surrogate ("\ud800"), which has no
-            # UTF-8 bytes to hash into n-grams
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError:
-                out.append(Violation(path, "string encodable as UTF-8",
-                                     "unpaired surrogate"))
+        ngrams = isinstance(node, StringLeaf)
+
+        def walk(value, columns, out, path):
+            if not isinstance(value, str):
+                return _misfit(out, path, "string", _kind_of_value(value))
+            if ngrams and not value.isascii():
+                # JSON can escape a lone surrogate ("\ud800"), which has
+                # no UTF-8 bytes to hash into n-grams
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError:
+                    return _misfit(out, path, "string encodable as UTF-8",
+                                   "unpaired surrogate")
+            columns[column_path].append(value)
+    return walk, [(column_path, None)]
 
 
 def _float_run(items: list) -> bool:

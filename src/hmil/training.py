@@ -40,9 +40,14 @@ LOSSES = ("ce", "mse")  # softmax cross-entropy, mean squared error
 
 
 class TrainingDiverged(Exception):
-    def __init__(self, epoch: int, batch_index: int, value: float):
-        super().__init__(
-            f"non-finite loss {float(value)} in epoch {epoch}, batch {batch_index}")
+    """A loss came out non-finite at (``epoch``, ``batch_index``), or,
+    with ``value`` None, the model's outputs did after the last step."""
+
+    def __init__(self, epoch: int, batch_index: int,
+                 value: float | None = None):
+        what = ("non-finite model output after the last step"
+                if value is None else f"non-finite loss {float(value)}")
+        super().__init__(f"{what} in epoch {epoch}, batch {batch_index}")
         self.epoch = epoch
         self.batch_index = batch_index
 
@@ -147,8 +152,9 @@ def train(model: Model, docs: list, targets,
 
     Raises EncodingError, with the document's ``index``, before any
     step if a document does not fit the model's schema, and
-    TrainingDiverged the moment a loss comes out non-finite; the model
-    is then left in its mid-training state for inspection.
+    TrainingDiverged the moment a loss comes out non-finite, or if the
+    last minibatch scores non-finite after the last step; the model is
+    then left in its state at that point for inspection.
     """
     targets = _check_targets(config, model, targets, len(docs))
     corpus = build_batch(docs, model.schema)
@@ -157,6 +163,7 @@ def train(model: Model, docs: list, targets,
     report = TrainingReport(
         metric_name="accuracy" if config.loss == "ce" else "mse")
 
+    batch = None
     for epoch in range(config.epochs):
         order = np.random.default_rng([config.seed, epoch]).permutation(len(docs))
         total_loss = 0.0
@@ -189,6 +196,10 @@ def train(model: Model, docs: list, targets,
         report.epoch_metric.append(
             float(hits / max(len(docs), 1)) if config.loss == "ce"
             else float(epoch_loss))
+    # no loss follows the last step, yet it can leave parameters whose
+    # outputs overflow, as a huge learning rate does
+    if batch is not None and not np.isfinite(forward(model, batch).data).all():
+        raise TrainingDiverged(epoch, batch_index)
     return report
 
 

@@ -23,12 +23,13 @@ from hypothesis import given, strategies as st
 
 import hmil.cli as cli_mod
 import hmil.model as model_mod
+import hmil.schema as schema_mod
 import hmil.training as training_mod
 from hmil.batching import build_batch
 from hmil.cli import main
 from hmil.model import ModelConfig, build_model, forward, save_model
 from hmil.nn import Tensor
-from hmil.schema import StringLeaf, loads_schema
+from hmil.schema import StringLeaf, loads_schema, node_paths
 from hmil.training import CHUNK_SIZE, TrainConfig
 
 
@@ -434,6 +435,26 @@ class TestPredict:
                 assert record["scores"] == [float(v) for v in next(rows)]
         assert next(records, None) is None and next(rows, None) is None
 
+    def test_walker_compiles_once_per_run(self, corpus, tmp_path,
+                                          monkeypatch):
+        """Every chunk of a predict run validates with the one walker
+        compiled from the model's schema: each node compiles once."""
+        _, path = run_train(corpus)
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, corpus["docs"] * 5)
+        assert len(corpus["docs"] * 5) > 2 * CHUNK_SIZE
+        compiled, compile_node = [], schema_mod._compile
+
+        def counting(node, column_path):
+            compiled.append(column_path)
+            return compile_node(node, column_path)
+
+        monkeypatch.setattr(schema_mod, "_compile", counting)
+        assert main(["predict", "--model", str(path), "--input", str(src),
+                     "--output", str(tmp_path / "out.jsonl")]) == 0
+        model, _ = model_mod.load_model(str(path))
+        assert compiled == [p for p, _ in node_paths(model.schema)]
+
     def test_output_may_be_the_input(self, corpus, tmp_path):
         _, model = run_train(corpus)
         src = tmp_path / "in.jsonl"
@@ -545,6 +566,26 @@ class TestPredict:
         assert records == [{"line": n, "error": "non-finite model output"}
                            for n in range(1, len(corpus["docs"]) + 1)]
         assert "RuntimeWarning" not in proc.stderr
+
+    def test_output_overflowing_after_the_last_step_exits_3(self, tmp_path):
+        """One epoch at a learning rate of 1e308 leaves finite parameters
+        whose every output overflows; no later loss would notice."""
+        rng = np.random.default_rng(0)
+        src = tmp_path / "xs.jsonl"
+        write_jsonl(src, [{"xs": [float(v) for v in rng.normal(size=5)],
+                           "y": i % 2} for i in range(40)])
+        schema, model = tmp_path / "s.json", tmp_path / "m.bin"
+        assert main(["infer", "--input", str(src),
+                     "--output", str(schema)]) == 0
+        proc = run_child(["train", "--schema", str(schema), "--train",
+                          str(src), "--label-field", "y", "--output",
+                          str(model), "--learning-rate", "1e308",
+                          "--epochs", "1"], stdout=subprocess.PIPE)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == ("error: training diverged: non-finite model "
+                               "output after the last step in epoch 0, "
+                               "batch 0\n")
+        assert not model.exists()
 
     def test_bad_model_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "m.bin"

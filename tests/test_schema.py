@@ -1,8 +1,10 @@
 """Schema inference, validation, and serialization."""
 
+import gc
 import json
 import math
 import random
+import weakref
 from collections import Counter, defaultdict
 from dataclasses import replace
 from pathlib import Path
@@ -23,6 +25,9 @@ from hmil.schema import (
     SchemaError,
     StringLeaf,
     Violation,
+    _finite_float,
+    _float_run,
+    _kind_of_value,
     dumps_schema,
     infer_schema,
     loads_schema,
@@ -245,6 +250,16 @@ class TestValidate:
         s = infer_schema([{"a": 1.0}])
         assert [v.path for v in validate({"a": float("inf")}, s)] == ["$.a"]
 
+    def test_a_schema_and_its_walker_are_freed_together(self, fitness_doc):
+        """The walker lives in its schema's own ``__dict__``: nothing else
+        keeps either alive once the last reference to the schema goes."""
+        s = infer_schema([fitness_doc])
+        assert validate(fitness_doc, s) == []
+        schema_ref, walker_ref = weakref.ref(s), weakref.ref(s._walker)
+        del s
+        gc.collect()
+        assert schema_ref() is None and walker_ref() is None
+
     @given(st.integers(0, 2**32 - 1))
     def test_generated_documents_validate_against_inferred_schema(self, seed):
         rng = np.random.default_rng(seed)
@@ -276,7 +291,7 @@ def _walk_each_item(items, leaf):
     built one walk of ``leaf`` per item."""
     out, child = [], []
     for i, item in enumerate(items):
-        columns = defaultdict(list)
+        columns = new_columns(leaf)
         out += [Violation(f"$[{i}]" + v.path[1:], v.expected, v.actual)
                 for v in validate(item, leaf, columns)]
         child += columns["$"]
@@ -295,8 +310,160 @@ def test_bag_of_leaves_matches_one_walk_per_item(items, which):
         got = validate(bag, Bag(count=1, child=leaf), columns)
         want, want_columns = _walk_each_item(bag, leaf)
         assert got == want
+        # a bag that does not fit leaves the columns as they were;
         # repr: NaN equals itself, and 1 differs from 1.0 and True
-        assert repr(columns) == repr(want_columns)
+        assert repr(columns) == repr(
+            new_columns(Bag(count=1, child=leaf)) if want else want_columns)
+
+
+# node kind -> the JSON values it takes, and their name in a violation
+_TAKES = {"numeric": ((int, float), "numeric"), "string": (str, "string"),
+          "categorical": (str, "string"), "bag": (list, "array"),
+          "product": (dict, "object")}
+
+
+def reference_walk(value, node, path, column_path, columns, out):
+    """The plain walk ``validate`` replaced: it dispatches at every node
+    and builds both paths at every step.  It appends ``value`` to
+    ``columns`` whether or not it fits; an absent optional subtree walks
+    as None into a throwaway ``out``: None leaves, empty bags, flags 0."""
+    types, expected = _TAKES[node.kind]
+    fits = isinstance(value, types)  # a bool is an int
+    if not fits:
+        out.append(Violation(path, expected, _kind_of_value(value)))
+    if isinstance(node, Product):
+        fields = [(f, value.get(f.name) if fits else None)
+                  for f in node.fields]
+        columns[column_path].append([0.0 if v is None else 1.0
+                                     for f, v in fields if f.optional])
+        for f, v in fields:
+            if v is None and fits and not f.optional:  # null == absent
+                out.append(Violation(f"{path}.{f.name}",
+                                     f"required field {f.name!r}", "missing"))
+            reference_walk(v, f.schema, f"{path}.{f.name}",
+                           f"{column_path}.{f.name}", columns,
+                           [] if v is None else out)
+        for name in sorted(value.keys() - {f.name for f in node.fields}
+                           if fits else ()):
+            if value[name] is not None:
+                out.append(Violation(f"{path}.{name}", "no such field",
+                                     "unexpected field"))
+    elif isinstance(node, Bag):
+        items = value if fits else ()
+        columns[column_path].append(len(items))
+        child_path = column_path + "[]"
+        if isinstance(node.child, NumericLeaf) and _float_run(items):
+            columns[child_path].extend(items)
+        else:
+            for i, item in enumerate(items):
+                reference_walk(item, node.child, f"{path}[{i}]", child_path,
+                               columns, out)
+    else:
+        columns[column_path].append(value)
+        if fits and isinstance(node, NumericLeaf) \
+                and _finite_float(value) is None:
+            out.append(Violation(path, "finite number", repr(value)))
+        elif fits and isinstance(node, StringLeaf):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                out.append(Violation(path, "string encodable as UTF-8",
+                                     "unpaired surrogate"))
+
+
+def assert_validate_matches_the_reference(docs, schema):
+    """``validate`` of each document into one shared set of columns
+    returns the reference walk's violations, in its order, and the
+    columns end up as the reference's appends of the documents that
+    fit, by repr (NaN equals itself, and 1 differs from 1.0 and True)."""
+    columns = new_columns(schema)
+    want_columns = defaultdict(list)
+    for doc in docs:
+        sink, want = defaultdict(list), []
+        reference_walk(doc, schema, "$", "$", sink, want)
+        assert validate(doc, schema, columns) == want
+        assert validate(doc, schema) == want
+        if not want:
+            for path, values in sink.items():
+                want_columns[path] += values
+    assert repr(columns) == repr({p: want_columns[p] for p in columns})
+
+
+_LEAVES = (NumericLeaf(count=1, mean=0.0, std=1.0),
+           StringLeaf(count=1, ngram_n=3, hash_dim=8),
+           CategoricalLeaf(count=1, values=("a", "\ud800")))
+SCHEMAS = st.recursive(
+    st.sampled_from(_LEAVES),
+    lambda inner: st.builds(lambda child: Bag(count=1, child=child), inner)
+    | st.dictionaries(st.sampled_from("abcd"),
+                      st.tuples(inner, st.booleans()), min_size=1,
+                      max_size=3).map(lambda fields: Product(
+                          count=1, fields=tuple(
+                              ProductField(name, node, optional)
+                              for name, (node, optional)
+                              in sorted(fields.items())))),
+    max_leaves=6)
+# values that fit few nodes: nulls, other kinds, numbers that are not
+# finite in float64, lone surrogates, and bags of floats
+ODD = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from(_RUN_ODD + _RUN_STRINGS), st.text(max_size=3),
+    st.lists(st.floats(), max_size=4))
+
+
+@st.composite
+def documents(draw, node, odd_one_in):
+    """A document for ``node`` whose every value is drawn from ODD once
+    in ``odd_one_in`` (never at 0), and whose products may lack fields,
+    hold nulls, and carry extra fields."""
+    odd = odd_one_in and draw(st.integers(0, odd_one_in - 1)) == 0
+    if odd:
+        return draw(ODD)
+    if isinstance(node, NumericLeaf):
+        return draw(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.integers(-2**80, 2**80), st.booleans()))
+    if isinstance(node, StringLeaf):
+        return draw(st.text(max_size=5))
+    if isinstance(node, CategoricalLeaf):
+        return draw(st.sampled_from(node.values) | st.text(max_size=2))
+    if isinstance(node, Bag):
+        items = documents(node.child, odd_one_in)
+        if isinstance(node.child, NumericLeaf):
+            items |= st.floats(allow_nan=False, allow_infinity=False)
+        return draw(st.lists(items, max_size=5))
+    doc = {}
+    for f in node.fields:
+        if not f.optional and not odd_one_in:
+            doc[f.name] = draw(documents(f.schema, odd_one_in))
+            continue
+        how = draw(st.sampled_from(("absent", "null", "value", "value")))
+        if how != "absent":
+            doc[f.name] = (None if how == "null"
+                           else draw(documents(f.schema, odd_one_in)))
+    for name in draw(st.lists(st.sampled_from("aez"), max_size=2)):
+        doc.setdefault(name, draw(ODD) if odd_one_in else None)
+    return doc
+
+
+@given(st.data(), SCHEMAS)
+def test_validate_matches_the_reference_walk_on_built_schemas(data, schema):
+    docs = [data.draw(documents(schema, odd_one_in))
+            for odd_one_in in (0, 0, 20, 5)]
+    assert_validate_matches_the_reference(docs, schema)
+
+
+@given(st.data(), st.integers(0, 2**32 - 1), st.sampled_from((0, 1, 32)))
+def test_validate_matches_the_reference_walk_on_inferred_schemas(
+        data, seed, threshold):
+    docs = random_corpus(seed)
+    try:
+        schema = infer_schema(docs[:-1] or docs,
+                              categorical_threshold=threshold)
+    except SchemaError:
+        assume(False)  # a conflict, or an array empty in every document
+    docs += [data.draw(documents(schema, odd_one_in))
+             for odd_one_in in (0, 20)]
+    assert_validate_matches_the_reference(docs, schema)
 
 
 # schema nodes whose keys are all there but hold a value of the wrong
