@@ -236,23 +236,15 @@ def segment_max(instances: Tensor, offsets, tape: Tape | None = None) -> Tensor:
     offs, counts = _check_offsets(offsets, instances.rows)
     x = instances.data
     live = counts > 0
-    if counts.size and counts[0] > 0 and (counts == counts[0]).all():
-        # segments of one length: one argmax over the rows reshaped to
-        # (segment, row, column) finds each segment's, as a loop would
-        n, length = counts.size, int(counts[0])
-        argmaxes = (x.reshape(n, length, x.shape[1]).argmax(axis=1)
-                    + np.arange(0, n * length, length)[:, None])
-    else:
-        starts = offs[:-1][live]
-        # the first row attaining each column's max (or its first NaN,
-        # which the max propagates), as argmax finds it; the output is
-        # read from that row, since on a +0/-0 tie np.maximum keeps the
-        # later operand
-        top = np.repeat(np.maximum.reduceat(x, starts, axis=0),
-                        counts[live], axis=0)
-        rows = np.arange(x.shape[0])[:, None]
-        hit = np.where((x == top) | np.isnan(x), rows, x.shape[0])
-        argmaxes = np.minimum.reduceat(hit, starts, axis=0)
+    starts = offs[:-1][live]
+    # the first row attaining each column's max (or its first NaN, which
+    # the max propagates), as argmax finds it; the output is read from
+    # that row, since on a +0/-0 tie np.maximum keeps the later operand
+    top = np.repeat(np.maximum.reduceat(x, starts, axis=0), counts[live],
+                    axis=0)
+    rows = np.arange(x.shape[0])[:, None]
+    hit = np.where((x == top) | np.isnan(x), rows, x.shape[0])
+    argmaxes = np.minimum.reduceat(hit, starts, axis=0)
     cols = np.arange(instances.cols)
     out_data = np.zeros((counts.size, instances.cols))
     out_data[live] = x[argmaxes, cols]

@@ -386,6 +386,9 @@ def validate(doc, schema: SchemaNode,
         walk(doc, columns, None, None)
         return []
     except BaseException as exc:  # a misfit, or too deep a document
+        # the walk only adds keys, so those past len(sizes) are its own
+        for key in list(columns)[len(sizes):]:
+            del columns[key]
         for column, size in zip(columns.values(), sizes):
             del column[size:]
         if not isinstance(exc, _Misfit):

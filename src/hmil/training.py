@@ -26,6 +26,7 @@ __all__ = [
     "TrainConfig",
     "TrainingReport",
     "TrainingDiverged",
+    "OutputDiverged",
     "loss_softmax_ce",
     "loss_mse",
     "softmax",
@@ -40,16 +41,24 @@ LOSSES = ("ce", "mse")  # softmax cross-entropy, mean squared error
 
 
 class TrainingDiverged(Exception):
-    """A loss came out non-finite at (``epoch``, ``batch_index``), or,
-    with ``value`` None, the model's outputs did after the last step."""
+    """A loss came out non-finite at (``epoch``, ``batch_index``)."""
 
-    def __init__(self, epoch: int, batch_index: int,
-                 value: float | None = None):
-        what = ("non-finite model output after the last step"
-                if value is None else f"non-finite loss {float(value)}")
+    def __init__(self, epoch: int, batch_index: int, value: float):
+        self._located(f"non-finite loss {float(value)}", epoch, batch_index)
+
+    def _located(self, what: str, epoch: int, batch_index: int):
         super().__init__(f"{what} in epoch {epoch}, batch {batch_index}")
         self.epoch = epoch
         self.batch_index = batch_index
+
+
+class OutputDiverged(TrainingDiverged):
+    """The last minibatch, scored again after the last step (which came
+    at ``epoch``, ``batch_index``), gave a non-finite output."""
+
+    def __init__(self, epoch: int, batch_index: int):
+        self._located("non-finite model output after the last step",
+                      epoch, batch_index)
 
 
 @dataclass(frozen=True)
@@ -152,9 +161,10 @@ def train(model: Model, docs: list, targets,
 
     Raises EncodingError, with the document's ``index``, before any
     step if a document does not fit the model's schema, and
-    TrainingDiverged the moment a loss comes out non-finite, or if the
-    last minibatch scores non-finite after the last step; the model is
-    then left in its state at that point for inspection.
+    TrainingDiverged the moment a loss comes out non-finite, or its
+    OutputDiverged if the last minibatch, scored again after the last
+    step, does; the model is then left in its state at that point for
+    inspection.
     """
     targets = _check_targets(config, model, targets, len(docs))
     corpus = build_batch(docs, model.schema)
@@ -199,7 +209,7 @@ def train(model: Model, docs: list, targets,
     # no loss follows the last step, yet it can leave parameters whose
     # outputs overflow, as a huge learning rate does
     if batch is not None and not np.isfinite(forward(model, batch).data).all():
-        raise TrainingDiverged(epoch, batch_index)
+        raise OutputDiverged(epoch, batch_index)
     return report
 
 

@@ -185,23 +185,14 @@ def assert_same_bits(got, want):
     assert np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes()
 
 
-# segment lengths, some all equal: one length, non-zero or not, repeated
-COUNTS = (st.lists(st.integers(0, 20), max_size=8)
-          | st.tuples(st.integers(0, 20), st.integers(1, 8)).map(
-              lambda length_n: [length_n[0]] * length_n[1]))
-
-
 @given(width=st.sampled_from([1, 2]) | st.integers(1, 40),
-       counts=COUNTS,
+       counts=st.lists(st.integers(0, 20), max_size=8),
        pool=st.sampled_from(["spread", "ties", "nonfinite"]),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(width=3, counts=[], pool="spread", seed=0)
 @example(width=1, counts=[0, 0, 0], pool="spread", seed=0)
 @example(width=1, counts=[9, 0, 17], pool="spread", seed=1)
 @example(width=40, counts=[2, 0, 5], pool="ties", seed=2)
-@example(width=32, counts=[20] * 8, pool="ties", seed=3)
-@example(width=5, counts=[3] * 6, pool="nonfinite", seed=4)
-@example(width=1, counts=[1] * 4, pool="spread", seed=5)
 def test_pooling_matches_the_segment_loops(width, counts, pool, seed):
     rng = np.random.default_rng(seed)
     offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])

@@ -250,6 +250,18 @@ class TestValidate:
         s = infer_schema([{"a": 1.0}])
         assert [v.path for v in validate({"a": float("inf")}, s)] == ["$.a"]
 
+    def test_misfit_leaves_a_defaultdict_as_it_was(self):
+        """Columns that the walk creates before it meets the misfit go
+        again, as do the rows it appended to columns already there."""
+        s = infer_schema([{"a": 1.0, "b": 2.0}])
+        columns = defaultdict(list)
+        assert [v.path for v in validate({"a": 1.0, "b": "x"}, s,
+                                         columns)] == ["$.b"]
+        assert columns == {}
+        columns["$"].append([])
+        assert validate({"a": 1.0, "b": "x"}, s, columns) != []
+        assert columns == {"$": [[]]}
+
     def test_a_schema_and_its_walker_are_freed_together(self, fitness_doc):
         """The walker lives in its schema's own ``__dict__``: nothing else
         keeps either alive once the last reference to the schema goes."""

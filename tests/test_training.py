@@ -16,6 +16,7 @@ from hmil.schema import Bag, NumericLeaf
 from hmil.training import (
     CHUNK_SIZE,
     TrainConfig,
+    OutputDiverged,
     TrainingDiverged,
     evaluate_accuracy,
     loss_mse,
@@ -199,6 +200,13 @@ class TestTrainLoop:
     def test_divergence_message_prints_a_plain_float(self):
         exc = TrainingDiverged(1, 2, np.float64(np.nan))
         assert str(exc) == "non-finite loss nan in epoch 1, batch 2"
+
+    def test_output_divergence_is_a_training_divergence(self):
+        exc = OutputDiverged(1, 2)
+        assert isinstance(exc, TrainingDiverged)
+        assert (exc.epoch, exc.batch_index) == (1, 2)
+        assert str(exc) == ("non-finite model output after the last step "
+                            "in epoch 1, batch 2")
 
     def test_report_serializes_to_json(self):
         docs, labels = two_blob_dataset(n_docs=10)
