@@ -2,16 +2,19 @@
 
 A schema is a tree of five node kinds: numeric, string (n-gram), and
 categorical leaves, bags (homogeneous arrays), and products (objects
-with a fixed field set). Inference streams: each document folds into a
-fresh mutable state, which merges in place into one corpus state that
-caps categorical vocabularies as they grow and freezes into the schema
-at the end; memory grows with the schema and its vocabularies, never
-with the corpus.  ``validate`` checks a document against a schema and
-appends it to per-node columns in one pass of the schema's walker: a
-tree of closures, one per node, compiled once per schema on first use
-and cached on the root node itself, so it lives as long as the schema.
-The pass builds no path strings; a document that does not fit leaves
-the columns as they were and is walked again to name its violations.
+with a fixed field set). Inference streams: each document folds straight
+into one mutable corpus state that caps categorical vocabularies as they
+grow and freezes into the schema at the end; memory grows with the
+schema and its vocabularies, never with the corpus.  A bag's items fold
+into a state of their own first, which then merges into the bag's
+element state.  The fold builds no path strings: a conflict collects
+its path steps as it unwinds.  ``validate`` checks a document against a
+schema and appends it to per-node columns in one pass of the schema's
+walker: a tree of closures, one per node, compiled once per schema on
+first use and cached on the root node itself, so it lives as long as
+the schema.  The pass builds no path strings; a document that does not
+fit leaves the columns as they were and is walked again to name its
+violations.
 
 Conventions: ``null`` means "field absent" and is never a kind; JSON
 booleans are numeric 0/1; arrays must be homogeneous or inference
@@ -219,56 +222,130 @@ class _State:
     fields: dict | None = None
 
 
-def _document_state(value, path: str, threshold) -> _State:
-    """The state of one document (each leaf count 1, each field
-    required); a conflict inside it names the item where it arises."""
-    kind = _kind_of_value(value)
+# the kind of a value of each JSON type; _kind_of_value names the rest
+_KINDS = {int: "numeric", float: "numeric", bool: "numeric", str: "string",
+          list: "bag", dict: "product"}
+
+
+class _Clash(Exception):
+    """A conflict that names no path yet: each level it unwinds through
+    adds its step (".name", "[i]" or "[]"), and ``infer_schema`` spells
+    the SchemaConflict from them."""
+
+    def __init__(self, expected: str, actual: str):
+        self.expected, self.actual, self.steps = expected, actual, []
+
+
+def _number_name(value) -> str:
+    """``repr(value)``, or the size of an int too long to print."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"integer of {value.bit_length()} bits"
+
+
+def _fold(state: _State | None, value, threshold) -> _State:
+    """``value`` merged in place into ``state``, or into a new state (each
+    leaf count 1, each field required) if ``state`` is None; past
+    ``threshold`` values a categorical leaf turns "string".  A bag's items
+    fold into a state of their own first, which then merges into the bag's
+    element state, so numbers merge in the order the document alone
+    merges them.  Raises _Clash."""
+    kind = _KINDS.get(type(value)) or _kind_of_value(value)
     if kind == "numeric":
         v = _finite_float(value)
         if v is None:
-            raise SchemaConflict(path, "finite number", repr(value))
-        return _State("numeric", mean=v)
-    if kind == "string":
-        if threshold < 1:  # one value already outgrows the vocabulary
-            return _State("string")
-        return _State("categorical", vocab={value})
-    if kind == "bag" and value and _float_run(value):
-        # the same merges as item by item, with no state per item
-        return _State("bag", child=_State("numeric", *reduce(
-            _merge_numeric, [(1, v, 0.0) for v in value])))
-    if kind == "bag":
-        child = None
-        for i, item in enumerate(value):
-            item_path = f"{path}[{i}]"
-            child = _absorb(child, _document_state(item, item_path, threshold),
-                            item_path, threshold)
-        return _State("bag", child=child)
-    if kind == "product":  # a loop, not a comprehension: one frame a level
-        state = _State("product", fields={})
-        for name in sorted(value):
-            if value[name] is not None:  # null == absent
-                state.fields[name] = _document_state(
-                    value[name], f"{path}.{name}", threshold)
+            raise _Clash("finite number", _number_name(value))
+        if state is None:
+            return _State("numeric", mean=v)
+        if state.kind != "numeric":
+            raise _Clash(state.kind, kind)
+        state.count, state.mean, state.std = _merge_numeric(
+            (state.count, state.mean, state.std), (1, v, 0.0))
         return state
-    raise SchemaConflict(path, "a JSON value", kind)
+    if kind == "string":
+        if state is None:
+            if threshold < 1:  # one value already outgrows the vocabulary
+                return _State("string")
+            return _State("categorical", vocab={value})
+        if state.kind == "categorical":
+            state.vocab.add(value)
+            if len(state.vocab) > threshold:
+                state.kind, state.vocab = "string", None
+        elif state.kind != "string":
+            raise _Clash(state.kind,
+                         "string" if threshold < 1 else "categorical")
+        state.count += 1
+        return state
+    if kind == "bag":
+        if state is not None and state.kind != "bag":
+            raise _Clash(state.kind, kind)
+        child = None
+        if value and _float_run(value):
+            # the same merges as item by item, with no state per item
+            child = _State("numeric", *reduce(
+                _merge_numeric, [(1, v, 0.0) for v in value]))
+        else:
+            try:
+                for i, item in enumerate(value):
+                    child = _absorb(child, _fold(None, item, threshold),
+                                    threshold)
+            except _Clash as clash:
+                clash.steps.append(f"[{i}]")
+                raise
+        if state is None:
+            return _State("bag", child=child)
+        try:
+            state.child = _absorb(state.child, child, threshold)
+        except _Clash as clash:
+            clash.steps.append("[]")
+            raise
+        state.count += 1
+        return state
+    if kind == "product":
+        if state is None:
+            state = _State("product", fields={})
+        elif state.kind != "product":
+            raise _Clash(state.kind, kind)
+        else:
+            state.count += 1
+        fields = state.fields
+        try:  # a loop, not a comprehension: one frame a level
+            for name in sorted(value):
+                if value[name] is not None:  # null == absent
+                    fields[name] = _fold(fields.get(name), value[name],
+                                         threshold)
+        except _Clash as clash:
+            clash.steps.append(f".{name}")
+            raise
+        return state
+    raise _Clash("a JSON value", kind)
 
 
-def _absorb(a, b, path: str, threshold) -> _State | None:
+def _absorb(a, b, threshold) -> _State | None:
     """``b`` merged into ``a`` in place, or ``b`` if ``a`` is None; past
-    ``threshold`` values a categorical leaf turns "string"."""
+    ``threshold`` values a categorical leaf turns "string".  Raises
+    _Clash."""
     if a is None or b is None:
         return b if a is None else a
     if a.kind != b.kind and {a.kind, b.kind} != {"string", "categorical"}:
-        raise SchemaConflict(path, a.kind, b.kind)
+        raise _Clash(a.kind, b.kind)
     if a.kind == "numeric":
         _, a.mean, a.std = _merge_numeric((a.count, a.mean, a.std),
                                           (b.count, b.mean, b.std))
     elif a.kind == "bag":
-        a.child = _absorb(a.child, b.child, f"{path}[]", threshold)
+        try:
+            a.child = _absorb(a.child, b.child, threshold)
+        except _Clash as clash:
+            clash.steps.append("[]")
+            raise
     elif a.kind == "product":
-        for name, field in b.fields.items():
-            a.fields[name] = _absorb(a.fields.get(name), field,
-                                     f"{path}.{name}", threshold)
+        try:
+            for name, field in b.fields.items():
+                a.fields[name] = _absorb(a.fields.get(name), field, threshold)
+        except _Clash as clash:
+            clash.steps.append(f".{name}")
+            raise
     elif b.kind == "string":
         a.kind, a.vocab = "string", None
     elif a.vocab is not None:
@@ -332,11 +409,26 @@ def infer_schema(docs: Iterable, categorical_threshold: int =
     hashed n-gram histograms of the default config. Raises SchemaError on
     an empty corpus, a path two nodes share, or an array empty in every
     document, and SchemaConflict on irreconcilable kinds.
+
+    Each document folds straight into the corpus state, a bag's items
+    into a state of their own first; no path string is built unless a
+    conflict is raised.  A document's own conflict (a non-finite number,
+    a non-JSON value, a clash between a bag's items) comes before its
+    clash with the corpus: when a document does not fold into the
+    corpus, it is folded once more on its own to find one.
     """
-    corpus = None  # each document's state merges into it in place
+    corpus = None  # each document folds into it in place
     for doc in docs:
-        corpus = _absorb(corpus, _document_state(
-            doc, "$", categorical_threshold), "$", categorical_threshold)
+        try:
+            corpus = _fold(corpus, doc, categorical_threshold)
+        except _Clash as clash:
+            if corpus is not None:  # a document's own conflict comes first
+                try:
+                    _fold(None, doc, categorical_threshold)
+                except _Clash as own:
+                    clash = own
+            raise SchemaConflict("$" + "".join(reversed(clash.steps)),
+                                 clash.expected, clash.actual) from None
     if corpus is None:
         raise SchemaError("empty corpus")
     merged = _frozen(corpus)
@@ -465,7 +557,8 @@ def _compile(node: SchemaNode, column_path: str) -> tuple:
             if not isinstance(value, (int, float)):  # a bool is an int
                 return _misfit(out, path, "numeric", _kind_of_value(value))
             if _finite_float(value) is None:
-                return _misfit(out, path, "finite number", repr(value))
+                return _misfit(out, path, "finite number",
+                               _number_name(value))
             columns[column_path].append(value)
     else:
         ngrams = isinstance(node, StringLeaf)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import hmil.schema
 from hmil.batching import new_columns
 from hmil.generators import random_document, random_schema
 from hmil.schema import (
@@ -96,6 +97,17 @@ class TestLeafInference:
         with pytest.raises(SchemaConflict):
             infer_schema([None])
 
+    def test_int_too_long_to_print_is_named_by_its_size(self):
+        """CPython prints no int past 4300 digits; the conflict names it
+        by its size instead."""
+        with pytest.raises(SchemaConflict) as exc:
+            infer_schema([{"a": 10**5000}])
+        assert (exc.value.path, exc.value.expected, exc.value.actual) == (
+            "$.a", "finite number", "integer of 16610 bits")
+        with pytest.raises(SchemaConflict) as exc:
+            infer_schema([1.0, 10**400])
+        assert exc.value.actual == repr(10**400)  # printable: named as before
+
 
 class TestObjectAndArrayInference:
     def test_disjoint_fields_come_out_optional(self):
@@ -122,6 +134,56 @@ class TestObjectAndArrayInference:
         with pytest.raises(SchemaConflict) as exc:
             infer_schema([[1, "x"]])
         assert exc.value.path == "$[1]"
+
+    @pytest.mark.parametrize("docs, want", [
+        # the clash with the corpus at $.a comes before the document's
+        # own non-finite number in preorder, but the number wins
+        ([{"a": 1, "b": 2}, {"a": "x", "b": float("inf")}],
+         ("$.b", "finite number", "inf")),
+        # an item's own conflict wins over its clash with earlier items
+        ([[{"a": 1}, {"a": "x", "b": float("nan")}]],
+         ("$[1].b", "finite number", "nan")),
+        ([["x", [float("nan")]]], ("$[1][0]", "finite number", "nan")),
+        # an item's clash with earlier items, then within a bag's element
+        ([[[{"a": 1}], [{"a": "x"}]]], ("$[1][].a", "numeric", "categorical")),
+        ([{"xs": [[{"a": 1}], [{"a": 2}, {"a": "y"}]]}],
+         ("$.xs[1][1].a", "numeric", "categorical")),
+        # a document's clash with the corpus, under two bags
+        ([{"xs": [[{"a": 1}]]}, {"xs": [[], [{"a": "x"}]]}],
+         ("$.xs[][].a", "numeric", "categorical")),
+    ])
+    def test_conflict_precedence(self, docs, want):
+        with pytest.raises(SchemaConflict) as exc:
+            infer_schema(docs)
+        assert (exc.value.path, exc.value.expected, exc.value.actual) == want
+
+    @pytest.mark.parametrize("bottom, want", [
+        ([1, "x"], ("[1]", "numeric", "categorical")),  # the document's own
+        (["x"], ("[]", "numeric", "categorical")),  # a clash with the corpus
+    ])
+    def test_a_deep_conflict_costs_folds_linear_in_the_nodes(
+            self, monkeypatch, bottom, want):
+        """A conflict 300 bags down is named after a number of folds
+        linear in the documents' nodes; replaying each bag's items on
+        the way up would double the folds at every level."""
+        depth = 300
+        docs = [[1.5], bottom]
+        for _ in range(depth):
+            docs = [[[], doc] for doc in docs]
+        nodes = 2 * (2 * depth + 1) + 1 + len(bottom)
+        fold, calls = hmil.schema._fold, []
+
+        def counted(*args):
+            calls.append(None)
+            assert len(calls) <= 2 * nodes, "more folds than linear"
+            return fold(*args)
+
+        monkeypatch.setattr(hmil.schema, "_fold", counted)
+        with pytest.raises(SchemaConflict) as exc:
+            infer_schema(docs)
+        step, expected, actual = want
+        assert (exc.value.path, exc.value.expected, exc.value.actual) == (
+            "$" + step * (depth + 1), expected, actual)
 
     def test_empty_corpus(self):
         with pytest.raises(SchemaError, match="empty corpus"):
@@ -249,6 +311,13 @@ class TestValidate:
     def test_nonfinite_number_is_a_violation(self):
         s = infer_schema([{"a": 1.0}])
         assert [v.path for v in validate({"a": float("inf")}, s)] == ["$.a"]
+
+    def test_int_too_long_to_print_is_named_by_its_size(self):
+        s = infer_schema([{"a": 1.0}])
+        assert validate({"a": -10**5000}, s) == [
+            Violation("$.a", "finite number", "integer of 16610 bits")]
+        assert validate({"a": 10**400}, s) == [
+            Violation("$.a", "finite number", repr(10**400))]
 
     def test_misfit_leaves_a_defaultdict_as_it_was(self):
         """Columns that the walk creates before it meets the misfit go
