@@ -9,9 +9,11 @@ An activation is named by a string, one of ``TANH``, ``RELU`` and
 A tensor wraps its input array without copying it when that array is
 already float64, and gradients pass between ops uncopied, so ops never
 mutate their inputs or the upstream gradient: parameters are updated
-only through ``adam_step``. Adam keeps its two moments as flat vectors
-over the parameters in ``parameters()`` order and updates them, and
-the parameters, in one element-wise pass.
+only through ``adam_step``. A dense layer adds its bias and applies its
+activation in place to its own matmul product, so each call allocates
+one output-sized array, forward and backward. Adam keeps its two
+moments as flat vectors over the parameters in ``parameters()`` order
+and updates them, and the parameters, in one element-wise pass.
 """
 
 from __future__ import annotations
@@ -87,12 +89,13 @@ TANH, RELU, IDENTITY = "tanh", "relu", "identity"
 
 
 def activate(act: str, z: np.ndarray) -> np.ndarray:
-    """``act`` applied element-wise to ``z``.  ``IDENTITY`` is for linear
-    maps and tests only; ``model.ModelConfig`` refuses it."""
+    """``act`` applied element-wise to ``z``, which it overwrites and
+    returns, so callers pass an array of their own.  ``IDENTITY`` is for
+    linear maps and tests only; ``model.ModelConfig`` refuses it."""
     if act == TANH:
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if act == RELU:
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if act == IDENTITY:
         return z
     raise ValueError(f"unknown activation {act!r}")
@@ -140,16 +143,19 @@ def dense_forward(x: Tensor, w: Tensor, b: Tensor | None, act: str,
         raise ShapeError(f"dense: bias is {b.shape}, expected (1, {w.cols})")
     z = x.data @ w.data
     if b is not None:
-        z = z + b.data
+        z += b.data
     y = activate(act, z)
     out = Tensor(y)
     if tape is not None:
         parents = (x, w) if b is None else (x, w, b)
 
         def bwd(g: np.ndarray) -> list[np.ndarray]:
-            # a bool array multiplies as 1.0 and 0.0
-            gz = g if act == IDENTITY else g * (
-                1.0 - y * y if act == TANH else z > 0.0)
+            if act == TANH:  # g * (1 - y * y), in one buffer
+                gz = y * y
+                np.subtract(1.0, gz, out=gz)
+                gz *= g
+            else:  # y > 0 exactly where z > 0; a bool multiplies as 1 or 0
+                gz = g if act == IDENTITY else g * (y > 0.0)
             grads = [gz @ w.data.T, x.data.T @ gz]
             if b is not None:
                 grads.append(gz.sum(axis=0, keepdims=True))

@@ -341,8 +341,9 @@ def _absorb(a, b, threshold) -> _State | None:
             raise
     elif a.kind == "product":
         try:
-            for name, field in b.fields.items():
-                a.fields[name] = _absorb(a.fields.get(name), field, threshold)
+            for name in sorted(b.fields):
+                a.fields[name] = _absorb(a.fields.get(name), b.fields[name],
+                                         threshold)
         except _Clash as clash:
             clash.steps.append(f".{name}")
             raise

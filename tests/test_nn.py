@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hmil.nn import (
     ShapeError,
     Tape,
     Tensor,
+    activate,
     adam_step,
     backward,
     concat_cols,
@@ -87,6 +89,95 @@ class TestDenseForward:
         assert np.all(np.abs(z) < 18)
         out = dense_forward(x, w, b, TANH)
         assert np.all(out.data > -1.0) and np.all(out.data < 1.0)
+
+
+DENSE_POOL = [-0.0, 0.0, 0.5, -1.0, 3.0, np.nan, np.inf, -np.inf,
+              8e307, -8e307, 1e308, -1e308]
+OUT_OF_PLACE = {TANH: np.tanh, RELU: lambda v: np.maximum(v, 0.0),
+                IDENTITY: lambda v: v}
+
+
+@pytest.mark.parametrize("act", [TANH, RELU, IDENTITY])
+def test_activate_overwrites_and_returns_its_argument(act):
+    # a matmul sums from +0.0, so only here does -0.0 reach an activation
+    z = np.random.default_rng(37).choice(DENSE_POOL, size=(16, 12))
+    before = z.copy()
+    with np.errstate(all="ignore"):
+        want = OUT_OF_PLACE[act](before.copy())
+        got = activate(act, z)
+    assert got is z
+    assert_same_bits(got, want)
+    # the relu backward reads its mask from the output
+    np.testing.assert_array_equal(got > 0.0, before > 0.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("act", [TANH, RELU, IDENTITY])
+def test_dense_matches_the_out_of_place_formulas(act, seed):
+    """The output and the three gradients equal, bit for bit, the plain
+    out-of-place expressions ``act(x @ w + b)``, ``g * (1 - y * y)`` and
+    ``g * (z > 0)`` evaluated on copies, with pre-activations holding
+    zeros, NaN, +/-inf and finite values near +/-1e308."""
+    rng = np.random.default_rng(seed)
+    x, w, b, g = (rng.choice(DENSE_POOL, size=shape)
+                  for shape in ((64, 2), (2, 6), (1, 6), (64, 6)))
+    w[:, 0], b[0, 0] = 1.0, 0.0  # column 0 of rows 0-1 is +/-1.6e308
+    x[:2] = [[8e307, 8e307], [-8e307, -8e307]]
+    with np.errstate(all="ignore"):
+        z = x.copy() @ w.copy() + b.copy()
+        y = OUT_OF_PLACE[act](z)
+        gz = g.copy() if act == IDENTITY else g * (
+            1.0 - y * y if act == TANH else z > 0.0)
+        want = [y, gz @ w.T, x.T @ gz, gz.sum(axis=0, keepdims=True)]
+        tape = Tape()
+        out = dense_forward(Tensor(x), Tensor(w), Tensor(b), act, tape)
+        got = [out.data, *tape.nodes[-1].backward_fn(g)]
+    finite = z[np.isfinite(z)]
+    assert np.isnan(z).any() and np.isposinf(z).any() and np.isneginf(z).any()
+    assert (finite == 0.0).any()
+    assert (finite > 1e308).any() and (finite < -1e308).any()
+    for a, want_a in zip(got, want):
+        assert_same_bits(a, want_a)
+
+
+def _traced_peak(fn) -> int:
+    """Bytes allocated at the peak of ``fn()`` beyond what was live at
+    its start; tracemalloc counts numpy's array buffers."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestDenseAllocation:
+    """A dense layer writes one output-sized array, forward and
+    backward: bias, activation and the tanh derivative run in place."""
+
+    ROWS, COLS = 4096, 32
+    BOUND = 1.5 * ROWS * COLS * 8
+
+    def inputs(self):
+        rng = np.random.default_rng(31)
+        return (Tensor(rng.normal(size=(self.ROWS, 1))),
+                Tensor(rng.normal(size=(1, self.COLS))),
+                Tensor(rng.normal(size=(1, self.COLS))))
+
+    @pytest.mark.parametrize("act", [TANH, RELU])
+    def test_forward_peaks_at_one_output(self, act):
+        x, w, b = self.inputs()
+        assert _traced_peak(lambda: dense_forward(x, w, b, act)) < self.BOUND
+
+    @pytest.mark.parametrize("act", [TANH, RELU])
+    def test_backward_peaks_at_one_output(self, act):
+        x, w, b = self.inputs()
+        tape = Tape()
+        out = dense_forward(x, w, b, act, tape)
+        g = np.ones(out.shape)
+        peak = _traced_peak(lambda: tape.nodes[-1].backward_fn(g))
+        assert peak < self.BOUND
 
 
 class TestSegmentMean:
@@ -387,8 +478,9 @@ def test_fused_adam_matches_a_per_parameter_update():
 
 def _dense(act):
     def case(rng):
-        arrays = [rng.normal(size=(5, 3)), rng.normal(size=(3, 4)),
-                  rng.normal(size=(1, 4))]
+        finite = DENSE_POOL[:5]  # signed zeros, so relu sees exact zeros
+        arrays = [rng.choice(finite, size=(5, 3)), rng.normal(size=(3, 4)),
+                  rng.choice(finite, size=(1, 4))]
         return arrays, lambda tape: dense_forward(
             *(Tensor(a) for a in arrays), act, tape)
     return case

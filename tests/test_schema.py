@@ -151,6 +151,10 @@ class TestObjectAndArrayInference:
         # a document's clash with the corpus, under two bags
         ([{"xs": [[{"a": 1}]]}, {"xs": [[], [{"a": "x"}]]}],
          ("$.xs[][].a", "numeric", "categorical")),
+        # a bag's items bring in clashing fields out of sorted order: the
+        # first field in sorted order is named, as the reference fold does
+        ([{"xs": [{"a": 1, "b": 1}]}, {"xs": [{"b": "x"}, {"a": "y"}]}],
+         ("$.xs[].a", "numeric", "categorical")),
     ])
     def test_conflict_precedence(self, docs, want):
         with pytest.raises(SchemaConflict) as exc:
