@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -137,7 +138,7 @@ def _bias_init(rng: np.random.Generator, fan_in: int, dim: int) -> Tensor:
     # nonzero biases keep pre-activations of all-zero rows off the relu
     # kink, which would otherwise break finite-difference checks exactly;
     # fan_in 0 happens for products inferred from field-free objects
-    bound = 1.0 / np.sqrt(max(fan_in, 1))
+    bound = 1.0 / math.sqrt(max(fan_in, 1))
     return Tensor(rng.uniform(-bound, bound, dim))
 
 
@@ -175,19 +176,23 @@ def _layer_plan(schema: SchemaNode, config: ModelConfig
     return plan + [("head", [(width, h), (h, config.output_dim)])]
 
 
+def _plan_size(plan: list[tuple[str, list[tuple[int, int]]]]) -> int:
+    return sum((fan_in + 1) * fan_out
+               for _, dims in plan for fan_in, fan_out in dims)
+
+
 def param_count(schema: SchemaNode, config: ModelConfig) -> int:
     """Parameter count of ``build_model(schema, config)``, without
     allocating it."""
-    return sum((fan_in + 1) * fan_out
-               for _, dims in _layer_plan(schema, config)
-               for fan_in, fan_out in dims)
+    return _plan_size(_layer_plan(schema, config))
 
 
 def build_model(schema: SchemaNode, config: ModelConfig) -> Model:
     """Deterministic compilation: same schema, config, and seed give
     bit-identical initial parameters.  Raises ModelError past
     ``MAX_PARAMS`` parameters."""
-    n = param_count(schema, config)
+    plan = _layer_plan(schema, config)
+    n = _plan_size(plan)
     if n > MAX_PARAMS:
         raise ModelError(f"model would have {n} parameters, more than "
                          f"the limit of {MAX_PARAMS}")
@@ -195,7 +200,7 @@ def build_model(schema: SchemaNode, config: ModelConfig) -> Model:
     layers = {path: tuple(t for fan_in, fan_out in dims
                           for t in (glorot_uniform(rng, fan_in, fan_out),
                                     _bias_init(rng, fan_in, fan_out)))
-              for path, dims in _layer_plan(schema, config)}
+              for path, dims in plan}
     return Model(schema=schema, config=config, layers=layers)
 
 
@@ -222,7 +227,7 @@ def forward_with_embeddings(model: Model, batch: RaggedBatch,
             phi_w, phi_b, post_w, post_b = model.layers[path]
             h = dense_forward(out.pop(path + "[]"), phi_w, phi_b, act, tape)
             offsets = batch.offsets[path]
-            non_empty = (np.diff(offsets) > 0).astype(np.float64).reshape(-1, 1)
+            non_empty = (offsets[1:] > offsets[:-1])[:, None].astype(np.float64)
             z = concat_cols([pool(h, offsets, tape) for pool in pools]
                             + [Tensor(non_empty)], tape)
             out[path] = sink[path] = dense_forward(z, post_w, post_b,

@@ -11,13 +11,18 @@ already float64, and gradients pass between ops uncopied, so ops never
 mutate their inputs or the upstream gradient: parameters are updated
 only through ``adam_step``. A dense layer adds its bias and applies its
 activation in place to its own matmul product, so each call allocates
-one output-sized array, forward and backward. Adam keeps its two
+one output-sized array, forward and backward. A segment mean two or
+more columns wide pools in one numpy pass, a reshaped sum when every
+segment has one non-zero length and a weighted ``np.bincount`` over
+(segment, column) bins otherwise; either adds each column's rows in
+order from +0.0. Adam keeps its two
 moments as flat vectors over the parameters in ``parameters()`` order
 and updates them, and the parameters, in one element-wise pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,31 +186,6 @@ def _check_offsets(offsets, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     return offs, counts
 
 
-def _segment_means(x: np.ndarray, offs: np.ndarray, counts: np.ndarray
-                   ) -> np.ndarray:
-    """Column means of each segment of ``x`` (zero for an empty one),
-    each sum started from +0.0 and added row by row in order, as
-    ``.sum(axis=0)`` adds the rows of a C-ordered slice at least two
-    columns wide.
-
-    Row j of every segment longer than j is added at once; with the
-    segments sorted longest first, those are a prefix of the sort.
-    """
-    order = np.argsort(-counts, kind="stable")
-    starts = offs[order]
-    lens = counts[order].tolist()
-    acc = np.zeros((counts.size, x.shape[1]))
-    n = len(lens)
-    for j in range(lens[0] if n else 0):
-        while lens[n - 1] <= j:  # the shortest live segment has ended
-            n -= 1
-        acc[:n] += x[starts[:n] + j]
-    out = np.empty_like(acc)
-    out[order] = acc
-    out /= np.maximum(counts, 1)[:, None]
-    return out
-
-
 def segment_mean(instances: Tensor, offsets, tape: Tape | None = None) -> Tensor:
     """Row ``b`` = mean of instance rows ``offsets[b]:offsets[b+1]``.
 
@@ -213,15 +193,26 @@ def segment_mean(instances: Tensor, offsets, tape: Tape | None = None) -> Tensor
     indicator so downstream layers can tell empty from mean-zero).
     """
     offs, counts = _check_offsets(offsets, instances.rows)
-    if instances.cols == 1:
+    x = instances.data
+    n, d = counts.size, x.shape[1]
+    if d == 1:
         # numpy sums a single column of 8 rows or more pairwise, not in
         # row order, so this width keeps its own sum per segment
-        out_data = np.zeros((counts.size, 1))
+        out_data = np.zeros((n, 1))
         for i in np.flatnonzero(counts):
-            s, e = offs[i], offs[i + 1]
-            out_data[i] = instances.data[s:e].sum(axis=0) / counts[i]
+            out_data[i] = x[offs[i]:offs[i + 1]].sum(axis=0) / counts[i]
+    elif n and counts[0] and (counts == counts[0]).all():
+        # a sum over the middle axis adds whole rows in order; adding
+        # +0.0 makes an all -0.0 sum +0.0, whatever numpy starts it from
+        out_data = x.reshape(n, counts[0], d).sum(axis=1)
+        out_data += 0.0
+        out_data /= counts[0]
     else:
-        out_data = _segment_means(instances.data, offs, counts)
+        # bincount adds each bin's weights in order, from +0.0; with no
+        # rows it returns int64 zeros, which the division makes floats
+        bins = np.repeat(np.arange(0, n * d, d), counts)[:, None] + np.arange(d)
+        out_data = (np.bincount(bins.ravel(), x.ravel(), n * d).reshape(n, d)
+                    / np.maximum(counts, 1)[:, None])
     out = Tensor(out_data)
     if tape is not None:
 
@@ -356,5 +347,5 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState,
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
     """Weights uniform in +/- sqrt(6 / (fan_in + fan_out))."""
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)))

@@ -198,7 +198,8 @@ def train(model: Model, docs: list, targets,
 
             grads = backward(tape, loss)
             adam_step(params,
-                      [grads.get(p, np.zeros(p.data.shape)) for p in params],
+                      [grads[p] if p in grads else np.zeros(p.data.shape)
+                       for p in params],
                       state, lr=config.learning_rate)
 
         epoch_loss = total_loss / max(len(docs), 1)

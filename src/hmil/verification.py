@@ -101,8 +101,8 @@ def _inferable_case(rng, n_docs):
 def _random_config(rng, aggregation=None, activation=None) -> ModelConfig:
     return ModelConfig(
         embed_dim=4, hidden_dim=4, output_dim=2,
-        activation=activation or str(rng.choice(["tanh", "relu"])),
-        aggregation=aggregation or str(rng.choice(["mean", "max", "meanmax"])),
+        activation=activation or ("tanh", "relu")[rng.integers(2)],
+        aggregation=aggregation or ("mean", "max", "meanmax")[rng.integers(3)],
         seed=int(rng.integers(2**31)))
 
 
@@ -255,7 +255,7 @@ def _fd_max_rel_error(model: Model, batch) -> float:
     grads = backward(tape, scalar_loss(tape))
     worst = 0.0
     for p in model.parameters():
-        g = grads.get(p, np.zeros(p.data.shape))
+        g = grads[p] if p in grads else np.zeros(p.data.shape)
         it = np.nditer(p.data, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index

@@ -276,12 +276,19 @@ def assert_same_bits(got, want):
     assert np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes()
 
 
+# every segment of one length takes segment_mean's reshape form, any
+# other mix its bincount form
 @given(width=st.sampled_from([1, 2]) | st.integers(1, 40),
-       counts=st.lists(st.integers(0, 20), max_size=8),
+       counts=(st.lists(st.integers(0, 20), max_size=8)
+               | st.builds(lambda n, size: [n] * size,
+                           st.integers(0, 20), st.integers(1, 8))),
        pool=st.sampled_from(["spread", "ties", "nonfinite"]),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(width=3, counts=[], pool="spread", seed=0)
 @example(width=1, counts=[0, 0, 0], pool="spread", seed=0)
+@example(width=3, counts=[0, 0, 0], pool="spread", seed=0)
+# seed 2 draws -0.0 in both rows of the first segment's second column
+@example(width=2, counts=[2, 2, 2], pool="ties", seed=2)
 @example(width=1, counts=[9, 0, 17], pool="spread", seed=1)
 @example(width=40, counts=[2, 0, 5], pool="ties", seed=2)
 def test_pooling_matches_the_segment_loops(width, counts, pool, seed):

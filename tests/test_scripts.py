@@ -3,6 +3,7 @@ change that breaks one fails here instead of at its next manual run."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -70,3 +71,50 @@ def test_perfbench_tracer_sees_pooling(aggregation, mean_calls, max_calls):
     metrics = tracer.metrics()
     assert metrics["nn.segment_mean.calls"] == mean_calls
     assert metrics["nn.segment_max.calls"] == max_calls
+
+
+def test_bench_pairs_writes_the_paired_summary(tmp_path):
+    """``bench_pairs.py`` pairs two synthetic ``.bench_out/`` directories
+    by workload and seed."""
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text())
+    walls = {"parent": [4.0, 3.0, 5.0], "change": [3.0, 3.0, 4.0]}
+    for side, offset in (("parent", 0), ("change", 1)):
+        out = tmp_path / side / ".bench_out"
+        out.mkdir(parents=True)
+        for i, (seed, wall) in enumerate(zip((7, 8, 9), walls[side])):
+            values = {"setup_s": 0.1, "wall_s": wall, "peak_rss_mb": 50.0,
+                      "ops_ok_ratio": 1.0}
+            path = out / f"result-verify-invariants-{seed}-trace0.json"
+            path.write_text(json.dumps({
+                "correct": True, "seconds": 30.0,
+                "output_sha256": f"sha{seed}",
+                "environment": {"git_sha": side, "nproc": 2},
+                "metrics": {k: {"value": v} for k, v in values.items()}}))
+            # the parent finishes first in even pairs
+            os.utime(path, (0, 10 * i + (offset if i % 2 == 0 else 1 - offset)))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+         "--parent", str(tmp_path / "parent"),
+         "--change", str(tmp_path / "change"), "--seeds", "7", "8", "9",
+         "--slug", "smoke", "--what", "a smoke run", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert bench["git"] == {"parent_commit": "parent",
+                            "change_commit": "change"}
+    assert bench["command"].endswith("--seconds 30 --trace 0")
+    (name, wl), = bench["workloads"].items()
+    assert name == "verify-invariants"
+    assert wl["first_in_pair"] == ["parent", "change", "parent"]
+    assert wl["all_correct"] and wl["outputs_equal"]
+    wall = wl["metrics"]["wall_s"]
+    assert wall["parent"] == {"runs": [4.0, 3.0, 5.0], "median": 4.0,
+                              "q1": 3.5, "q3": 4.5, "iqr": 1.0}
+    assert wall["change"]["median"] == 3.0
+    assert (wall["change_better_pairs"], wall["ties"]) == (2, 1)
+    assert wall["median_difference_exceeds_parent_iqr"] is False
+    ok = wl["metrics"]["ops_ok_ratio"]
+    assert (ok["change_better_pairs"], ok["ties"]) == (0, 3)
