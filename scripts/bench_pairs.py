@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Pair the perfbench runs of a parent and a change checkout into one
-``BENCH_<slug>.json``.
+``BENCH_<slug>.json`` at the root of the change checkout.
 
 Each checkout holds the records ``perfbench/run.py`` wrote to its
 ``.bench_out/`` as ``result-<workload>-<seed>-trace0.json``.  The runs of
@@ -98,13 +98,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True,
                         help="checkout of the parent commit")
     parser.add_argument("--change", required=True,
-                        help="checkout of the change")
+                        help="checkout of the change; the BENCH file "
+                        "goes to its root")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--slug", required=True)
     parser.add_argument("--what", required=True,
                         help="one sentence on the change and its claim")
-    parser.add_argument("--out", default=".",
-                        help="directory the BENCH file goes to")
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent, "change": args.change}
@@ -133,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
                 for side in SIDES},
         "workloads": workloads,
     }
-    path = os.path.join(args.out, f"BENCH_{args.slug}.json")
+    path = os.path.join(args.change, f"BENCH_{args.slug}.json")
     with open(path, "w") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)
         fh.write("\n")

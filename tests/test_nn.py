@@ -276,8 +276,8 @@ def assert_same_bits(got, want):
     assert np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes()
 
 
-# every segment of one length takes segment_mean's reshape form, any
-# other mix its bincount form
+# segments all of one non-zero length take segment_mean's reshape form,
+# any other mix at width 2 or more its bincount form
 @given(width=st.sampled_from([1, 2]) | st.integers(1, 40),
        counts=(st.lists(st.integers(0, 20), max_size=8)
                | st.builds(lambda n, size: [n] * size,

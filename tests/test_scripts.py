@@ -99,10 +99,10 @@ def test_bench_pairs_writes_the_paired_summary(tmp_path):
         [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
          "--parent", str(tmp_path / "parent"),
          "--change", str(tmp_path / "change"), "--seeds", "7", "8", "9",
-         "--slug", "smoke", "--what", "a smoke run", "--out", str(tmp_path)],
+         "--slug", "smoke", "--what", "a smoke run"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    bench = json.loads((tmp_path / "change" / "BENCH_smoke.json").read_text())
     assert bench["git"] == {"parent_commit": "parent",
                             "change_commit": "change"}
     assert bench["command"].endswith("--seconds 30 --trace 0")
