@@ -11,13 +11,15 @@ the two sides are paired by workload and seed:
 
 For every end-to-end metric of ``BENCHMARK.json`` the file gives each
 side's runs, median, inclusive quartiles and IQR, the pairs the change
-won (by the metric's ``better`` direction) and tied, and whether the
-medians differ by more than the parent's IQR.  It also gives both
-sides' output digests per seed, whether every run was correct, which
-side finished first in each pair (from the records' modification
-times), and each side's environment.  A workload with no record on
-either side is left out; one with records missing on one side is an
-error.
+won (by the metric's ``better`` direction) and tied, whether the
+medians differ by more than the parent's IQR, and whether the change's
+median is worse than the parent's by more than the metric's ``bound``
+(relative to the parent's median): a would-be regression.  It also
+gives both sides' output digests per seed, whether every run was
+correct, which side finished first in each pair (from the records'
+modification times), and each side's environment.  A workload with no
+record on either side is left out; one with records missing on one
+side is an error.
 """
 
 import argparse
@@ -32,7 +34,10 @@ METHOD = ("alternating parent/change pairs, one pair per seed, each side in "
           "(inclusive method) over the runs of each side; "
           "change_better_pairs counts the pairs the change won, ties "
           "counting for neither; median_difference_exceeds_parent_iqr is "
-          "false where the runs cannot tell the sides apart")
+          "false where the runs cannot tell the sides apart; "
+          "change_worse_beyond_bound is true where the change's median is "
+          "worse than the parent's by more than the metric's bound in "
+          "BENCHMARK.json, as a fraction of the parent's median")
 
 
 def _record_path(checkout: str, workload: str, seed: int) -> str:
@@ -51,16 +56,21 @@ def summarize(runs: list[float]) -> dict:
             "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def compare(parent: list[float], change: list[float], better: str) -> dict:
-    """Both sides' summaries plus the pair wins of the change."""
+def compare(parent: list[float], change: list[float], better: str,
+            bound: float) -> dict:
+    """Both sides' summaries, the pair wins of the change, and whether
+    its median is worse than the parent's by more than ``bound`` times
+    the parent's median."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     ties = sum(c == p for p, c in zip(parent, change))
     sides = {"parent": summarize(parent), "change": summarize(change)}
-    gap = abs(sides["change"]["median"] - sides["parent"]["median"])
+    diff = sides["change"]["median"] - sides["parent"]["median"]
     return sides | {"change_better_pairs": wins, "ties": ties,
                     "median_difference_exceeds_parent_iqr":
-                        gap > sides["parent"]["iqr"]}
+                        abs(diff) > sides["parent"]["iqr"],
+                    "change_worse_beyond_bound":
+                        sign * diff > bound * abs(sides["parent"]["median"])}
 
 
 def pair_workload(checkouts: dict, workload: str, seeds: list[int],
@@ -89,7 +99,7 @@ def pair_workload(checkouts: dict, workload: str, seeds: list[int],
                              for d in digests.values()),
         "metrics": {m["name"]: compare(
             *[[r["metrics"][m["name"]]["value"] for r in records[side]]
-              for side in SIDES], m["better"]) for m in metrics},
+              for side in SIDES], m["better"], m["bound"]) for m in metrics},
     }
 
 
@@ -141,7 +151,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name} {metric}: {m['parent']['median']:.4g} -> "
                   f"{m['change']['median']:.4g}, change won "
                   f"{m['change_better_pairs']}/{wl['pairs']}, exceeds "
-                  f"parent IQR: {m['median_difference_exceeds_parent_iqr']}")
+                  f"parent IQR: {m['median_difference_exceeds_parent_iqr']}, "
+                  f"worse beyond bound: {m['change_worse_beyond_bound']}")
     print(f"wrote {path}")
     return 0
 

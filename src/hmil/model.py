@@ -28,6 +28,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -117,6 +118,13 @@ class Model:
     ``layers`` maps the path of every bag node to (phi_w, phi_b, post_w,
     post_b), of every product node to (comb_w, comb_b), and ``"head"``
     to (w1, b1, w2, b2).  Leaves hold no parameters and have no entry.
+
+    ``values`` holds every parameter in one float64 vector, in
+    ``parameters()`` order and each in C order, and each tensor's
+    ``data`` is a view of its slice.  Training, saving or loading builds
+    it on first use; ``build_model`` does not, so a model that is only
+    run never packs.  After that nothing rebinds a parameter's ``data``:
+    parameters are written in place.
     """
 
     schema: SchemaNode
@@ -125,9 +133,18 @@ class Model:
 
     def parameters(self) -> list[Tensor]:
         """Each node's tensors in ``node_paths`` preorder, head last.
-        Serialization relies on this order."""
+        ``values`` and the container lay them out in this order."""
         return [p for path, _ in node_paths(self.schema)
                 for p in self.layers.get(path, ())] + list(self.layers["head"])
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        params = self.parameters()
+        values = np.concatenate([p.data.ravel() for p in params])
+        ends = np.cumsum([p.data.size for p in params])
+        for p, part in zip(params, np.split(values, ends[:-1])):
+            p.data = part.reshape(p.data.shape)
+        return values
 
     def bag_paths(self) -> list[str]:
         return [path for path, node in node_paths(self.schema)
@@ -289,15 +306,14 @@ def save_model(model: Model, path: str, extra: dict | None = None) -> None:
 
     Layout: magic "HMIL", u32 format version, then length-prefixed
     canonical schema JSON and config JSON, then a u64 value count and
-    the parameters as little-endian float64 in ``parameters()`` order.
-    Same model and extra give byte-identical files, and a failed write
-    leaves any old file at ``path`` as it was (see ``replacing``).
+    ``model.values`` as little-endian float64.  Same model and extra
+    give byte-identical files, and a failed write leaves any old file
+    at ``path`` as it was (see ``replacing``).
     """
     schema_blob = dumps_schema(model.schema).encode("utf-8")
     config_blob = json.dumps(
         {"model": asdict(model.config), "extra": extra or {}},
         sort_keys=True, separators=(",", ":")).encode("utf-8")
-    values = np.concatenate([p.data.reshape(-1) for p in model.parameters()])
     with replacing(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
@@ -305,8 +321,8 @@ def save_model(model: Model, path: str, extra: dict | None = None) -> None:
         fh.write(schema_blob)
         fh.write(struct.pack("<Q", len(config_blob)))
         fh.write(config_blob)
-        fh.write(struct.pack("<Q", values.size))
-        fh.write(values.astype("<f8").tobytes())
+        fh.write(struct.pack("<Q", model.values.size))
+        fh.write(model.values.astype("<f8").tobytes())
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -348,19 +364,15 @@ def load_model(path: str) -> tuple[Model, dict]:
             _read_exact(fh, count * 8, "parameters"), dtype="<f8")
         if fh.read(1):
             raise ModelLoadError("trailing bytes after parameters")
+    expected = param_count(schema, config)
+    # checked before build_model allocates, unless that refuses the size
+    if expected <= MAX_PARAMS and count != expected:
+        raise ModelLoadError(
+            f"parameter count mismatch: container has {count}, "
+            f"schema and config need {expected}")
     try:
         model = build_model(schema, config)
     except ModelError as exc:
         raise ModelLoadError(str(exc)) from exc
-    params = model.parameters()
-    expected = sum(p.data.size for p in params)
-    if count != expected:
-        raise ModelLoadError(
-            f"parameter count mismatch: container has {count}, "
-            f"schema and config need {expected}")
-    pos = 0
-    for p in params:
-        size = p.data.size
-        p.data = values[pos:pos + size].reshape(p.data.shape).copy()
-        pos += size
+    model.values[:] = values
     return model, extra

@@ -15,9 +15,9 @@ one output-sized array, forward and backward. A segment mean two or
 more columns wide pools in one numpy pass, a reshaped sum when every
 segment has one non-zero length and a weighted ``np.bincount`` over
 (segment, column) bins otherwise; either adds each column's rows in
-order from +0.0. Adam keeps its two
-moments as flat vectors over the parameters in ``parameters()`` order
-and updates them, and the parameters, in one element-wise pass.
+order from +0.0. Adam updates a model's parameter vector
+(``model.Model.values``) and its two moments in place in one
+element-wise pass, from the gradient ``flat_gradient`` lays out.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "segment_max",
     "concat_cols",
     "backward",
+    "flat_gradient",
     "AdamState",
     "adam_step",
     "glorot_uniform",
@@ -301,48 +302,40 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     return grads
 
 
+def flat_gradient(grads: dict[Tensor, np.ndarray],
+                  params: list[Tensor]) -> np.ndarray:
+    """The gradients of ``params`` as one flat vector, each in C order
+    and in their order, zero for a tensor the tape never reached."""
+    return np.concatenate([grads[p].ravel() if p in grads
+                           else np.zeros(p.data.size) for p in params])
+
+
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's defaults
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, each one flat vector over the
-    entries of every parameter in order."""
+    """First/second moments, each shaped like the parameter vector."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
 
-    @classmethod
-    def for_params(cls, params: list[Tensor]) -> "AdamState":
-        size = sum(p.data.size for p in params)
-        return cls(m=np.zeros(size), v=np.zeros(size))
 
-
-def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState,
+def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState,
               lr: float = 1e-3) -> None:
-    """One Adam update with bias correction over all parameters at once;
-    each parameter's ``data`` becomes its view of the updated vector."""
-    if (len(params) != len(grads)
-            or sum(p.data.size for p in params) != state.m.size):
-        raise ShapeError("params, grads and state must have equal sizes")
-    for p, g in zip(params, grads):
-        if g.shape != p.data.shape:
-            raise ShapeError(f"adam: grad {g.shape} vs param {p.data.shape}")
+    """One Adam update with bias correction, in place on the flat
+    parameter vector ``values``, from ``grad`` laid out the same way."""
+    if not values.shape == grad.shape == state.m.shape:
+        raise ShapeError("adam: values, grad and moments differ in shape")
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    grad = np.concatenate([g.ravel() for g in grads])
     m, v = state.m, state.v
     m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
     v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-    flat = np.concatenate([p.data.ravel() for p in params])
-    flat = flat - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-    at = 0
-    for p in params:
-        p.data = flat[at:at + p.data.size].reshape(p.data.shape)
-        at += p.data.size
+    values -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:

@@ -19,7 +19,8 @@ import numpy as np
 from .batching import build_batch, finish_batch, new_columns, take
 from .encoding import EncodingError, encode_document
 from .model import Model, forward
-from .nn import AdamState, ShapeError, Tape, Tensor, adam_step, backward
+from .nn import (AdamState, ShapeError, Tape, Tensor, adam_step, backward,
+                 flat_gradient)
 
 __all__ = [
     "CHUNK_SIZE",
@@ -168,8 +169,8 @@ def train(model: Model, docs: list, targets,
     """
     targets = _check_targets(config, model, targets, len(docs))
     corpus = build_batch(docs, model.schema)
-    params = model.parameters()
-    state = AdamState.for_params(params)
+    params, values = model.parameters(), model.values
+    state = AdamState(np.zeros(values.size), np.zeros(values.size))
     report = TrainingReport(
         metric_name="accuracy" if config.loss == "ce" else "mse")
 
@@ -196,10 +197,7 @@ def train(model: Model, docs: list, targets,
                 raise TrainingDiverged(epoch, batch_index, value)
             total_loss += value * len(chosen)
 
-            grads = backward(tape, loss)
-            adam_step(params,
-                      [grads[p] if p in grads else np.zeros(p.data.shape)
-                       for p in params],
+            adam_step(values, flat_gradient(backward(tape, loss), params),
                       state, lr=config.learning_rate)
 
         epoch_loss = total_loss / max(len(docs), 1)

@@ -39,6 +39,7 @@ from .nn import (
     activate,
     backward,
     dense_forward,
+    flat_gradient,
     glorot_uniform,
     segment_mean,
 )
@@ -211,8 +212,7 @@ def _collapse_deviation(model: Model, batches: list, inner_dim: int) -> float:
     references = [_two_matrix_forward(model, batch, extra)
                   for batch in batches]
     for path, (inner, post) in extra.items():
-        phi_w, phi_b, _, post_b = model.layers[path]
-        model.layers[path] = (phi_w, phi_b, Tensor(_fold(inner, post)), post_b)
+        model.layers[path][2].data[:] = _fold(inner, post)
     worst = 0.0
     for batch, (out_ref, emb_ref) in zip(batches, references):
         out, emb = forward_with_embeddings(model, batch)
@@ -251,23 +251,17 @@ def _fd_max_rel_error(model: Model, batch) -> float:
         col = dense_forward(out, squash, None, IDENTITY, tape)
         return segment_mean(col, [0, col.rows], tape)
 
-    tape = Tape()
-    grads = backward(tape, scalar_loss(tape))
+    values, tape = model.values, Tape()
+    g = flat_gradient(backward(tape, scalar_loss(tape)), model.parameters())
     worst = 0.0
-    for p in model.parameters():
-        g = grads[p] if p in grads else np.zeros(p.data.shape)
-        it = np.nditer(p.data, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = p.data[idx]
-            p.data[idx] = orig + FD_EPS
-            up = scalar_loss().data[0, 0]
-            p.data[idx] = orig - FD_EPS
-            down = scalar_loss().data[0, 0]
-            p.data[idx] = orig
-            fd = (up - down) / (2 * FD_EPS)
-            denom = max(abs(g[idx]), abs(fd), 1e-4)
-            worst = max(worst, abs(g[idx] - fd) / denom)
+    for i, orig in enumerate(values.tolist()):
+        values[i] = orig + FD_EPS
+        up = scalar_loss().data[0, 0]
+        values[i] = orig - FD_EPS
+        down = scalar_loss().data[0, 0]
+        values[i] = orig
+        fd = (up - down) / (2 * FD_EPS)
+        worst = max(worst, abs(g[i] - fd) / max(abs(g[i]), abs(fd), 1e-4))
     return worst
 
 

@@ -27,10 +27,11 @@ import hmil.schema as schema_mod
 import hmil.training as training_mod
 from hmil.batching import build_batch
 from hmil.cli import main
-from hmil.model import ModelConfig, build_model, forward, save_model
+from hmil.model import Model, ModelConfig, build_model, forward, save_model
 from hmil.nn import Tensor
 from hmil.schema import StringLeaf, loads_schema, node_paths
 from hmil.training import CHUNK_SIZE, TrainConfig
+from hmil.verification import PLAIN_BAG
 
 
 def write_jsonl(path, docs):
@@ -1000,6 +1001,21 @@ class TestHugeDimensions:
                    "--output", "-"])
         assert rc == 2
         assert "more than the limit" in capsys.readouterr().err
+
+    def test_predict_container_wrong_value_count(self, tmp_path, capsys):
+        """Refused on the count alone: the schema and config would need
+        18021002 values, which are never drawn."""
+        model = tmp_path / "m.bin"
+        save_model(Model(PLAIN_BAG, ModelConfig(
+            embed_dim=3000, hidden_dim=3000, output_dim=2),
+            {"head": (Tensor(np.zeros(10)),)}), str(model))
+        src = tmp_path / "in.jsonl"
+        write_jsonl(src, [[1.0]])
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", "-"])
+        assert rc == 2
+        assert ("parameter count mismatch: container has 10, schema and "
+                "config need 18021002") in capsys.readouterr().err
 
     def test_allocation_failure_exits_2(self, text_corpus, tmp_path,
                                         monkeypatch, capsys):

@@ -3,17 +3,20 @@
 import json
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import hmil.verification as ver
 from hmil.batching import build_batch
 from hmil.generators import permute_bags, random_document, random_schema
 from hmil.model import (
     FORMAT_VERSION,
     MAGIC,
+    Model,
     ModelConfig,
     ModelError,
     ModelLoadError,
@@ -25,8 +28,17 @@ from hmil.model import (
     param_count,
     save_model,
 )
-from hmil.nn import IDENTITY, Tape, Tensor, backward, dense_forward, segment_mean
+from hmil.nn import (
+    IDENTITY,
+    Tape,
+    Tensor,
+    backward,
+    dense_forward,
+    glorot_uniform,
+    segment_mean,
+)
 from hmil.schema import Bag, NumericLeaf, SchemaError, dumps_schema, infer_schema
+from hmil.training import TrainConfig, train
 
 DATA = Path(__file__).parent / "data"
 
@@ -284,6 +296,79 @@ class TestEmbeddingBound:
             embedding_bound(model, "$.nope")
 
 
+def assert_views_of_values(model):
+    """Every parameter is the C-order view of its own slice of
+    ``model.values``, at the running offset, in ``parameters()`` order."""
+    values, at = model.values, 0
+    base = values.__array_interface__["data"][0]
+    for p in model.parameters():
+        assert np.shares_memory(p.data, values)
+        assert p.data.flags.c_contiguous
+        assert p.data.__array_interface__["data"][0] == base + 8 * at
+        assert p.data.tobytes() == values[at:at + p.data.size].tobytes()
+        at += p.data.size
+    assert at == values.size
+
+
+class TestParameterVector:
+    def model(self):
+        schema = infer_schema([{"a": [1.0, 2.0], "b": "x"}, {"a": []}])
+        return build_model(schema, ModelConfig(embed_dim=3, hidden_dim=4,
+                                               output_dim=2, seed=3))
+
+    def test_built_on_first_use_as_the_parameters_in_order(self):
+        model = self.model()
+        before = [p.data.copy() for p in model.parameters()]
+        assert "values" not in vars(model)  # build_model does not pack
+        assert model.values.tobytes() == np.concatenate(
+            [b.ravel() for b in before]).tobytes()
+        assert_views_of_values(model)
+        assert model.values is model.values
+
+    def test_writing_the_vector_writes_the_parameters(self):
+        model = self.model()
+        model.values[:] = np.arange(model.values.size)
+        at = 0
+        for p in model.parameters():
+            np.testing.assert_array_equal(
+                p.data.ravel(), np.arange(at, at + p.data.size))
+            at += p.data.size
+
+    def test_after_load_and_train(self, tmp_path):
+        model = self.model()
+        save_model(model, str(tmp_path / "m"))
+        loaded, _ = load_model(str(tmp_path / "m"))
+        assert_views_of_values(loaded)
+        assert loaded.values.tobytes() == model.values.tobytes()
+        values = loaded.values
+        train(loaded, [{"a": [1.0], "b": "x"}, {"a": [], "b": "y"}], [0, 1],
+              TrainConfig(epochs=2, batch_size=1))
+        assert loaded.values is values
+        assert_views_of_values(loaded)
+        assert loaded.values.tobytes() != model.values.tobytes()
+
+    def test_container_value_section_is_the_vector(self, tmp_path):
+        model = self.model()
+        save_model(model, str(tmp_path / "m"))
+        blob = (tmp_path / "m").read_bytes()
+        section = model.values.astype("<f8").tobytes()
+        assert blob.endswith(struct.pack("<Q", model.values.size) + section)
+
+    def test_folded_post_map_is_in_the_vector(self):
+        model = build_model(PLAIN_BAG, ModelConfig(embed_dim=4, seed=6))
+        values = model.values
+        batch = build_batch([[1.0, 2.0], []], PLAIN_BAG)
+        assert ver._collapse_deviation(model, [batch], inner_dim=3) < 1e-10
+        # the draws _collapse_deviation makes for the one bag
+        rng = np.random.default_rng([6, 13])
+        inner = glorot_uniform(rng, 4, 3).data
+        post = glorot_uniform(rng, 4, 4).data
+        at = 2 * 4  # phi_w (1, 4) and phi_b (1, 4) come first
+        assert values[at:at + 5 * 4].tobytes() \
+            == ver._fold(inner, post).tobytes()
+        assert_views_of_values(model)
+
+
 class TestSaveLoad:
     def test_round_trip_preserves_everything(self, tmp_path):
         docs = [{"a": [1.0, 2.0], "b": "x"}, {"a": [3.0]}]
@@ -348,6 +433,24 @@ class TestSaveLoad:
         target.write_bytes(bytes(blob))
         with pytest.raises(ModelLoadError, match="truncated"):
             load_model(str(target))
+
+    def test_wrong_count_is_refused_before_allocating(self, tmp_path):
+        # a hand-made model of one 10-value head tensor, saved under a
+        # config whose plan needs 18021002 values
+        config = ModelConfig(embed_dim=3000, hidden_dim=3000, output_dim=2)
+        save_model(Model(PLAIN_BAG, config, {"head": (Tensor(np.zeros(10)),)}),
+                   str(tmp_path / "m"))
+        assert (tmp_path / "m").stat().st_size < 400
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelLoadError, match=(
+                    "parameter count mismatch: container has 10, schema "
+                    "and config need 18021002")):
+                load_model(str(tmp_path / "m"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     # byte 16 opens the schema JSON, byte 17 starts its first key
     @pytest.mark.parametrize("at", [16, 17])

@@ -19,6 +19,7 @@ from hmil.nn import (
     backward,
     concat_cols,
     dense_forward,
+    flat_gradient,
     segment_max,
     segment_mean,
 )
@@ -426,46 +427,56 @@ class TestGradientVsFiniteDifferences:
         assert rel_err(grads[x], fd_grad(run, x.data)) < 1e-4
 
 
+def _adam_state(size):
+    return AdamState(np.zeros(size), np.zeros(size))
+
+
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
-        p = Tensor([[1.0, -2.0]])
-        state = AdamState.for_params([p])
-        adam_step([p], [np.zeros((1, 2))], state, lr=0.1)
-        np.testing.assert_array_equal(p.data, [[1.0, -2.0]])
+        values = np.array([1.0, -2.0])
+        adam_step(values, np.zeros(2), _adam_state(2), lr=0.1)
+        np.testing.assert_array_equal(values, [1.0, -2.0])
 
     def test_single_step_hand_value(self):
         # m-hat = v-hat = 1 after one unit-gradient step, so the update is
         # lr / (1 + eps); hand-evaluated: -0.09999999900000002
-        p = Tensor([[0.0]])
-        state = AdamState.for_params([p])
-        adam_step([p], [np.ones((1, 1))], state, lr=0.1)
-        assert p.data[0, 0] == pytest.approx(-0.09999999900000002, abs=1e-15)
+        values = np.zeros(1)
+        adam_step(values, np.ones(1), _adam_state(1), lr=0.1)
+        assert values[0] == pytest.approx(-0.09999999900000002, abs=1e-15)
 
     def test_identical_params_get_identical_updates(self):
-        p1, p2 = Tensor([[0.3]]), Tensor([[0.3]])
-        g = np.array([[0.7]])
-        state = AdamState.for_params([p1, p2])
-        adam_step([p1, p2], [g, g.copy()], state, lr=0.01)
-        assert p1.data[0, 0] == p2.data[0, 0]
+        values = np.array([0.3, 0.3])
+        adam_step(values, np.array([0.7, 0.7]), _adam_state(2), lr=0.01)
+        assert values[0] == values[1]
 
     def test_state_length_mismatch(self):
-        p = Tensor([[0.0]])
-        state = AdamState.for_params([p])
         with pytest.raises(ShapeError):
-            adam_step([p, Tensor([[0.0]])], [np.zeros((1, 1))] * 2, state)
+            adam_step(np.zeros(2), np.zeros(2), _adam_state(1))
+        with pytest.raises(ShapeError):
+            adam_step(np.zeros(1), np.zeros(2), _adam_state(1))
+
+
+def test_flat_gradient_lays_out_params_in_order_with_zeros_for_the_unseen():
+    params = [Tensor(np.ones((2, 3))), Tensor([[5.0]]), Tensor([[1.0, 2.0]])]
+    grads = {params[0]: np.arange(6.0).reshape(2, 3),
+             params[2]: np.array([[7.0, 8.0]])}
+    np.testing.assert_array_equal(flat_gradient(grads, params),
+                                  [0, 1, 2, 3, 4, 5, 0, 7, 8])
 
 
 def test_fused_adam_matches_a_per_parameter_update():
     rng = np.random.default_rng(17)
     shapes = [(3, 4), (1, 4), (1, 1), (5, 2), (2, 7)]
     start = [rng.normal(size=shape) for shape in shapes]
-    params = [Tensor(a.copy()) for a in start]
-    state = AdamState.for_params(params)
+    params = [Tensor(a) for a in start]
+    values = np.concatenate([a.ravel() for a in start])
+    state = _adam_state(values.size)
     ref_p, ref_m, ref_v = start, [np.zeros(s) for s in shapes], \
         [np.zeros(s) for s in shapes]
     for t in range(1, 6):
         grads = [draw(rng, "ties" if t % 2 else "spread", s) for s in shapes]
-        adam_step(params, grads, state, lr=0.01)
+        adam_step(values, flat_gradient(dict(zip(params, grads)), params),
+                  state, lr=0.01)
         # the update as written per parameter before it was fused
         c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
         for i, g in enumerate(grads):
@@ -473,9 +484,8 @@ def test_fused_adam_matches_a_per_parameter_update():
             ref_v[i] = 0.999 * ref_v[i] + (1.0 - 0.999) * g * g
             ref_p[i] = ref_p[i] - 0.01 * (ref_m[i] / c1) / (
                 np.sqrt(ref_v[i] / c2) + 1e-8)
-        for p, want in zip(params, ref_p):
-            assert p.data.shape == want.shape
-            assert p.data.tobytes() == want.tobytes()
+        assert values.tobytes() == np.concatenate(
+            [p.ravel() for p in ref_p]).tobytes()
     assert state.step == 5
     assert state.m.tobytes() == np.concatenate(
         [m.ravel() for m in ref_m]).tobytes()

@@ -80,11 +80,14 @@ def test_bench_pairs_writes_the_paired_summary(tmp_path):
     (tmp_path / "change" / "BENCHMARK.json").write_text(
         (ROOT / "BENCHMARK.json").read_text())
     walls = {"parent": [4.0, 3.0, 5.0], "change": [3.0, 3.0, 4.0]}
+    # the change's set-up is 30% slower, past the 25% bound
+    setups = {"parent": [0.1, 0.1, 0.1], "change": [0.13, 0.13, 0.13]}
     for side, offset in (("parent", 0), ("change", 1)):
         out = tmp_path / side / ".bench_out"
         out.mkdir(parents=True)
-        for i, (seed, wall) in enumerate(zip((7, 8, 9), walls[side])):
-            values = {"setup_s": 0.1, "wall_s": wall, "peak_rss_mb": 50.0,
+        for i, (seed, wall, setup) in enumerate(
+                zip((7, 8, 9), walls[side], setups[side])):
+            values = {"setup_s": setup, "wall_s": wall, "peak_rss_mb": 50.0,
                       "ops_ok_ratio": 1.0}
             path = out / f"result-verify-invariants-{seed}-trace0.json"
             path.write_text(json.dumps({
@@ -116,5 +119,11 @@ def test_bench_pairs_writes_the_paired_summary(tmp_path):
     assert wall["change"]["median"] == 3.0
     assert (wall["change_better_pairs"], wall["ties"]) == (2, 1)
     assert wall["median_difference_exceeds_parent_iqr"] is False
+    assert wall["change_worse_beyond_bound"] is False
+    setup = wl["metrics"]["setup_s"]
+    assert setup["change_worse_beyond_bound"] is True
+    assert wl["metrics"]["ops_ok_ratio"]["change_worse_beyond_bound"] is False
+    assert "setup_s: 0.1 -> 0.13" in proc.stdout
+    assert "worse beyond bound: True" in proc.stdout
     ok = wl["metrics"]["ops_ok_ratio"]
     assert (ok["change_better_pairs"], ok["ties"]) == (0, 3)
