@@ -28,7 +28,6 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -42,9 +41,9 @@ from .nn import (
     Tensor,
     concat_cols,
     dense_forward,
-    glorot_uniform,
     segment_max,
     segment_mean,
+    uniform_fill,
 )
 from .schema import (
     Bag,
@@ -66,7 +65,6 @@ __all__ = [
     "forward",
     "forward_with_embeddings",
     "embedding_bound",
-    "param_count",
     "replacing",
     "save_model",
     "load_model",
@@ -117,52 +115,35 @@ class Model:
 
     ``layers`` maps the path of every bag node to (phi_w, phi_b, post_w,
     post_b), of every product node to (comb_w, comb_b), and ``"head"``
-    to (w1, b1, w2, b2).  Leaves hold no parameters and have no entry.
+    to (w1, b1, w2, b2), in ``node_paths`` preorder, head last.  Leaves
+    hold no parameters and have no entry.
 
     ``values`` holds every parameter in one float64 vector, in
     ``parameters()`` order and each in C order, and each tensor's
-    ``data`` is a view of its slice.  Training, saving or loading builds
-    it on first use; ``build_model`` does not, so a model that is only
-    run never packs.  After that nothing rebinds a parameter's ``data``:
-    parameters are written in place.
+    ``data`` is a view of its slice from the moment the model exists.
+    Nothing rebinds a parameter's ``data``: it is written in place.
     """
 
     schema: SchemaNode
     config: ModelConfig
     layers: dict[str, tuple[Tensor, ...]]
+    values: np.ndarray
 
     def parameters(self) -> list[Tensor]:
-        """Each node's tensors in ``node_paths`` preorder, head last.
-        ``values`` and the container lay them out in this order."""
-        return [p for path, _ in node_paths(self.schema)
-                for p in self.layers.get(path, ())] + list(self.layers["head"])
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        params = self.parameters()
-        values = np.concatenate([p.data.ravel() for p in params])
-        ends = np.cumsum([p.data.size for p in params])
-        for p, part in zip(params, np.split(values, ends[:-1])):
-            p.data = part.reshape(p.data.shape)
-        return values
+        """Every tensor in ``layers`` order, which ``values`` and the
+        container keep."""
+        return [p for tensors in self.layers.values() for p in tensors]
 
     def bag_paths(self) -> list[str]:
         return [path for path, node in node_paths(self.schema)
                 if isinstance(node, Bag)]
 
 
-def _bias_init(rng: np.random.Generator, fan_in: int, dim: int) -> Tensor:
-    # nonzero biases keep pre-activations of all-zero rows off the relu
-    # kink, which would otherwise break finite-difference checks exactly;
-    # fan_in 0 happens for products inferred from field-free objects
-    bound = 1.0 / math.sqrt(max(fan_in, 1))
-    return Tensor(rng.uniform(-bound, bound, dim))
-
-
 def _plan(node: SchemaNode, path: str, config: ModelConfig
           ) -> tuple[int, list[tuple[str, list[tuple[int, int]]]]]:
-    """Output width of ``node`` and the (fan_in, fan_out) of each dense
-    layer in its subtree, grouped by node path in the order ``build_model``
+    """Output width of ``node`` and the shape of each tensor in its
+    subtree, a dense layer's (fan_in, fan_out) weight then its (1,
+    fan_out) bias, grouped by node path in the order ``build_model``
     draws them: children first, fields in order.
 
     A bag over a child of width w maps instances through (w, k) and
@@ -174,51 +155,62 @@ def _plan(node: SchemaNode, path: str, config: ModelConfig
     if isinstance(node, Bag):
         width, plan = _plan(node.child, path + "[]", config)
         pooled = 2 * k if config.aggregation == "meanmax" else k
-        return k, plan + [(path, [(width, k), (pooled + 1, k)])]
+        return k, plan + [(path, [(width, k), (1, k), (pooled + 1, k),
+                                  (1, k)])]
     if isinstance(node, Product):
         width, plan = sum(1 for f in node.fields if f.optional), []
         for f in node.fields:
             w, sub = _plan(f.schema, f"{path}.{f.name}", config)
             width += w
             plan += sub
-        return h, plan + [(path, [(width, h)])]
+        return h, plan + [(path, [(width, h), (1, h)])]
     return leaf_width(node), []
 
 
 def _layer_plan(schema: SchemaNode, config: ModelConfig
-                ) -> list[tuple[str, list[tuple[int, int]]]]:
-    """``_plan`` of the whole tree followed by the two-layer head."""
+                ) -> tuple[list[tuple[str, list[tuple[int, int]]]], int]:
+    """``_plan`` of the whole tree followed by the two-layer head, and
+    its parameter count.  Raises ModelError past ``MAX_PARAMS``."""
     width, plan = _plan(schema, "$", config)
-    h = config.hidden_dim
-    return plan + [("head", [(width, h), (h, config.output_dim)])]
+    h, out = config.hidden_dim, config.output_dim
+    plan.append(("head", [(width, h), (1, h), (h, out), (1, out)]))
+    n = sum(rows * cols for _, shapes in plan for rows, cols in shapes)
+    if n > MAX_PARAMS:
+        raise ModelError(f"model would have {n} parameters, more than "
+                         f"the limit of {MAX_PARAMS}")
+    return plan, n
 
 
-def _plan_size(plan: list[tuple[str, list[tuple[int, int]]]]) -> int:
-    return sum((fan_in + 1) * fan_out
-               for _, dims in plan for fan_in, fan_out in dims)
-
-
-def param_count(schema: SchemaNode, config: ModelConfig) -> int:
-    """Parameter count of ``build_model(schema, config)``, without
-    allocating it."""
-    return _plan_size(_layer_plan(schema, config))
+def _laid_out(schema: SchemaNode, config: ModelConfig, plan: list, n: int
+              ) -> Model:
+    """A model of ``plan``'s ``n`` values, not yet written, each tensor a
+    view of its slice of ``values`` in ``node_paths`` preorder."""
+    shapes, values, at, layers = dict(plan), np.empty(n), 0, {}
+    for path in [p for p, _ in node_paths(schema) if p in shapes] + ["head"]:
+        tensors = []
+        for rows, cols in shapes[path]:
+            tensors.append(Tensor(values[at:at + rows * cols].reshape(rows, cols)))
+            at += rows * cols
+        layers[path] = tuple(tensors)
+    return Model(schema, config, layers, values)
 
 
 def build_model(schema: SchemaNode, config: ModelConfig) -> Model:
     """Deterministic compilation: same schema, config, and seed give
     bit-identical initial parameters.  Raises ModelError past
     ``MAX_PARAMS`` parameters."""
-    plan = _layer_plan(schema, config)
-    n = _plan_size(plan)
-    if n > MAX_PARAMS:
-        raise ModelError(f"model would have {n} parameters, more than "
-                         f"the limit of {MAX_PARAMS}")
+    plan, n = _layer_plan(schema, config)
+    model = _laid_out(schema, config, plan, n)
     rng = np.random.default_rng(config.seed)
-    layers = {path: tuple(t for fan_in, fan_out in dims
-                          for t in (glorot_uniform(rng, fan_in, fan_out),
-                                    _bias_init(rng, fan_in, fan_out)))
-              for path, dims in plan}
-    return Model(schema=schema, config=config, layers=layers)
+    for path, _ in plan:
+        tensors = model.layers[path]
+        for w, b in zip(tensors[::2], tensors[1::2]):
+            uniform_fill(rng, w.data)
+            # nonzero biases keep all-zero rows off the relu kink, which
+            # would break finite-difference checks exactly; fan_in 0
+            # happens for products inferred from field-free objects
+            uniform_fill(rng, b.data, 1.0 / math.sqrt(max(w.rows, 1)))
+    return model
 
 
 def forward(model: Model, batch: RaggedBatch, tape: Tape | None = None) -> Tensor:
@@ -322,7 +314,7 @@ def save_model(model: Model, path: str, extra: dict | None = None) -> None:
         fh.write(struct.pack("<Q", len(config_blob)))
         fh.write(config_blob)
         fh.write(struct.pack("<Q", model.values.size))
-        fh.write(model.values.astype("<f8").tobytes())
+        fh.write(model.values.astype("<f8", copy=False))
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -360,19 +352,22 @@ def load_model(path: str) -> tuple[Model, dict]:
         except (KeyError, TypeError, ModelError) as exc:
             raise ModelLoadError(f"malformed config blob: {exc}") from exc
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, "value count"))
-        values = np.frombuffer(
-            _read_exact(fh, count * 8, "parameters"), dtype="<f8")
-        if fh.read(1):
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if count * 8 > left:
+            raise ModelLoadError("truncated container: parameters")
+        if count * 8 < left:
             raise ModelLoadError("trailing bytes after parameters")
-    expected = param_count(schema, config)
-    # checked before build_model allocates, unless that refuses the size
-    if expected <= MAX_PARAMS and count != expected:
-        raise ModelLoadError(
-            f"parameter count mismatch: container has {count}, "
-            f"schema and config need {expected}")
-    try:
-        model = build_model(schema, config)
-    except ModelError as exc:
-        raise ModelLoadError(str(exc)) from exc
-    model.values[:] = values
+        try:  # refuses a size past the limit before a count mismatch
+            plan, expected = _layer_plan(schema, config)
+        except ModelError as exc:
+            raise ModelLoadError(str(exc)) from exc
+        if count != expected:  # checked before _laid_out allocates
+            raise ModelLoadError(
+                f"parameter count mismatch: container has {count}, "
+                f"schema and config need {expected}")
+        model = _laid_out(schema, config, plan, expected)
+        if fh.readinto(model.values) != model.values.nbytes:
+            raise ModelLoadError("truncated container: parameters")
+    if not np.little_endian:  # the container stores little-endian float64
+        model.values.byteswap(inplace=True)
     return model, extra

@@ -15,9 +15,9 @@ one output-sized array, forward and backward. A segment mean two or
 more columns wide pools in one numpy pass, a reshaped sum when every
 segment has one non-zero length and a weighted ``np.bincount`` over
 (segment, column) bins otherwise; either adds each column's rows in
-order from +0.0. Adam updates a model's parameter vector
-(``model.Model.values``) and its two moments in place in one
-element-wise pass, from the gradient ``flat_gradient`` lays out.
+order from +0.0. ``uniform_fill`` draws initial parameters in place, and Adam
+updates the parameter vector (``model.Model.values``) and its two moments
+in place in one pass, from the gradient ``flat_gradient`` lays out.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ __all__ = [
     "flat_gradient",
     "AdamState",
     "adam_step",
-    "glorot_uniform",
+    "uniform_fill",
 ]
 
 
@@ -338,7 +338,12 @@ def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState,
     values -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
-    """Weights uniform in +/- sqrt(6 / (fan_in + fan_out))."""
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+def uniform_fill(rng: np.random.Generator, out: np.ndarray,
+                 limit: float | None = None) -> np.ndarray:
+    """``out``, overwritten with the bytes ``rng.uniform(-limit, limit,
+    out.shape)`` returns; by default Glorot's limit, sqrt(6 / sum(shape))."""
+    limit = math.sqrt(6.0 / sum(out.shape)) if limit is None else limit
+    rng.random(out=out)
+    out *= limit - -limit  # uniform's low + range * u: IEEE + and * commute
+    out += -limit
+    return out

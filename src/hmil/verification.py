@@ -40,8 +40,8 @@ from .nn import (
     backward,
     dense_forward,
     flat_gradient,
-    glorot_uniform,
     segment_mean,
+    uniform_fill,
 )
 from .schema import (
     Bag,
@@ -206,8 +206,8 @@ def _collapse_deviation(model: Model, batches: list, inner_dim: int) -> float:
     embeddings."""
     rng = np.random.default_rng([model.config.seed, 13])
     k = model.config.embed_dim
-    extra = {path: (glorot_uniform(rng, k, inner_dim).data,
-                    glorot_uniform(rng, inner_dim + 1, k).data)
+    extra = {path: (uniform_fill(rng, np.empty((k, inner_dim))),
+                    uniform_fill(rng, np.empty((inner_dim + 1, k))))
              for path in model.bag_paths()}
     references = [_two_matrix_forward(model, batch, extra)
                   for batch in batches]

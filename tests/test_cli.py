@@ -1006,9 +1006,10 @@ class TestHugeDimensions:
         """Refused on the count alone: the schema and config would need
         18021002 values, which are never drawn."""
         model = tmp_path / "m.bin"
+        values = np.zeros(10)
         save_model(Model(PLAIN_BAG, ModelConfig(
             embed_dim=3000, hidden_dim=3000, output_dim=2),
-            {"head": (Tensor(np.zeros(10)),)}), str(model))
+            {"head": (Tensor(values),)}, values), str(model))
         src = tmp_path / "in.jsonl"
         write_jsonl(src, [[1.0]])
         rc = main(["predict", "--model", str(model), "--input", str(src),

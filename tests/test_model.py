@@ -14,18 +14,20 @@ import hmil.verification as ver
 from hmil.batching import build_batch
 from hmil.generators import permute_bags, random_document, random_schema
 from hmil.model import (
+    ACTIVATIONS,
+    AGGREGATIONS,
     FORMAT_VERSION,
     MAGIC,
     Model,
     ModelConfig,
     ModelError,
     ModelLoadError,
+    _layer_plan,
     build_model,
     embedding_bound,
     forward,
     forward_with_embeddings,
     load_model,
-    param_count,
     save_model,
 )
 from hmil.nn import (
@@ -34,10 +36,17 @@ from hmil.nn import (
     Tensor,
     backward,
     dense_forward,
-    glorot_uniform,
     segment_mean,
+    uniform_fill,
 )
-from hmil.schema import Bag, NumericLeaf, SchemaError, dumps_schema, infer_schema
+from hmil.schema import (
+    Bag,
+    NumericLeaf,
+    SchemaError,
+    dumps_schema,
+    infer_schema,
+    node_paths,
+)
 from hmil.training import TrainConfig, train
 
 DATA = Path(__file__).parent / "data"
@@ -84,15 +93,15 @@ class TestBuild:
     def test_closed_form_count_flat_bag(self):
         config = ModelConfig(embed_dim=8, hidden_dim=8, output_dim=1)
         # bag: (1+1)*8 + (8+2)*8 = 96; head: (8+1)*8 + (8+1)*1 = 81
-        assert param_count(PLAIN_BAG, config) == 177
         model = build_model(PLAIN_BAG, config)
+        assert model.values.size == 177
         assert sum(p.data.size for p in model.parameters()) == 177
 
     def test_closed_form_count_meanmax(self):
         config = ModelConfig(embed_dim=8, hidden_dim=8, aggregation="meanmax")
         # pooled width doubles: (1+1)*8 + (16+2)*8 = 160; head unchanged
-        assert param_count(PLAIN_BAG, config) == 241
         model = build_model(PLAIN_BAG, config)
+        assert model.values.size == 241
         assert sum(p.data.size for p in model.parameters()) == 241
 
     def test_closed_form_count_product_with_optional(self):
@@ -100,8 +109,8 @@ class TestBuild:
         config = ModelConfig(embed_dim=3, hidden_dim=4)
         # widths: a=1, b=2 (one value + unknown slot); one presence flag
         # product: (3+1+1)*4 = 20; head: (4+1)*4 + (4+1)*1 = 25
-        assert param_count(schema, config) == 45
         model = build_model(schema, config)
+        assert model.values.size == 45
         assert sum(p.data.size for p in model.parameters()) == 45
 
     @given(st.integers(0, 2**32 - 1))
@@ -110,7 +119,7 @@ class TestBuild:
         assume(case is not None)
         schema, model, _, _ = case
         assert sum(p.data.size for p in model.parameters()) \
-            == param_count(schema, model.config)
+            == model.values.size
 
 
 class TestForwardSemantics:
@@ -138,7 +147,7 @@ class TestForwardSemantics:
         for p, value in zip(model.parameters(),
                             ([[1.0]], [[0.0]], [[1.0], [0.0]], [[0.0]],
                              [[1.0]], [[0.0]], [[1.0]], [[0.0]])):
-            p.data = np.array(value)
+            p.data[...] = value
         out = forward(model, build_batch([[1.0]], PLAIN_BAG))
         np.testing.assert_allclose(out.data, [[math.tanh(math.tanh(1.0))]],
                                    rtol=1e-15)
@@ -316,14 +325,38 @@ class TestParameterVector:
         return build_model(schema, ModelConfig(embed_dim=3, hidden_dim=4,
                                                output_dim=2, seed=3))
 
-    def test_built_on_first_use_as_the_parameters_in_order(self):
+    def test_built_as_the_parameters_in_order(self):
         model = self.model()
-        before = [p.data.copy() for p in model.parameters()]
-        assert "values" not in vars(model)  # build_model does not pack
-        assert model.values.tobytes() == np.concatenate(
-            [b.ravel() for b in before]).tobytes()
         assert_views_of_values(model)
-        assert model.values is model.values
+        assert model.values.tobytes() == np.concatenate(
+            [p.data.ravel() for p in model.parameters()]).tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(AGGREGATIONS),
+           st.sampled_from(ACTIVATIONS))
+    def test_drawn_in_plan_order_laid_out_in_preorder(self, seed, aggregation,
+                                                      activation):
+        """Each tensor holds what ``rng.uniform`` draws for it, children
+        first and fields in order, while ``values`` keeps ``parameters()``
+        order: preorder, head last."""
+        case = random_case(seed, aggregation=aggregation,
+                           activation=activation)
+        assume(case is not None)
+        model = case[1]
+        rng = np.random.default_rng(model.config.seed)
+        drawn = {}
+        for path, shapes in _layer_plan(model.schema, model.config)[0]:
+            drawn[path] = []
+            for (fan_in, fan_out), bias in zip(shapes[::2], shapes[1::2]):
+                limit = math.sqrt(6.0 / (fan_in + fan_out))
+                drawn[path].append(rng.uniform(-limit, limit,
+                                               (fan_in, fan_out)))
+                limit = 1.0 / math.sqrt(max(fan_in, 1))
+                drawn[path].append(rng.uniform(-limit, limit, bias))
+        paths = [p for p, _ in node_paths(model.schema) if p in drawn]
+        want = np.concatenate([t.ravel() for path in paths + ["head"]
+                               for t in drawn[path]])
+        assert model.values.tobytes() == want.tobytes()
+        assert_views_of_values(model)
 
     def test_writing_the_vector_writes_the_parameters(self):
         model = self.model()
@@ -361,8 +394,8 @@ class TestParameterVector:
         assert ver._collapse_deviation(model, [batch], inner_dim=3) < 1e-10
         # the draws _collapse_deviation makes for the one bag
         rng = np.random.default_rng([6, 13])
-        inner = glorot_uniform(rng, 4, 3).data
-        post = glorot_uniform(rng, 4, 4).data
+        inner = uniform_fill(rng, np.empty((4, 3)))
+        post = uniform_fill(rng, np.empty((4, 4)))
         at = 2 * 4  # phi_w (1, 4) and phi_b (1, 4) come first
         assert values[at:at + 5 * 4].tobytes() \
             == ver._fold(inner, post).tobytes()
@@ -438,8 +471,9 @@ class TestSaveLoad:
         # a hand-made model of one 10-value head tensor, saved under a
         # config whose plan needs 18021002 values
         config = ModelConfig(embed_dim=3000, hidden_dim=3000, output_dim=2)
-        save_model(Model(PLAIN_BAG, config, {"head": (Tensor(np.zeros(10)),)}),
-                   str(tmp_path / "m"))
+        values = np.zeros(10)
+        save_model(Model(PLAIN_BAG, config, {"head": (Tensor(values),)},
+                         values), str(tmp_path / "m"))
         assert (tmp_path / "m").stat().st_size < 400
         tracemalloc.start()
         try:
@@ -451,6 +485,45 @@ class TestSaveLoad:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_loading_draws_nothing(self, tmp_path, monkeypatch):
+        model = TestParameterVector().model()
+        save_model(model, str(tmp_path / "m"))
+
+        def no_draws(*args):
+            raise AssertionError("load_model drew random numbers")
+
+        monkeypatch.setattr("hmil.model.np.random.default_rng", no_draws)
+        loaded, _ = load_model(str(tmp_path / "m"))
+        assert loaded.values.tobytes() == model.values.tobytes()
+
+    # 2007002 values over PLAIN_BAG, 16 MB
+    BIG = ModelConfig(embed_dim=1000, hidden_dim=1000, output_dim=2)
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_saving_copies_no_values(self, tmp_path):
+        model = build_model(PLAIN_BAG, self.BIG)
+        assert model.values.size == 2007002
+        _, peak = self.traced_peak(
+            lambda: save_model(model, str(tmp_path / "m")))
+        assert peak < 0.2 * model.values.nbytes
+
+    def test_loading_reads_straight_into_the_vector(self, tmp_path):
+        model = build_model(PLAIN_BAG, self.BIG)
+        save_model(model, str(tmp_path / "m"))
+        (loaded, _), peak = self.traced_peak(
+            lambda: load_model(str(tmp_path / "m")))
+        assert peak < 1.2 * model.values.nbytes
+        assert loaded.values.tobytes() == model.values.tobytes()
+        assert_views_of_values(loaded)
 
     # byte 16 opens the schema JSON, byte 17 starts its first key
     @pytest.mark.parametrize("at", [16, 17])
