@@ -17,12 +17,14 @@ median is worse than the parent's by more than the metric's ``bound``
 (relative to the parent's median): a would-be regression.  It also
 gives both sides' output digests per seed, whether every run was
 correct, which side finished first in each pair (from the records'
-modification times), and each side's environment.  A workload with no
-record on either side is left out; one with records missing on one
-side is an error.
+modification times), each side's environment, and each side's lines of
+``src/hmil/*.py`` (as ``wc -l`` counts them) with their difference.  A
+workload with no record on either side is left out; one with records
+missing on one side is an error.
 """
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -48,6 +50,15 @@ def _record_path(checkout: str, workload: str, seed: int) -> str:
 def _load(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
+
+
+def source_lines(checkout: str) -> int:
+    """Newlines in the checkout's ``src/hmil/*.py``."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "hmil", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def summarize(runs: list[float]) -> dict:
@@ -132,6 +143,7 @@ def main(argv: list[str] | None = None) -> int:
                                        args.seeds[0]))
               for side in SIDES}
     environment = {side: sample[side]["environment"] for side in SIDES}
+    lines = {side: source_lines(checkouts[side]) for side in SIDES}
     bench = {
         "what": args.what,
         "command": (f"python3 perfbench/run.py --workload W --seed S "
@@ -140,6 +152,8 @@ def main(argv: list[str] | None = None) -> int:
         "environment": environment,
         "git": {f"{side}_commit": environment[side].get("git_sha")
                 for side in SIDES},
+        "src_hmil_lines": lines | {
+            "difference": lines["change"] - lines["parent"]},
         "workloads": workloads,
     }
     path = os.path.join(args.change, f"BENCH_{args.slug}.json")
@@ -153,6 +167,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"{m['change_better_pairs']}/{wl['pairs']}, exceeds "
                   f"parent IQR: {m['median_difference_exceeds_parent_iqr']}, "
                   f"worse beyond bound: {m['change_worse_beyond_bound']}")
+    print(f"src/hmil lines: {lines['parent']} -> {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})")
     print(f"wrote {path}")
     return 0
 

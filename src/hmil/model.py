@@ -10,8 +10,8 @@ representation produces task outputs.
 The network has exactly the shape of the schema tree, so the model holds
 no tree of its own: ``Model.layers`` is a table of each node's dense
 layers keyed by its ``schema.node_paths`` path (plus ``"head"``), and
-the forward pass is one loop over the schema's nodes, children before
-parents.
+its forward pass, compiled once with the layers, is one loop over a
+step per node, children before parents.
 
 The linear map after pooling keeps two facts checkable: an extra
 per-instance linear layer before mean pooling folds into it exactly
@@ -27,6 +27,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -122,12 +123,15 @@ class Model:
     ``parameters()`` order and each in C order, and each tensor's
     ``data`` is a view of its slice from the moment the model exists.
     Nothing rebinds a parameter's ``data``: it is written in place.
+    ``steps`` is the forward pass, each bag and product node's (path,
+    step) in ``_plan`` order; a model built without it cannot run.
     """
 
     schema: SchemaNode
     config: ModelConfig
     layers: dict[str, tuple[Tensor, ...]]
     values: np.ndarray
+    steps: Sequence[tuple[str, Callable]] = ()
 
     def parameters(self) -> list[Tensor]:
         """Every tensor in ``layers`` order, which ``values`` and the
@@ -140,41 +144,58 @@ class Model:
 
 
 def _plan(node: SchemaNode, path: str, config: ModelConfig
-          ) -> tuple[int, list[tuple[str, list[tuple[int, int]]]]]:
-    """Output width of ``node`` and the shape of each tensor in its
-    subtree, a dense layer's (fan_in, fan_out) weight then its (1,
-    fan_out) bias, grouped by node path in the order ``build_model``
-    draws them: children first, fields in order.
+          ) -> tuple[int, list[tuple[str, list[tuple[int, int]], Callable]]]:
+    """Output width of ``node`` and, for each bag and product node in its
+    subtree, children first and fields in order, its path, tensor shapes
+    (a dense layer's (fan_in, fan_out) weight, then its (1, fan_out)
+    bias) and forward step; ``build_model`` draws in this order.
 
     A bag over a child of width w maps instances through (w, k) and
     [pooled, non-empty] through (A+1, k), where k is embed_dim and A the
     pooled width (k, or 2k for meanmax).  A product over children of
     total width s with q optional fields mixes them through (s+q, h).
+    A step pops its children's outputs from ``out``, and it calls the nn
+    ops by their names here when it runs, for wrappers bound over them.
     """
-    k, h = config.embed_dim, config.hidden_dim
+    k, h, act = config.embed_dim, config.hidden_dim, config.activation
     if isinstance(node, Bag):
-        width, plan = _plan(node.child, path + "[]", config)
-        pooled = 2 * k if config.aggregation == "meanmax" else k
+        child, agg = path + "[]", config.aggregation
+        width, plan = _plan(node.child, child, config)
+
+        def bag(layers, batch, out, tape, sink):
+            rows = dense_forward(out.pop(child), *layers[:2], act, tape)
+            offsets = batch.offsets[path]
+            non_empty = (offsets[1:] > offsets[:-1])[:, None].astype(np.float64)
+            z = [segment_mean(rows, offsets, tape)] if agg != "max" else []
+            z += [segment_max(rows, offsets, tape)] if agg != "mean" else []
+            z = concat_cols(z + [Tensor(non_empty)], tape)
+            sink[path] = dense_forward(z, *layers[2:], IDENTITY, tape)
+            return sink[path]
+        pooled = 2 * k if agg == "meanmax" else k
         return k, plan + [(path, [(width, k), (1, k), (pooled + 1, k),
-                                  (1, k)])]
+                                  (1, k)], bag)]
     if isinstance(node, Product):
-        width, plan = sum(1 for f in node.fields if f.optional), []
+        width, plan, children = 0, [], []
         for f in node.fields:
-            w, sub = _plan(f.schema, f"{path}.{f.name}", config)
-            width += w
+            children.append(f"{path}.{f.name}")
+            w, sub = _plan(f.schema, children[-1], config)
+            width += w + f.optional  # and its presence column, if any
             plan += sub
-        return h, plan + [(path, [(width, h), (1, h)])]
+
+        def product(layers, batch, out, tape, sink):
+            parts = [*map(out.pop, children), Tensor(batch.presence[path])]
+            return dense_forward(concat_cols(parts, tape), *layers, act, tape)
+        return h, plan + [(path, [(width, h), (1, h)], product)]
     return leaf_width(node), []
 
 
-def _layer_plan(schema: SchemaNode, config: ModelConfig
-                ) -> tuple[list[tuple[str, list[tuple[int, int]]]], int]:
+def _layer_plan(schema: SchemaNode, config: ModelConfig) -> tuple[list, int]:
     """``_plan`` of the whole tree followed by the two-layer head, and
     its parameter count.  Raises ModelError past ``MAX_PARAMS``."""
     width, plan = _plan(schema, "$", config)
     h, out = config.hidden_dim, config.output_dim
-    plan.append(("head", [(width, h), (1, h), (h, out), (1, out)]))
-    n = sum(rows * cols for _, shapes in plan for rows, cols in shapes)
+    plan.append(("head", [(width, h), (1, h), (h, out), (1, out)], None))
+    n = sum(rows * cols for _, shapes, _ in plan for rows, cols in shapes)
     if n > MAX_PARAMS:
         raise ModelError(f"model would have {n} parameters, more than "
                          f"the limit of {MAX_PARAMS}")
@@ -183,16 +204,17 @@ def _layer_plan(schema: SchemaNode, config: ModelConfig
 
 def _laid_out(schema: SchemaNode, config: ModelConfig, plan: list, n: int
               ) -> Model:
-    """A model of ``plan``'s ``n`` values, not yet written, each tensor a
-    view of its slice of ``values`` in ``node_paths`` preorder."""
-    shapes, values, at, layers = dict(plan), np.empty(n), 0, {}
+    """A model of ``plan``'s steps and ``n`` values, not yet written, each
+    tensor a view of its slice of ``values`` in ``node_paths`` preorder."""
+    shapes, values, at, layers = {p: s for p, s, _ in plan}, np.empty(n), 0, {}
     for path in [p for p, _ in node_paths(schema) if p in shapes] + ["head"]:
         tensors = []
         for rows, cols in shapes[path]:
             tensors.append(Tensor(values[at:at + rows * cols].reshape(rows, cols)))
             at += rows * cols
         layers[path] = tuple(tensors)
-    return Model(schema, config, layers, values)
+    return Model(schema, config, layers, values,
+                 [(path, step) for path, _, step in plan[:-1]])
 
 
 def build_model(schema: SchemaNode, config: ModelConfig) -> Model:
@@ -202,7 +224,7 @@ def build_model(schema: SchemaNode, config: ModelConfig) -> Model:
     plan, n = _layer_plan(schema, config)
     model = _laid_out(schema, config, plan, n)
     rng = np.random.default_rng(config.seed)
-    for path, _ in plan:
+    for path, _, _ in plan:
         tensors = model.layers[path]
         for w, b in zip(tensors[::2], tensors[1::2]):
             uniform_fill(rng, w.data)
@@ -221,36 +243,14 @@ def forward(model: Model, batch: RaggedBatch, tape: Tape | None = None) -> Tenso
 def forward_with_embeddings(model: Model, batch: RaggedBatch,
                             tape: Tape | None = None
                             ) -> tuple[Tensor, dict[str, Tensor]]:
-    """Outputs plus every bag node's embedding rows, keyed by node path.
-
-    Reversed preorder reaches every node after all its descendants, so
-    each node's inputs are waiting in ``out`` when it is reached."""
-    act = model.config.activation
-    # looked up per call, so a wrapper bound over the nn functions sees it
-    pools = {"mean": [segment_mean], "max": [segment_max],
-             "meanmax": [segment_mean, segment_max]}[model.config.aggregation]
-    out: dict[str, Tensor] = {}
+    """Outputs plus every bag node's embedding rows, keyed by node path;
+    steps run children first, so each finds its inputs in ``out``."""
+    out = {path: Tensor(data) for path, data in batch.data.items()}
     sink: dict[str, Tensor] = {}
-    for path, node in reversed(node_paths(model.schema)):
-        if isinstance(node, Bag):
-            phi_w, phi_b, post_w, post_b = model.layers[path]
-            h = dense_forward(out.pop(path + "[]"), phi_w, phi_b, act, tape)
-            offsets = batch.offsets[path]
-            non_empty = (offsets[1:] > offsets[:-1])[:, None].astype(np.float64)
-            z = concat_cols([pool(h, offsets, tape) for pool in pools]
-                            + [Tensor(non_empty)], tape)
-            out[path] = sink[path] = dense_forward(z, post_w, post_b,
-                                                   IDENTITY, tape)
-        elif isinstance(node, Product):
-            comb_w, comb_b = model.layers[path]
-            parts = [out.pop(f"{path}.{f.name}") for f in node.fields]
-            parts.append(Tensor(batch.presence[path]))
-            out[path] = dense_forward(concat_cols(parts, tape), comb_w, comb_b,
-                                      act, tape)
-        else:
-            out[path] = Tensor(batch.data[path])
+    for path, step in model.steps:
+        out[path] = step(model.layers[path], batch, out, tape, sink)
     w1, b1, w2, b2 = model.layers["head"]
-    h = dense_forward(out["$"], w1, b1, act, tape)
+    h = dense_forward(out["$"], w1, b1, model.config.activation, tape)
     return dense_forward(h, w2, b2, IDENTITY, tape), sink
 
 

@@ -230,8 +230,8 @@ def predict_scores(model: Model, items: Iterable) -> Iterator[tuple]:
             except EncodingError as exc:
                 error = exc
         pending.append((key, error))
-        # node_paths in forward recurses as deep as the schema nests, so
-        # forward is called from this frame, not from a helper below it
+        # node_paths in finish_batch recurses as deep as the schema nests,
+        # so it is called from this frame, not from a helper below it
         if len(columns["$"]) == CHUNK_SIZE:  # one root row per document
             yield from _paired(pending, forward(
                 model, finish_batch(columns, model.schema)).data)

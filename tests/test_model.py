@@ -1,14 +1,16 @@
 """Model compilation, forward semantics, invariances, serialization."""
 
+import inspect
 import json
 import math
 import struct
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import hmil.verification as ver
 from hmil.batching import build_batch
@@ -42,12 +44,14 @@ from hmil.nn import (
 from hmil.schema import (
     Bag,
     NumericLeaf,
+    Product,
+    ProductField,
     SchemaError,
     dumps_schema,
     infer_schema,
     node_paths,
 )
-from hmil.training import TrainConfig, train
+from hmil.training import TrainConfig, predict_scores, train
 
 DATA = Path(__file__).parent / "data"
 
@@ -182,6 +186,68 @@ class TestForwardSemantics:
         assert np.max(np.abs(a.data - b.data)) > 1e-6
 
 
+class TestForwardPlan:
+    """The forward pass runs the steps compiled with the model: it walks
+    no schema tree, so it recurses no deeper as the schema nests."""
+
+    DOCS = [{"a": [1.0, 2.0], "b": "x", "c": [{"d": [3.0]}, {"d": []}]},
+            {"a": [], "c": []}]
+
+    @pytest.mark.parametrize("aggregation", AGGREGATIONS)
+    def test_runs_without_walking_the_schema(self, tmp_path, monkeypatch,
+                                             aggregation):
+        schema = infer_schema(self.DOCS)
+        config = ModelConfig(embed_dim=3, hidden_dim=4, output_dim=2,
+                             aggregation=aggregation, seed=5)
+        built, trained = build_model(schema, config), build_model(schema,
+                                                                  config)
+        save_model(built, str(tmp_path / "m"))
+        loaded, _ = load_model(str(tmp_path / "m"))
+        train(trained, self.DOCS, [0, 1], TrainConfig(epochs=2, batch_size=1))
+        batch = build_batch(self.DOCS, schema)
+
+        def outputs(model):
+            out, sink = forward_with_embeddings(model, batch)
+            scores = [row for _, row, _ in predict_scores(
+                model, ((i, doc, None) for i, doc in enumerate(self.DOCS)))]
+            return (forward(model, batch).data.tobytes(), out.data.tobytes(),
+                    {path: e.data.tobytes() for path, e in sink.items()},
+                    np.array(scores).tobytes())
+
+        want = [outputs(m) for m in (built, loaded, trained)]
+        assert sorted(want[0][2]) == ["$.a", "$.c", "$.c[].d"]
+
+        def no_walk(*args):
+            raise AssertionError("the forward pass walked the schema")
+
+        monkeypatch.setattr("hmil.model.node_paths", no_walk)
+        assert [outputs(m) for m in (built, loaded, trained)] == want
+
+    def test_depth_costs_no_frames(self):
+        """Forward over 400 levels, bags and products alternating, needs
+        less than ``depth + 10`` frames of headroom: a walk over the
+        schema would need one frame a level, and steps that call their
+        children's steps more."""
+        depth, limit = 400, sys.getrecursionlimit()
+        node, doc = NumericLeaf(count=1, mean=0.0, std=1.0), 1.0
+        for level in range(depth):
+            if level % 2 == 0:
+                node, doc = Bag(count=1, child=node), [doc]
+            else:
+                node, doc = Product(count=1, fields=(
+                    ProductField("a", node, optional=False),)), {"a": doc}
+        sys.setrecursionlimit(max(limit, 10 * depth))
+        try:  # building and batching recurse as deep as the schema
+            model = build_model(node, ModelConfig(embed_dim=2, hidden_dim=2))
+            batch = build_batch([doc, doc], node)
+            want = forward(model, batch).data.tobytes()
+            sys.setrecursionlimit(len(inspect.stack()) + depth + 10)
+            got = forward(model, batch).data.tobytes()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
+
+
 class TestPermutationInvariance:
     @pytest.mark.parametrize("aggregation", ["mean", "max", "meanmax"])
     def test_fitness_document(self, aggregation):
@@ -307,13 +373,17 @@ class TestEmbeddingBound:
 
 def assert_views_of_values(model):
     """Every parameter is the C-order view of its own slice of
-    ``model.values``, at the running offset, in ``parameters()`` order."""
+    ``model.values``, at the running offset, in ``parameters()`` order.
+    An empty view (a product over no fields has a (0, h) weight) shares
+    no memory and numpy reports its address at offset 0, so only its
+    place in the order is checked."""
     values, at = model.values, 0
     base = values.__array_interface__["data"][0]
     for p in model.parameters():
-        assert np.shares_memory(p.data, values)
         assert p.data.flags.c_contiguous
-        assert p.data.__array_interface__["data"][0] == base + 8 * at
+        if p.data.size:
+            assert np.shares_memory(p.data, values)
+            assert p.data.__array_interface__["data"][0] == base + 8 * at
         assert p.data.tobytes() == values[at:at + p.data.size].tobytes()
         at += p.data.size
     assert at == values.size
@@ -333,6 +403,8 @@ class TestParameterVector:
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(AGGREGATIONS),
            st.sampled_from(ACTIVATIONS))
+    # a (0, 4) comb weight at $[].charlie
+    @example(seed=111959, aggregation="mean", activation="tanh")
     def test_drawn_in_plan_order_laid_out_in_preorder(self, seed, aggregation,
                                                       activation):
         """Each tensor holds what ``rng.uniform`` draws for it, children
@@ -343,8 +415,9 @@ class TestParameterVector:
         assume(case is not None)
         model = case[1]
         rng = np.random.default_rng(model.config.seed)
-        drawn = {}
-        for path, shapes in _layer_plan(model.schema, model.config)[0]:
+        drawn, plan = {}, _layer_plan(model.schema, model.config)[0]
+        assert [p for p, _ in model.steps] == [p for p, _, _ in plan[:-1]]
+        for path, shapes, _ in plan:
             drawn[path] = []
             for (fan_in, fan_out), bias in zip(shapes[::2], shapes[1::2]):
                 limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -485,6 +558,17 @@ class TestSaveLoad:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_big_endian_host_swaps_the_vector_once_in_place(
+            self, tmp_path, monkeypatch):
+        """The stored little-endian values are swapped once, in the
+        vector the tensors view."""
+        model = TestParameterVector().model()
+        save_model(model, str(tmp_path / "m"))
+        monkeypatch.setattr("hmil.model.np.little_endian", False)
+        loaded, _ = load_model(str(tmp_path / "m"))
+        assert loaded.values.tobytes() == model.values.byteswap().tobytes()
+        assert_views_of_values(loaded)
 
     def test_loading_draws_nothing(self, tmp_path, monkeypatch):
         model = TestParameterVector().model()

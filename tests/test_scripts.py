@@ -75,8 +75,14 @@ def test_perfbench_tracer_sees_pooling(aggregation, mean_calls, max_calls):
 
 def test_bench_pairs_writes_the_paired_summary(tmp_path):
     """``bench_pairs.py`` pairs two synthetic ``.bench_out/`` directories
-    by workload and seed."""
+    by workload and seed, and counts each side's ``src/hmil`` lines."""
     (tmp_path / "change").mkdir()
+    for side, files in (("parent", {"a.py": "1\n2\n3\n"}),
+                        ("change", {"a.py": "1\n2\n", "b.py": "1\n2\n",
+                                    "notes.txt": "not counted\n"})):
+        (tmp_path / side / "src" / "hmil").mkdir(parents=True)
+        for name, text in files.items():
+            (tmp_path / side / "src" / "hmil" / name).write_text(text)
     (tmp_path / "change" / "BENCHMARK.json").write_text(
         (ROOT / "BENCHMARK.json").read_text())
     walls = {"parent": [4.0, 3.0, 5.0], "change": [3.0, 3.0, 4.0]}
@@ -125,5 +131,8 @@ def test_bench_pairs_writes_the_paired_summary(tmp_path):
     assert wl["metrics"]["ops_ok_ratio"]["change_worse_beyond_bound"] is False
     assert "setup_s: 0.1 -> 0.13" in proc.stdout
     assert "worse beyond bound: True" in proc.stdout
+    assert bench["src_hmil_lines"] == {"parent": 3, "change": 4,
+                                       "difference": 1}
+    assert "src/hmil lines: 3 -> 4 (+1)" in proc.stdout
     ok = wl["metrics"]["ops_ok_ratio"]
     assert (ok["change_better_pairs"], ok["ties"]) == (0, 3)
