@@ -12,9 +12,11 @@ the two sides are paired by workload and seed:
 For every end-to-end metric of ``BENCHMARK.json`` the file gives each
 side's runs, median, inclusive quartiles and IQR, the pairs the change
 won (by the metric's ``better`` direction) and tied, whether the
-medians differ by more than the parent's IQR, and whether the change's
-median is worse than the parent's by more than the metric's ``bound``
-(relative to the parent's median): a would-be regression.  It also
+medians differ by more than the parent's IQR, whether that makes a
+resolved gain (the change won at least nine tenths of the pairs and its
+median is better by more than the parent's IQR), and whether the
+change's median is worse than the parent's by more than the metric's
+``bound`` (relative to the parent's median): a would-be regression.  It also
 gives both sides' output digests per seed, whether every run was
 correct, which side finished first in each pair (from the records'
 modification times), each side's environment, and each side's lines of
@@ -37,6 +39,9 @@ METHOD = ("alternating parent/change pairs, one pair per seed, each side in "
           "change_better_pairs counts the pairs the change won, ties "
           "counting for neither; median_difference_exceeds_parent_iqr is "
           "false where the runs cannot tell the sides apart; "
+          "gain_resolved is true where the change won at least 9/10 of "
+          "the pairs and its median is better than the parent's by more "
+          "than the parent's IQR; "
           "change_worse_beyond_bound is true where the change's median is "
           "worse than the parent's by more than the metric's bound in "
           "BENCHMARK.json, as a fraction of the parent's median")
@@ -69,17 +74,19 @@ def summarize(runs: list[float]) -> dict:
 
 def compare(parent: list[float], change: list[float], better: str,
             bound: float) -> dict:
-    """Both sides' summaries, the pair wins of the change, and whether
-    its median is worse than the parent's by more than ``bound`` times
-    the parent's median."""
+    """Both sides' summaries, the pair wins of the change, whether they
+    resolve a gain, and whether its median is worse than the parent's by
+    more than ``bound`` times the parent's median."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     ties = sum(c == p for p, c in zip(parent, change))
     sides = {"parent": summarize(parent), "change": summarize(change)}
     diff = sides["change"]["median"] - sides["parent"]["median"]
+    exceeds = abs(diff) > sides["parent"]["iqr"]
     return sides | {"change_better_pairs": wins, "ties": ties,
-                    "median_difference_exceeds_parent_iqr":
-                        abs(diff) > sides["parent"]["iqr"],
+                    "median_difference_exceeds_parent_iqr": exceeds,
+                    "gain_resolved": (10 * wins >= 9 * len(parent)
+                                      and exceeds and sign * diff < 0),
                     "change_worse_beyond_bound":
                         sign * diff > bound * abs(sides["parent"]["median"])}
 
@@ -166,6 +173,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"{m['change']['median']:.4g}, change won "
                   f"{m['change_better_pairs']}/{wl['pairs']}, exceeds "
                   f"parent IQR: {m['median_difference_exceeds_parent_iqr']}, "
+                  f"gain resolved: {m['gain_resolved']}, "
                   f"worse beyond bound: {m['change_worse_beyond_bound']}")
     print(f"src/hmil lines: {lines['parent']} -> {lines['change']} "
           f"({lines['change'] - lines['parent']:+d})")

@@ -290,19 +290,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _record(outputs: np.ndarray, classes) -> dict:
-    listed = [float(v) for v in outputs]
-    if classes is not None:
-        # output_dim may exceed the class count; the extra outputs
-        # name no class
-        prediction = classes[int(np.argmax(outputs[:len(classes)]))]
-    elif len(listed) == 1:
-        prediction = listed[0]
-    else:
-        prediction = int(np.argmax(outputs))
-    return {"prediction": prediction, "scores": listed}
-
-
 def cmd_predict(args) -> int:
     try:
         model, extra = load_model(args.model)
@@ -316,12 +303,17 @@ def cmd_predict(args) -> int:
             classes is None or (isinstance(classes, list) and classes)):
         raise CliError(f"{args.model}: malformed config blob: label_field "
                        "is not a string or classes not a non-empty array")
+    # each record is spelled as json.dumps(record, sort_keys=True) spells
+    # it, from the JSON text of each prediction an output can name
+    dim = model.config.output_dim
+    texts = ([json.dumps(c, sort_keys=True) for c in classes] if classes
+             else None if dim == 1 else [str(i) for i in range(dim)])
 
     def items(fh):  # reads report the input; other OSErrors are writes
         with _failing("read", args.input):
             for number, doc, error in _parse_lines(fh):
-                if isinstance(doc, dict) and label_field in doc:
-                    doc = {k: v for k, v in doc.items() if k != label_field}
+                if isinstance(doc, dict):
+                    doc.pop(label_field, None)
                 yield number, doc, error
 
     failed = False
@@ -329,14 +321,21 @@ def cmd_predict(args) -> int:
             contextlib.nullcontext(sys.stdout) if args.output == "-"
             else _replacing(args.output)) as out:
         for number, outputs, error in predict_scores(model, items(fh)):
-            if error is None and not np.isfinite(outputs).all():
+            scores = None if error is not None else outputs.tolist()
+            if scores is not None and not all(map(math.isfinite, scores)):
                 error = "non-finite model output"
-            if error is None:
-                record = _record(outputs, classes)
-            else:
-                record = {"line": number, "error": str(error)}
+            if error is not None:
                 failed = True
-            out.write(json.dumps(record, sort_keys=True) + "\n")
+                out.write(json.dumps({"line": number, "error": str(error)},
+                                     sort_keys=True) + "\n")
+                continue
+            if texts is None:  # one output and no classes
+                prediction = repr(scores[0])
+            else:  # the first maximum, as np.argmax picks it; -0.0 == 0.0
+                top = scores[:len(texts)]  # outputs past the classes name none
+                prediction = texts[top.index(max(top))]
+            out.write(f'{{"prediction": {prediction}, "scores": '
+                      f'[{", ".join(map(repr, scores))}]}}\n')
     return EXIT_FAILED if failed else EXIT_OK
 
 

@@ -3,7 +3,8 @@
 Numbers standardize against the schema's running statistics, strings
 become L1-normalized histograms of hashed byte n-grams (FNV-1a 64,
 fixed constants, so histograms reproduce across platforms), and
-categorical values one-hot with a trailing unknown slot.
+categorical values one-hot with a trailing unknown slot, through a
+value-to-slot dict kept on the leaf.
 
 A document is appended to per-node columns (see
 ``batching.new_columns``) by the pass that validates it
@@ -12,8 +13,9 @@ cached on it): one raw JSON value per leaf (None where an optional leaf
 is absent), one element count per bag, one row of presence flags per
 product.  A document that does not fit leaves the columns as they were.
 ``encode_column`` then encodes a whole leaf column in one numpy pass,
-when ``batching.finish_batch`` builds the batch; ``encode_string_ngram``
-is a one-row wrapper over it.
+when ``batching.finish_batch`` builds the batch: n-grams hash at every
+byte offset of the joined column with one contiguous slice per byte of
+the window.  ``encode_string_ngram`` is a one-row wrapper over it.
 """
 
 from __future__ import annotations
@@ -84,9 +86,9 @@ def _standardize(column: list, mean: float, std: float) -> np.ndarray:
 
 
 def _ngram_histograms(column: list, n: int, dim: int) -> np.ndarray:
-    """Every row's histogram at once: the FNV-1a recurrence runs over all
-    n-gram windows of the column as uint64, whose multiply wraps modulo
-    2**64 as the hash's definition asks."""
+    """Every row's histogram at once: the FNV-1a recurrence runs as uint64
+    (its multiply wraps modulo 2**64, as the hash asks) at every offset of
+    the joined column, and the windows inside one row are kept."""
     raw = [b"" if s is None else s.encode("utf-8") for s in column]
     lengths = np.fromiter(map(len, raw), dtype=np.int64, count=len(raw))
     counts = np.maximum(lengths - n + 1, 0)  # n-grams per row
@@ -94,28 +96,29 @@ def _ngram_histograms(column: list, n: int, dim: int) -> np.ndarray:
     if windows == 0:
         return np.zeros((len(raw), dim))
     buf = np.frombuffer(b"".join(raw), dtype=np.uint8)
+    m = buf.size - n + 1  # offsets that start n bytes
+    h = np.full(m, _FNV_OFFSET, dtype=np.uint64)
+    for k in range(n):
+        h ^= buf[k:k + m]
+        h *= np.uint64(_FNV_PRIME)
     # a row's last n - 1 bytes (all of a shorter row) start no n-gram:
     # window j of the column starts at byte j plus the bytes so skipped
     # in the rows before its own
     skip = lengths - counts
-    starts = np.arange(windows) + np.repeat(np.cumsum(skip) - skip, counts)
-    h = np.full(windows, _FNV_OFFSET, dtype=np.uint64)
-    for k in range(n):
-        h ^= buf[starts + k]
-        h *= np.uint64(_FNV_PRIME)
-    buckets = (np.repeat(np.arange(len(raw)) * dim, counts)
-               + (h % np.uint64(dim)).astype(np.int64))
+    h = h[np.arange(windows) + np.repeat(np.cumsum(skip) - skip, counts)]
+    h = h & np.uint64(dim - 1) if dim & (dim - 1) == 0 else h % np.uint64(dim)
+    buckets = np.repeat(np.arange(len(raw)) * dim, counts) + h.astype(np.int64)
     hist = np.bincount(buckets, minlength=len(raw) * dim).reshape(-1, dim)
     # an all-zero row divided by 1 stays all-zero
     return hist / np.maximum(counts, 1)[:, None]
 
 
 def _one_hot(column: list, leaf: CategoricalLeaf) -> np.ndarray:
-    out = np.zeros((len(column), len(leaf.values) + 1))
-    rows = [i for i, v in enumerate(column) if v is not None]
-    slots = [leaf.index(column[i]) for i in rows]
-    out[rows, [len(leaf.values) if j is None else j for j in slots]] = 1.0
-    return out
+    # a None row (absent leaf) stays all-zero, an unseen value is unknown
+    width, slot = len(leaf.values) + 1, leaf._slots.get
+    hot = np.array([-1 if v is None else slot(v, width - 1) for v in column],
+                   dtype=np.int64)
+    return (hot[:, None] == np.arange(width)).astype(np.float64)
 
 
 def leaf_width(leaf: SchemaNode) -> int:

@@ -203,18 +203,20 @@ def _layer_plan(schema: SchemaNode, config: ModelConfig) -> tuple[list, int]:
 
 
 def _laid_out(schema: SchemaNode, config: ModelConfig, plan: list, n: int
-              ) -> Model:
+              ) -> tuple[Model, dict[str, np.ndarray]]:
     """A model of ``plan``'s steps and ``n`` values, not yet written, each
-    tensor a view of its slice of ``values`` in ``node_paths`` preorder."""
+    tensor a view of its slice of ``values`` in ``node_paths`` preorder,
+    and each node's block of ``values``: its tensors, in order."""
     shapes, values, at, layers = {p: s for p, s, _ in plan}, np.empty(n), 0, {}
+    blocks = {}
     for path in [p for p, _ in node_paths(schema) if p in shapes] + ["head"]:
-        tensors = []
+        tensors, start = [], at
         for rows, cols in shapes[path]:
             tensors.append(Tensor(values[at:at + rows * cols].reshape(rows, cols)))
             at += rows * cols
-        layers[path] = tuple(tensors)
+        layers[path], blocks[path] = tuple(tensors), values[start:at]
     return Model(schema, config, layers, values,
-                 [(path, step) for path, _, step in plan[:-1]])
+                 [(path, step) for path, _, step in plan[:-1]]), blocks
 
 
 def build_model(schema: SchemaNode, config: ModelConfig) -> Model:
@@ -222,16 +224,17 @@ def build_model(schema: SchemaNode, config: ModelConfig) -> Model:
     bit-identical initial parameters.  Raises ModelError past
     ``MAX_PARAMS`` parameters."""
     plan, n = _layer_plan(schema, config)
-    model = _laid_out(schema, config, plan, n)
+    model, blocks = _laid_out(schema, config, plan, n)
     rng = np.random.default_rng(config.seed)
     for path, _, _ in plan:
+        rng.random(out=blocks[path])  # each tensor's own draw, in order
         tensors = model.layers[path]
         for w, b in zip(tensors[::2], tensors[1::2]):
-            uniform_fill(rng, w.data)
+            uniform_fill(None, w.data)
             # nonzero biases keep all-zero rows off the relu kink, which
             # would break finite-difference checks exactly; fan_in 0
             # happens for products inferred from field-free objects
-            uniform_fill(rng, b.data, 1.0 / math.sqrt(max(w.rows, 1)))
+            uniform_fill(None, b.data, 1.0 / math.sqrt(max(w.rows, 1)))
     return model
 
 
@@ -365,7 +368,7 @@ def load_model(path: str) -> tuple[Model, dict]:
             raise ModelLoadError(
                 f"parameter count mismatch: container has {count}, "
                 f"schema and config need {expected}")
-        model = _laid_out(schema, config, plan, expected)
+        model, _ = _laid_out(schema, config, plan, expected)
         if fh.readinto(model.values) != model.values.nbytes:
             raise ModelLoadError("truncated container: parameters")
     if not np.little_endian:  # the container stores little-endian float64

@@ -338,12 +338,14 @@ def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState,
     values -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def uniform_fill(rng: np.random.Generator, out: np.ndarray,
+def uniform_fill(rng: np.random.Generator | None, out: np.ndarray,
                  limit: float | None = None) -> np.ndarray:
     """``out``, overwritten with the bytes ``rng.uniform(-limit, limit,
-    out.shape)`` returns; by default Glorot's limit, sqrt(6 / sum(shape))."""
+    out.shape)`` returns; by default Glorot's limit, sqrt(6 / sum(shape)).
+    With ``rng`` None, ``out`` already holds the draw of ``rng.random``."""
     limit = math.sqrt(6.0 / sum(out.shape)) if limit is None else limit
-    rng.random(out=out)
+    if rng is not None:
+        rng.random(out=out)
     out *= limit - -limit  # uniform's low + range * u: IEEE + and * commute
     out += -limit
     return out

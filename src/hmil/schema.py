@@ -6,9 +6,9 @@ with a fixed field set). Inference streams: each document folds straight
 into one mutable corpus state that caps categorical vocabularies as they
 grow and freezes into the schema at the end; memory grows with the
 schema and its vocabularies, never with the corpus.  A bag's items fold
-into a state of their own first, which then merges into the bag's
-element state.  The fold builds no path strings: a conflict collects
-its path steps as it unwinds.  ``validate`` checks a document against a
+straight into the document's own element state, which then merges into
+the bag's.  The fold builds no path strings: a conflict collects its
+path steps as it unwinds.  ``validate`` checks a document against a
 schema and appends it to per-node columns in one pass of the schema's
 walker: a tree of closures, one per node, compiled once per schema on
 first use and cached on the root node itself, so it lives as long as
@@ -108,11 +108,12 @@ class CategoricalLeaf(_Node):
 
     kind = "categorical"
 
+    @cached_property
+    def _slots(self) -> dict[str, int]:  # kept as ``_walker`` is
+        return {v: i for i, v in enumerate(self.values)}
+
     def index(self, value: str) -> int | None:
-        try:
-            return self.values.index(value)
-        except ValueError:
-            return None
+        return self._slots.get(value) if isinstance(value, str) else None
 
 
 @dataclass(frozen=True)
@@ -244,13 +245,14 @@ def _number_name(value) -> str:
         return f"integer of {value.bit_length()} bits"
 
 
-def _fold(state: _State | None, value, threshold) -> _State:
+def _fold(state: _State | None, value, threshold, per_item=False) -> _State:
     """``value`` merged in place into ``state``, or into a new state (each
     leaf count 1, each field required) if ``state`` is None; past
     ``threshold`` values a categorical leaf turns "string".  A bag's items
-    fold into a state of their own first, which then merges into the bag's
-    element state, so numbers merge in the order the document alone
-    merges them.  Raises _Clash."""
+    fold straight into a state of the document's own, which then merges
+    into the bag's element state; ``per_item`` folds each item alone first,
+    which changes no state, only puts an item's own conflict before its
+    clash with earlier items.  Raises _Clash."""
     kind = _KINDS.get(type(value)) or _kind_of_value(value)
     if kind == "numeric":
         v = _finite_float(value)
@@ -288,8 +290,9 @@ def _fold(state: _State | None, value, threshold) -> _State:
         else:
             try:
                 for i, item in enumerate(value):
-                    child = _absorb(child, _fold(None, item, threshold),
-                                    threshold)
+                    child = (_absorb(child, _fold(None, item, threshold, True),
+                                     threshold) if per_item
+                             else _fold(child, item, threshold))
             except _Clash as clash:
                 clash.steps.append(f"[{i}]")
                 raise
@@ -314,7 +317,7 @@ def _fold(state: _State | None, value, threshold) -> _State:
             for name in sorted(value):
                 if value[name] is not None:  # null == absent
                     fields[name] = _fold(fields.get(name), value[name],
-                                         threshold)
+                                         threshold, per_item)
         except _Clash as clash:
             clash.steps.append(f".{name}")
             raise
@@ -412,22 +415,21 @@ def infer_schema(docs: Iterable, categorical_threshold: int =
     document, and SchemaConflict on irreconcilable kinds.
 
     Each document folds straight into the corpus state, a bag's items
-    into a state of their own first; no path string is built unless a
+    into the document's element state; no path string is built unless a
     conflict is raised.  A document's own conflict (a non-finite number,
     a non-JSON value, a clash between a bag's items) comes before its
-    clash with the corpus: when a document does not fold into the
-    corpus, it is folded once more on its own to find one.
+    clash with the corpus: a document that does not fold is folded once
+    more, alone and item by item, to find one.
     """
     corpus = None  # each document folds into it in place
     for doc in docs:
         try:
             corpus = _fold(corpus, doc, categorical_threshold)
         except _Clash as clash:
-            if corpus is not None:  # a document's own conflict comes first
-                try:
-                    _fold(None, doc, categorical_threshold)
-                except _Clash as own:
-                    clash = own
+            try:  # once per document, never once per bag level
+                _fold(None, doc, categorical_threshold, True)
+            except _Clash as own:
+                clash = own
             raise SchemaConflict("$" + "".join(reversed(clash.steps)),
                                  clash.expected, clash.actual) from None
     if corpus is None:

@@ -1604,3 +1604,128 @@ def test_golden_conflict_digest(tmp_path, capsys):
             assert rc == 2 and err.startswith("error: ")
             digest.update(f"{rc} {err}".encode("utf-8"))
     assert digest.hexdigest() == GOLDEN_CONFLICTS_SHA256
+
+
+# `hmil predict` input: GOLDEN_TRAIN's documents, a third of them still
+# labelled, then an invalid JSON line and two schema misfits
+GOLDEN_PREDICT_INPUT = (
+    [json.dumps(doc if i % 3 else {k: v for k, v in doc.items()
+                                   if k != "label"}, ensure_ascii=False)
+     for i, doc in enumerate(GOLDEN_TRAIN)]
+    + ['{"kind": "a", ', json.dumps({**GOLDEN_TRAIN[0], "kind": 5}),
+       json.dumps({**GOLDEN_TRAIN[1], "unknown": [1]})])
+
+# per case: the label of GOLDEN_TRAIN's i-th document, and extra
+# `hmil train` flags
+GOLDEN_PREDICT_CASES = {
+    "text": (lambda i: ["café", "naïve", "日本", "x\u2028y"][i % 4], []),
+    "int-bool-float": (lambda i: [1, True, 2.5, 0, False, -3][i % 6], []),
+    "wide": (lambda i: i % 3, ["--output-dim", "5"]),
+    "mse": (lambda i: i * 0.25 - 1.375, ["--loss", "mse"]),
+}
+
+# sha256 of the exit code and output of `hmil predict` on
+# GOLDEN_PREDICT_INPUT, per case, with models from `hmil train --epochs 1`
+# on GOLDEN_TRAIN relabelled, and with two hand-made containers: one of
+# three outputs and no classes, one whose classes are an object, an
+# array and null; recorded with the predict that wrote each record with
+# json.dumps
+GOLDEN_PREDICT_SHA256 = {
+    "text": "07db22afdb3c6c4cc20dc4cb17b8f7581034812b53df7abc6a10ce37674bb771",
+    "int-bool-float":
+        "aa18f93800670c9c67ef9c81168241c0165f86139be84f569f43f9187c17d7ad",
+    "wide": "2b42e8ffefc15c78d5eb0aefb0140aa142f1d8189b771288de7b870bd1eb7342",
+    "mse": "6556866dc45712198938730361f7a8720b8bff59077c9f673011217ea6b6d66a",
+    "no-classes":
+        "eb7b4e44aa946475d3ab0afe7e22b121783d13cbb70da30e4980d087e4146c51",
+    "object-classes":
+        "41ca0a962f62e21ca1ebafb427f1668404c04c74e7695797151e3318aa97aa4f",
+}
+
+
+def test_golden_predict_digest(tmp_path):
+    schema_path = tmp_path / "schema.json"
+    write_jsonl(tmp_path / "train.jsonl", GOLDEN_TRAIN)
+    assert main(["infer", "--input", str(tmp_path / "train.jsonl"),
+                 "--output", str(schema_path),
+                 "--categorical-threshold", "3"]) == 0
+    models = {}
+    for case, (label, flags) in GOLDEN_PREDICT_CASES.items():
+        train = tmp_path / f"{case}.jsonl"
+        write_jsonl(train, [{**doc, "label": label(i)}
+                            for i, doc in enumerate(GOLDEN_TRAIN)])
+        models[case] = tmp_path / f"{case}.bin"
+        assert main(["train", "--schema", str(schema_path),
+                     "--train", str(train), "--label-field", "label",
+                     "--output", str(models[case]), "--epochs", "1",
+                     "--batch-size", "4", *flags]) == 0
+    schema = loads_schema(schema_path.read_text())
+    schema = schema_mod.Product(schema.count, tuple(
+        f for f in schema.fields if f.name != "label"))
+    for case, extra in (
+            ("no-classes", {}),
+            ("object-classes", {"label_field": "label", "classes": [
+                {"z": [1, "é"], "a": {"y": None, "b": 2.5}}, [3, 1], None]})):
+        models[case] = tmp_path / f"{case}.bin"
+        save_model(build_model(schema, ModelConfig(output_dim=3, seed=5)),
+                   str(models[case]), extra=extra)
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join(line + "\n" for line in GOLDEN_PREDICT_INPUT),
+                   encoding="utf-8")
+    got = {}
+    for case, model in models.items():
+        out = tmp_path / f"{case}.out.jsonl"
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--output", str(out)])
+        got[case] = hashlib.sha256(
+            f"{rc} ".encode() + out.read_bytes()).hexdigest()
+    assert got == GOLDEN_PREDICT_SHA256
+
+
+class TestPredictRecords:
+    """Records spelled from the scores as json.dumps spelled the record
+    dict, on scores given straight to the writer."""
+
+    def predict(self, tmp_path, monkeypatch, capsys, rows, classes):
+        path = tmp_path / "model.bin"
+        extra = {} if classes is None else {"label_field": "y",
+                                            "classes": classes}
+        save_model(build_model(PLAIN_BAG, ModelConfig(output_dim=len(rows[0]))),
+                   str(path), extra=extra)
+        monkeypatch.setattr(cli_mod, "predict_scores", lambda model, items: (
+            (number, np.array(row), None)
+            for (number, _, _), row in zip(items, rows)))
+        src = tmp_path / "in.jsonl"
+        src.write_text("[1.0]\n" * len(rows))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(path), "--input", str(src),
+                     "--output", "-"]) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("classes", [["a", "b", "c"], None])
+    def test_a_score_tie_picks_the_first_class(self, tmp_path, monkeypatch,
+                                               capsys, classes):
+        out = self.predict(tmp_path, monkeypatch, capsys,
+                           [[0.25, 0.5, 0.5], [0.5, 0.5, 0.25]], classes)
+        first, second = ('"b"', '"a"') if classes else ("1", "0")
+        assert out == (
+            f'{{"prediction": {first}, "scores": [0.25, 0.5, 0.5]}}\n'
+            f'{{"prediction": {second}, "scores": [0.5, 0.5, 0.25]}}\n')
+
+    def test_a_signed_zero_tie_picks_the_first_class(self, tmp_path,
+                                                     monkeypatch, capsys):
+        out = self.predict(tmp_path, monkeypatch, capsys,
+                           [[-0.0, 0.0], [0.0, -0.0], [-1.0, -0.0]],
+                           ["a", "b"])
+        assert out == ('{"prediction": "a", "scores": [-0.0, 0.0]}\n'
+                       '{"prediction": "a", "scores": [0.0, -0.0]}\n'
+                       '{"prediction": "b", "scores": [-1.0, -0.0]}\n')
+        assert [np.argmax(json.loads(line)["scores"])
+                for line in out.splitlines()] == [0, 0, 1]
+
+    def test_an_object_class_is_written_with_its_keys_sorted(
+            self, tmp_path, monkeypatch, capsys):
+        out = self.predict(tmp_path, monkeypatch, capsys, [[2.0, 1e-300]],
+                           [{"z": 1, "a": {"y": "é", "b": None}}, "x"])
+        assert out == ('{"prediction": {"a": {"b": null, "y": "\\u00e9"}, '
+                       '"z": 1}, "scores": [2.0, 1e-300]}\n')

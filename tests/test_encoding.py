@@ -159,6 +159,9 @@ class TestEncodeColumn:
     @given(st.lists(st.none() | st.text(max_size=12), max_size=8),
            st.integers(1, 5), st.integers(1, 97))
     @example(["", "ab", "\U0001f600", "x\U0001f600y", None, "é!"], 3, 97)
+    # power-of-two widths take a bit mask for the remainder
+    @example(["abcdef", "", "xyz", None, "hé", "q"], 2, 64)
+    @example(["abcdef", "xyz"], 1, 1)
     def test_strings_match_scalar_fnv1a(self, column, n, dim):
         got = encode_column(StringLeaf(1, n, dim), column)
         want = _rows([_scalar_histogram(s, n, dim) for s in column], dim)

@@ -431,6 +431,32 @@ class TestParameterVector:
         assert model.values.tobytes() == want.tobytes()
         assert_views_of_values(model)
 
+    def test_one_draw_per_plan_node(self, monkeypatch):
+        """``build_model`` calls ``random`` once per node, over the node's
+        block of ``values``, in plan order; the test above pins that the
+        bytes are those of a draw per tensor."""
+        real, outs = np.random.default_rng, []
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def random(self, *args, out=None, **kwargs):
+                outs.append(out)
+                return self.rng.random(*args, out=out, **kwargs)
+
+        model = self.model()
+        monkeypatch.setattr("hmil.model.np.random.default_rng", Counting)
+        again = build_model(model.schema, model.config)
+        plan = _layer_plan(model.schema, model.config)[0]
+        assert [o.size for o in outs] == [
+            sum(r * c for r, c in shapes) for _, shapes, _ in plan]
+        for out, (path, _, _) in zip(outs, plan):
+            assert np.shares_memory(out, again.values)
+            assert out.tobytes() == b"".join(
+                p.data.tobytes() for p in again.layers[path])
+        assert again.values.tobytes() == model.values.tobytes()
+
     def test_writing_the_vector_writes_the_parameters(self):
         model = self.model()
         model.values[:] = np.arange(model.values.size)

@@ -66,6 +66,8 @@ class TestLeafInference:
         assert s == CategoricalLeaf(count=3, values=("green", "red"))
         assert s.index("red") == 1
         assert s.index("blue") is None
+        # a value of another type is in no vocabulary, hashable or not
+        assert s.index(1) is s.index(["red"]) is s.index({}) is None
 
     def test_vocab_over_threshold_becomes_string_leaf(self):
         docs = [f"v{i:02d}" for i in range(40)]
@@ -188,6 +190,23 @@ class TestObjectAndArrayInference:
         step, expected, actual = want
         assert (exc.value.path, exc.value.expected, exc.value.actual) == (
             "$" + step * (depth + 1), expected, actual)
+
+    def test_bag_items_fold_without_a_state_each(self, monkeypatch):
+        """A bag's items fold straight into the document's element state:
+        one document with 100 {name, value} items builds a state per
+        schema node, not a state tree per item, with the same schema."""
+        doc = {"headers": [{"name": f"h{i % 40}", "value": i}
+                           for i in range(100)]}
+        state, made = hmil.schema._State, []
+
+        def counted(*args, **kwargs):
+            made.append(args[0])
+            return state(*args, **kwargs)
+
+        monkeypatch.setattr(hmil.schema, "_State", counted)
+        got = dumps_schema(infer_schema([doc]))
+        assert len(made) <= 10, Counter(made)
+        assert got == dumps_schema(reference_infer([doc], 32))
 
     def test_empty_corpus(self):
         with pytest.raises(SchemaError, match="empty corpus"):

@@ -75,7 +75,8 @@ def test_perfbench_tracer_sees_pooling(aggregation, mean_calls, max_calls):
 
 def test_bench_pairs_writes_the_paired_summary(tmp_path):
     """``bench_pairs.py`` pairs two synthetic ``.bench_out/`` directories
-    by workload and seed, and counts each side's ``src/hmil`` lines."""
+    by workload and seed, says which metrics resolve a gain, and counts
+    each side's ``src/hmil`` lines."""
     (tmp_path / "change").mkdir()
     for side, files in (("parent", {"a.py": "1\n2\n3\n"}),
                         ("change", {"a.py": "1\n2\n", "b.py": "1\n2\n",
@@ -88,12 +89,14 @@ def test_bench_pairs_writes_the_paired_summary(tmp_path):
     walls = {"parent": [4.0, 3.0, 5.0], "change": [3.0, 3.0, 4.0]}
     # the change's set-up is 30% slower, past the 25% bound
     setups = {"parent": [0.1, 0.1, 0.1], "change": [0.13, 0.13, 0.13]}
+    # the change's memory is lower in every pair: a resolved gain
+    rss = {"parent": [50.0, 52.0, 51.0], "change": [40.0, 41.0, 40.0]}
     for side, offset in (("parent", 0), ("change", 1)):
         out = tmp_path / side / ".bench_out"
         out.mkdir(parents=True)
-        for i, (seed, wall, setup) in enumerate(
-                zip((7, 8, 9), walls[side], setups[side])):
-            values = {"setup_s": setup, "wall_s": wall, "peak_rss_mb": 50.0,
+        for i, (seed, wall, setup, peak) in enumerate(
+                zip((7, 8, 9), walls[side], setups[side], rss[side])):
+            values = {"setup_s": setup, "wall_s": wall, "peak_rss_mb": peak,
                       "ops_ok_ratio": 1.0}
             path = out / f"result-verify-invariants-{seed}-trace0.json"
             path.write_text(json.dumps({
@@ -125,6 +128,11 @@ def test_bench_pairs_writes_the_paired_summary(tmp_path):
     assert wall["change"]["median"] == 3.0
     assert (wall["change_better_pairs"], wall["ties"]) == (2, 1)
     assert wall["median_difference_exceeds_parent_iqr"] is False
+    assert {name: m["gain_resolved"] for name, m in wl["metrics"].items()} == {
+        "setup_s": False, "wall_s": False, "peak_rss_mb": True,
+        "ops_ok_ratio": False}
+    assert "peak_rss_mb: 51 -> 40, change won 3/3, exceeds parent IQR: " \
+        "True, gain resolved: True" in proc.stdout
     assert wall["change_worse_beyond_bound"] is False
     setup = wl["metrics"]["setup_s"]
     assert setup["change_worse_beyond_bound"] is True
@@ -136,3 +144,29 @@ def test_bench_pairs_writes_the_paired_summary(tmp_path):
     assert "src/hmil lines: 3 -> 4 (+1)" in proc.stdout
     ok = wl["metrics"]["ops_ok_ratio"]
     assert (ok["change_better_pairs"], ok["ties"]) == (0, 3)
+
+
+# the parent's runs: median 2.45, inclusive quartiles 2.225 and 2.675
+PARENT_RUNS = [2.0 + i / 10 for i in range(10)]
+
+
+@pytest.mark.parametrize("change, better, resolved", [
+    # 9 of 10 pairs won, and the medians 1.45 apart, past the IQR
+    ([1.0] * 9 + [9.0], "lower", True),
+    # 8 of 10 pairs won is too few
+    ([1.0] * 8 + [9.0, 9.0], "lower", False),
+    # every pair won, but by less than the parent's IQR
+    ([v - 0.1 for v in PARENT_RUNS], "lower", False),
+    # a higher-is-better metric: lost in every pair, then won by 0.55
+    ([1.0] * 10, "higher", False),
+    ([3.0] * 10, "higher", True),
+])
+def test_bench_pairs_resolves_a_gain_by_the_nine_tenths_rule(
+        change, better, resolved):
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    m = module.compare(PARENT_RUNS, change, better, 0.25)
+    assert m["parent"]["iqr"] == pytest.approx(0.45)
+    assert m["gain_resolved"] is resolved
