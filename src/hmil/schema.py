@@ -6,15 +6,15 @@ with a fixed field set). Inference streams: each document folds straight
 into one mutable corpus state that caps categorical vocabularies as they
 grow and freezes into the schema at the end; memory grows with the
 schema and its vocabularies, never with the corpus.  A bag's items fold
-straight into the document's own element state, which then merges into
-the bag's.  The fold builds no path strings: a conflict collects its
-path steps as it unwinds.  ``validate`` checks a document against a
-schema and appends it to per-node columns in one pass of the schema's
-walker: a tree of closures, one per node, compiled once per schema on
-first use and cached on the root node itself, so it lives as long as
-the schema.  The pass builds no path strings; a document that does not
-fit leaves the columns as they were and is walked again to name its
-violations.
+straight into the corpus's element state, and numeric sums are exact, so
+no order of documents or items changes the schema.  The fold builds no
+path strings: a conflict collects its path steps as it unwinds.
+``validate`` checks a document against a schema and appends it to
+per-node columns in one pass of the schema's walker: a tree of closures,
+one per node, compiled once per schema on first use and cached on the
+root node itself, so it lives as long as the schema.  The pass builds no
+path strings; a document that does not fit leaves the columns as they
+were and is walked again to name its violations.
 
 Conventions: ``null`` means "field absent" and is never a kind; JSON
 booleans are numeric 0/1; arrays must be homogeneous or inference
@@ -28,7 +28,7 @@ import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Union
 
 __all__ = [
@@ -186,38 +186,20 @@ def _finite_float(value) -> float | None:
     return v if math.isfinite(v) else None
 
 
-def _merge_numeric(a: tuple, b: tuple) -> tuple:
-    """(count, mean, std) of two (count, mean, std) triples merged by the
-    parallel mean/variance formula."""
-    (ca, ma, sa), (cb, mb, sb) = a, b
-    n = ca + cb
-    mean = (ca * ma + cb * mb) / n
-    delta = mb - ma
-    m2 = (ca * sa * sa + cb * sb * sb) + delta * delta * (ca * cb / n)
-    std = math.sqrt(max(m2, 0.0) / n)
-    if math.isfinite(mean) and math.isfinite(std):
-        return n, mean, std
-    # sums or squares of finite numbers near the float64 limit overflowed;
-    # scaling every input by one power of two is exact and keeps them in range
-    k = math.frexp(max(abs(ma), abs(mb), sa, sb))[1]
-    n, mean, std = _merge_numeric(
-        (ca, math.ldexp(ma, -k), math.ldexp(sa, -k)),
-        (cb, math.ldexp(mb, -k), math.ldexp(sb, -k)))
-    return n, math.ldexp(mean, k), math.ldexp(std, k)
-
-
 @dataclass(slots=True)
 class _State:
     """Mutable inference state of one node of ``kind``: its count, a
-    numeric leaf's ``mean`` and ``std``, a categorical one's ``vocab``
-    (until it outgrows the threshold and turns "string"), a bag's
-    ``child`` (None while every instance was empty) and a product's
-    ``fields``."""
+    numeric leaf's ``total`` and ``squares`` (its values' sum times
+    ``2**scale`` and their squares' times ``4**scale``: exact ints), a
+    categorical one's ``vocab`` (until it outgrows the threshold and turns
+    "string"), a bag's ``child`` (None while every instance was empty)
+    and a product's ``fields``."""
 
     kind: str
-    count: int = 1
-    mean: float = 0.0
-    std: float = 0.0
+    count: int = 0
+    total: int = 0
+    squares: int = 0
+    scale: int = 0
     vocab: set | None = None
     child: _State | None = None
     fields: dict | None = None
@@ -245,31 +227,43 @@ def _number_name(value) -> str:
         return f"integer of {value.bit_length()} bits"
 
 
+def _numbers(state: _State | None, values) -> _State:
+    """Numeric ``state`` (a new one if None) with the finite numbers
+    ``values``, each exactly ``num / 2**k``, added to its count and sums;
+    a ``k`` past ``scale`` rescales both sums first.  Raises _Clash."""
+    if state is None:
+        state = _State("numeric")
+    elif state.kind != "numeric":
+        raise _Clash(state.kind, "numeric")
+    for v in values:
+        num, den = v.as_integer_ratio()
+        k = den.bit_length() - 1
+        if k > state.scale:
+            state.total <<= k - state.scale
+            state.squares <<= 2 * (k - state.scale)
+            state.scale = k
+        state.total += num << (state.scale - k)
+        state.squares += num * num << 2 * (state.scale - k)
+    state.count += len(values)
+    return state
+
+
 def _fold(state: _State | None, value, threshold, per_item=False) -> _State:
     """``value`` merged in place into ``state``, or into a new state (each
     leaf count 1, each field required) if ``state`` is None; past
     ``threshold`` values a categorical leaf turns "string".  A bag's items
-    fold straight into a state of the document's own, which then merges
-    into the bag's element state; ``per_item`` folds each item alone first,
-    which changes no state, only puts an item's own conflict before its
-    clash with earlier items.  Raises _Clash."""
+    fold straight into its element state.  ``per_item`` folds each item
+    alone and merges it with ``_absorb``, which puts an item's own
+    conflict before its clash with earlier items; it builds states only
+    to name a conflict.  Raises _Clash."""
     kind = _KINDS.get(type(value)) or _kind_of_value(value)
     if kind == "numeric":
-        v = _finite_float(value)
-        if v is None:
+        if _finite_float(value) is None:
             raise _Clash("finite number", _number_name(value))
-        if state is None:
-            return _State("numeric", mean=v)
-        if state.kind != "numeric":
-            raise _Clash(state.kind, kind)
-        state.count, state.mean, state.std = _merge_numeric(
-            (state.count, state.mean, state.std), (1, v, 0.0))
-        return state
+        return _numbers(state, (value,))
     if kind == "string":
         if state is None:
-            if threshold < 1:  # one value already outgrows the vocabulary
-                return _State("string")
-            return _State("categorical", vocab={value})
+            state = _State("categorical", vocab=set())
         if state.kind == "categorical":
             state.vocab.add(value)
             if len(state.vocab) > threshold:
@@ -280,38 +274,30 @@ def _fold(state: _State | None, value, threshold, per_item=False) -> _State:
         state.count += 1
         return state
     if kind == "bag":
-        if state is not None and state.kind != "bag":
-            raise _Clash(state.kind, kind)
-        child = None
-        if value and _float_run(value):
-            # the same merges as item by item, with no state per item
-            child = _State("numeric", *reduce(
-                _merge_numeric, [(1, v, 0.0) for v in value]))
-        else:
-            try:
-                for i, item in enumerate(value):
-                    child = (_absorb(child, _fold(None, item, threshold, True),
-                                     threshold) if per_item
-                             else _fold(child, item, threshold))
-            except _Clash as clash:
-                clash.steps.append(f"[{i}]")
-                raise
         if state is None:
-            return _State("bag", child=child)
-        try:
-            state.child = _absorb(state.child, child, threshold)
-        except _Clash as clash:
-            clash.steps.append("[]")
-            raise
+            state = _State("bag")
+        elif state.kind != "bag":
+            raise _Clash(state.kind, kind)
         state.count += 1
+        if value and _float_run(value):  # one loop, no fold per item
+            state.child = _numbers(state.child, value)
+            return state
+        try:
+            for i, item in enumerate(value):
+                state.child = (
+                    _absorb(state.child, _fold(None, item, threshold, True),
+                            threshold) if per_item
+                    else _fold(state.child, item, threshold))
+        except _Clash as clash:
+            clash.steps.append(f"[{i}]")
+            raise
         return state
     if kind == "product":
         if state is None:
             state = _State("product", fields={})
         elif state.kind != "product":
             raise _Clash(state.kind, kind)
-        else:
-            state.count += 1
+        state.count += 1
         fields = state.fields
         try:  # a loop, not a comprehension: one frame a level
             for name in sorted(value):
@@ -326,17 +312,14 @@ def _fold(state: _State | None, value, threshold, per_item=False) -> _State:
 
 
 def _absorb(a, b, threshold) -> _State | None:
-    """``b`` merged into ``a`` in place, or ``b`` if ``a`` is None; past
-    ``threshold`` values a categorical leaf turns "string".  Raises
-    _Clash."""
+    """``b``'s kinds merged into ``a`` in place in sorted preorder, or
+    ``b`` if ``a`` is None; past ``threshold`` values a categorical leaf
+    turns "string".  It only names a conflict: raises _Clash."""
     if a is None or b is None:
         return b if a is None else a
     if a.kind != b.kind and {a.kind, b.kind} != {"string", "categorical"}:
         raise _Clash(a.kind, b.kind)
-    if a.kind == "numeric":
-        _, a.mean, a.std = _merge_numeric((a.count, a.mean, a.std),
-                                          (b.count, b.mean, b.std))
-    elif a.kind == "bag":
+    if a.kind == "bag":
         try:
             a.child = _absorb(a.child, b.child, threshold)
         except _Clash as clash:
@@ -356,17 +339,27 @@ def _absorb(a, b, threshold) -> _State | None:
         a.vocab |= b.vocab
         if len(a.vocab) > threshold:
             a.kind, a.vocab = "string", None
-    a.count += b.count
     return a
 
 
 def _frozen(state: _State | None) -> SchemaNode | None:
-    """The schema ``state`` holds; None for an element never seen."""
+    """The schema ``state`` holds; None for an element never seen.  A
+    numeric statistic is rounded once from the exact sums, by int
+    division: the mean directly, the std from ``root``, the integer part
+    of ``2**(scale + m)`` times it, with m giving ``root`` >= 60 bits."""
     if state is None:
         return None
     kind, count = state.kind, state.count
     if kind == "numeric":
-        return NumericLeaf(count, state.mean, state.std)
+        spread = count * state.squares - state.total ** 2  # n*n*4**scale*var
+        m = max(0, 62 + count.bit_length() - spread.bit_length() // 2)
+        whole, rest = divmod(spread << 2 * m, count * count)
+        root = math.isqrt(whole)
+        # an odd last bit stands for the part below root, if any, so that
+        # the division rounds as it would the exact root
+        odd = 2 * root + (rest > 0 or root * root < whole)
+        return NumericLeaf(count, state.total / (count << state.scale),
+                           odd / (1 << state.scale + m + 1))
     if kind == "string":
         return StringLeaf(count, DEFAULT_NGRAM_N, DEFAULT_HASH_DIM)
     if kind == "categorical":
@@ -414,22 +407,28 @@ def infer_schema(docs: Iterable, categorical_threshold: int =
     an empty corpus, a path two nodes share, or an array empty in every
     document, and SchemaConflict on irreconcilable kinds.
 
-    Each document folds straight into the corpus state, a bag's items
-    into the document's element state; no path string is built unless a
-    conflict is raised.  A document's own conflict (a non-finite number,
-    a non-JSON value, a clash between a bag's items) comes before its
-    clash with the corpus: a document that does not fold is folded once
-    more, alone and item by item, to find one.
+    Each document, and each item of its bags, folds straight into the
+    corpus state, whose numeric sums are exact: no order of documents or
+    items changes the schema.  No path string is built unless a conflict
+    is raised.  A document's own conflict (a non-finite number, a non-JSON
+    value, a clash between a bag's items) comes before its clash with the
+    corpus: a document that does not fold is folded once more, alone and
+    item by item, and else merged into the corpus to name its clash.
     """
     corpus = None  # each document folds into it in place
     for doc in docs:
         try:
             corpus = _fold(corpus, doc, categorical_threshold)
         except _Clash as clash:
+            # the failed fold changed the corpus only by merges that did
+            # not clash, which turn no kind into another but categorical
+            # into string, which _absorb takes as compatible: so _absorb
+            # meets the corpus's own clashes first, in sorted preorder
             try:  # once per document, never once per bag level
-                _fold(None, doc, categorical_threshold, True)
-            except _Clash as own:
-                clash = own
+                _absorb(corpus, _fold(None, doc, categorical_threshold, True),
+                        categorical_threshold)
+            except _Clash as named:
+                clash = named
             raise SchemaConflict("$" + "".join(reversed(clash.steps)),
                                  clash.expected, clash.actual) from None
     if corpus is None:

@@ -122,6 +122,22 @@ class TestInfer:
         schema = loads_schema(out.read_text())
         assert isinstance(schema.field("tag").schema, StringLeaf)
 
+    def test_schema_bytes_do_not_depend_on_line_order(self, tmp_path):
+        """Numeric statistics are rounded once from exact sums, so the
+        lines of a file and the same lines reversed give one schema."""
+        rng = np.random.default_rng(3)
+        lines = [json.dumps({"x": float(rng.normal(0, 9)),
+                             "xs": rng.normal(5, 2, size=3).tolist()})
+                 for _ in range(50)]
+        schemas = []
+        for order in (lines, lines[::-1]):
+            src, out = tmp_path / "in.jsonl", tmp_path / "s.json"
+            src.write_text("".join(line + "\n" for line in order))
+            assert main(["infer", "--input", str(src),
+                         "--output", str(out)]) == 0
+            schemas.append(out.read_bytes())
+        assert schemas[0] == schemas[1]
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         rc = main(["infer", "--input", str(tmp_path / "nope.jsonl"),
                    "--output", str(tmp_path / "s.json")])
@@ -1489,34 +1505,35 @@ GOLDEN_CORPORA = {"mixed": GOLDEN_TRAIN, "long-bags": GOLDEN_LONG_BAGS}
 # sha256 of the container and of the report written by `hmil train
 # --epochs 1`, per (corpus, aggregation, activation, --embed-dim or None
 # for the default); pins the init draw order, the parameter order and
-# the tape arithmetic
+# the tape arithmetic; recorded with the schema statistics rounded once
+# from exact sums
 GOLDEN_CONTAINER_SHA256 = {
     ("mixed", "mean", "tanh", None): (
-        "07f50c11f48e1e17da532808689f8d88af388fecdca7024447546acf90a12f15",
+        "26759cba39d8e7c449fdd0e956ff19ffc5e002a5dcd417c25a50fbddb550fa46",
         "bc9bee519518087969e253be9f236826130f807115cd2c2f61cd2e11b7b0627d"),
     ("mixed", "mean", "relu", None): (
-        "93410363eacd56388373f3c0fe9959c4b9c582ecfd7c76d37d514393f4c17100",
+        "9b23315ff6303adc3e4d9891fdaaeb44854b82ca9bcc286dcf0b264638f970df",
         "60b32a8f0b690b2b341fd3b5a38ba60c7ec06794323017893dbe558233084871"),
     ("mixed", "max", "tanh", None): (
-        "b49b2130519e7630223e5dc1fd2cadc088999bc27c0f093c01b2c1f1a097fbe4",
+        "e2675cc185ac0c480502cdb293f32b35b9fdac12e7c9c0fddf156081d109a360",
         "78e2c7320cce0d0ecaa4da45f2e369bb5f2e0713d24424acd16fa79fd21bf78b"),
     ("mixed", "max", "relu", None): (
-        "dcd171a2c961f526bfa429263ef5f39eaa305c2ea747aa3c82815d1b511b0b5c",
+        "57c0f32a7b5277f6f3efab6aaafac502f1d0861f09dcb3804ab7e4d73eaa2449",
         "cf6729ec858208387cc9bb50a6b0ff60ff981020cf3b54cad29664d0087a82a4"),
     ("mixed", "meanmax", "tanh", None): (
-        "0936f260792a9b76129bbdc1b97aeb44f001434e7fad46efb395c6e812624ebd",
-        "036de7dc4f7e6ab9e4912be29b8bb69df48765006bb4d77437aa55185f91c8cc"),
+        "3c89d9e967b6e1202a7d3187573b46d4ef66078593059e993df7032d539bddde",
+        "c802f0a700ca598d53c2e659cc944e2bebc4aa4c515d9ce3c052982a1e3e9db0"),
     ("mixed", "meanmax", "relu", None): (
-        "4c8f78b2f4c0c8533cca04171ad72399f1cdab780cc68b68bc661bea8912ba26",
+        "153dce4c3f25cc22359cc4a586c60371c1c661a7d5e45df7aae523c45369f035",
         "562fbfb54223da786ac5b26f7c79398cae7d4c3d575bfc9b20fa18d34618b341"),
     ("long-bags", "mean", "tanh", 1): (
-        "46d8681633463abd8c5326b0ee87eaf26cca5befb5d542881b9542c7c365cf48",
+        "b467ca6d3fac84d007896701713375f6da4facc544bbd36261863f297de17f4f",
         "ac1940abb866aecccc1fdf7d9a5ccdc347943296e691ed933772d6bfde93b78a"),
     ("long-bags", "meanmax", "tanh", None): (
-        "c8b79bb2d3b6712cc54e182a284e52cfce9e0d3df4ef931b31e67aafa25617db",
+        "c61297ea2b878e451d386be79dcb306bf840f11f752ce21ba64dad59fe4d3b62",
         "28fc84383450458ad4d3c002f44d23b9e8352bea3640fbbdb3f0032a8b01f151"),
     ("long-bags", "max", "relu", None): (
-        "288aad28c25e73d29afa698271030b81728860fa6e540b36bbeaab6082a92f55",
+        "35bc4a2f864eae2c1e35209f6e86468afb1361c6a4a7b45d26767dbab425b04b",
         "3b5e30f4d506c3b353e6aa5e31cfffc19cad8473ec2b10b8a02c14616d0e97fd"),
 }
 
@@ -1629,17 +1646,18 @@ GOLDEN_PREDICT_CASES = {
 # on GOLDEN_TRAIN relabelled, and with two hand-made containers: one of
 # three outputs and no classes, one whose classes are an object, an
 # array and null; recorded with the predict that wrote each record with
-# json.dumps
+# json.dumps, and re-recorded with the schema statistics rounded once
+# from exact sums
 GOLDEN_PREDICT_SHA256 = {
-    "text": "07db22afdb3c6c4cc20dc4cb17b8f7581034812b53df7abc6a10ce37674bb771",
+    "text": "f8136f91eeabc257a1840eb5a13f19c7774ee991805451873edd3d3eda61ce70",
     "int-bool-float":
-        "aa18f93800670c9c67ef9c81168241c0165f86139be84f569f43f9187c17d7ad",
-    "wide": "2b42e8ffefc15c78d5eb0aefb0140aa142f1d8189b771288de7b870bd1eb7342",
-    "mse": "6556866dc45712198938730361f7a8720b8bff59077c9f673011217ea6b6d66a",
+        "3937fedcf36be7c6eb3cd0ad526e6bc8b4699e7c99e355f5f4ec9148b70ef5fd",
+    "wide": "6dd7f8e6213593647206844b9958101a8aa0cf9c0b7d07fb713832cdc6f24aac",
+    "mse": "892202f7d4d7291283cda8fc1bd0c5ecce7892f0467ea8c88c4dec253bbc3881",
     "no-classes":
-        "eb7b4e44aa946475d3ab0afe7e22b121783d13cbb70da30e4980d087e4146c51",
+        "a7d00875b8ef48b06055bb1db893e5c87417cc673d941d7b01c5e9e4511e1c92",
     "object-classes":
-        "41ca0a962f62e21ca1ebafb427f1668404c04c74e7695797151e3318aa97aa4f",
+        "ed7fa3af9ba1c4a522039310a5225683c3b92eeb26f06da176f59981a8c1caf2",
 }
 
 

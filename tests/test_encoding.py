@@ -332,14 +332,15 @@ GOLDEN_EXTRA = {"id": 4, "flag": False, "const": 7, "level": "debug",
                 "sub": {"xs": [2.0], "note": "new"}}
 
 # sha256 of dtype, shape and bytes of every array, recorded with the
-# per-value scalar encoders that the column encoders replaced
+# per-value scalar encoders that the column encoders replaced, and
+# re-recorded with the schema statistics rounded once from exact sums
 GOLDEN_SHA256 = {
     "data $.const":
         "ed4ae03a4028150db6cb922d7bcb19f3aa697bff71ab36ec885b27362a42d6de",
     "data $.flag":
         "1c13988f79daff622d490d343e3bdf05d9e46af2265367da268a1a78ea85f4fa",
     "data $.groups[][]":
-        "3a2291c481cc5bad4bfdeb33a38890fa3aac9f4251344ceb769ff854cd1a6fd5",
+        "e7827a0d2cad34d749e730e7a204acb67074296fea222b6adfb27d9ab3584096",
     "data $.id":
         "b8c51226a1d59d436e5cf9b5247ecf0756aefabfee0f3c4d281344bf6f82926c",
     "data $.level":
@@ -351,7 +352,7 @@ GOLDEN_SHA256 = {
     "data $.sub.note":
         "92c2755ce2fe2370ecf85ed4d0996d92001dcd5d719f520799a9498b7c8ca138",
     "data $.sub.xs[]":
-        "d8865284d759b5608e125dbba50d289703c6c1666ae581b2b6e55e95c758ecee",
+        "03ab169f7f92d774acb2af21e69782f8c30f392e0404ac5a7493dc1386163595",
     "data $.tags[]":
         "26f2c83cc2b1e6fc341eb3dafed09079e15a77b6f4f18fefb46f07a532de8fe4",
     "offsets $.groups":

@@ -1,12 +1,15 @@
 """Schema inference, validation, and serialization."""
 
+import decimal
 import gc
 import json
 import math
 import random
+import sys
 import weakref
 from collections import Counter, defaultdict
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +94,34 @@ class TestLeafInference:
         np.testing.assert_allclose(leaf.mean, 5e307, rtol=1e-12)
         np.testing.assert_allclose(leaf.std, 5e307, rtol=1e-12)
 
+    @pytest.mark.parametrize("values, mean, std", [
+        # the variance, 1.7e308**2, is past the float range
+        ([1.7e308, -1.7e308], 0.0, 1.7e308),
+        # mean and std are 2.5e-324, half the least subnormal: a tie that
+        # rounds to even, 0.0
+        ([5e-324, 0.0], 0.0, 0.0),
+        ([5e-324, 5e-324, 0.0], 5e-324, 0.0),
+        # 2**53 + 1.5 exactly, from ints that floats would round
+        ([2**53 + 1, 2**53 + 2], 2.0**53 + 2, 0.5),
+        ([-0.0], 0.0, 0.0),
+    ])
+    def test_statistics_are_rounded_once_from_exact_sums(self, values, mean,
+                                                         std):
+        leaf = infer_schema(values)
+        assert (leaf.mean, leaf.std) == (mean, std)
+        assert math.copysign(1.0, leaf.mean) == 1.0  # -0.0 sums to +0
+
+    @given(st.lists(st.one_of(st.floats(allow_nan=False,
+                                        allow_infinity=False),
+                              st.integers(-2**70, 2**70), st.booleans()),
+                    min_size=1, max_size=20))
+    def test_statistics_are_the_correctly_rounded_exact_ones(self, values):
+        leaf = infer_schema(values)
+        mean = sum(map(Fraction, values)) / len(values)
+        var = sum(Fraction(v) ** 2 for v in values) / len(values) - mean ** 2
+        assert leaf.mean == float(mean)
+        assert leaf.std == _ref_root(var)
+
     def test_nonfinite_number_rejected(self):
         with pytest.raises(SchemaConflict):
             infer_schema([float("nan")])
@@ -157,11 +188,28 @@ class TestObjectAndArrayInference:
         # first field in sorted order is named, as the reference fold does
         ([{"xs": [{"a": 1, "b": 1}]}, {"xs": [{"b": "x"}, {"a": "y"}]}],
          ("$.xs[].a", "numeric", "categorical")),
+        # the document's earlier items have already pushed the corpus's
+        # $.xs[].a past the threshold when its last item clashes
+        ([{"xs": [{"a": "v", "b": 1}]},
+          {"xs": [{"a": f"v{i}"} for i in range(40)] + [{"b": "x"}]}],
+         ("$.xs[].b", "numeric", "categorical")),
+        # ... or its own last item clashes with them
+        ([{"xs": [{"a": "v"}]},
+          {"xs": [{"a": f"v{i}"} for i in range(40)] + [{"a": 1}]}],
+         ("$.xs[40].a", "string", "numeric")),
+        # $.xs's element, empty in every earlier document, is already set
+        # when a later field clashes, or a later item
+        ([{"xs": [], "ys": [{"a": 1}]},
+          {"xs": [{"a": "s"}], "ys": [{"a": "t"}]}],
+         ("$.ys[].a", "numeric", "categorical")),
+        ([{"xs": [], "z": 1}, {"xs": [[1.5], [{"a": 1}]], "z": "x"}],
+         ("$.xs[1][]", "numeric", "product")),
     ])
     def test_conflict_precedence(self, docs, want):
         with pytest.raises(SchemaConflict) as exc:
             infer_schema(docs)
         assert (exc.value.path, exc.value.expected, exc.value.actual) == want
+        assert _outcome(reference_infer, docs, 32)[2] == want
 
     @pytest.mark.parametrize("bottom, want", [
         ([1, "x"], ("[1]", "numeric", "categorical")),  # the document's own
@@ -192,11 +240,9 @@ class TestObjectAndArrayInference:
             "$" + step * (depth + 1), expected, actual)
 
     def test_bag_items_fold_without_a_state_each(self, monkeypatch):
-        """A bag's items fold straight into the document's element state:
-        one document with 100 {name, value} items builds a state per
-        schema node, not a state tree per item, with the same schema."""
-        doc = {"headers": [{"name": f"h{i % 40}", "value": i}
-                           for i in range(100)]}
+        """A bag's items fold straight into the corpus's element state:
+        documents with {name, value} items build a state per schema node,
+        however many documents and items there are, with the same schema."""
         state, made = hmil.schema._State, []
 
         def counted(*args, **kwargs):
@@ -204,9 +250,13 @@ class TestObjectAndArrayInference:
             return state(*args, **kwargs)
 
         monkeypatch.setattr(hmil.schema, "_State", counted)
-        got = dumps_schema(infer_schema([doc]))
-        assert len(made) <= 10, Counter(made)
-        assert got == dumps_schema(reference_infer([doc], 32))
+        for n in (3, 30):
+            docs = [{"headers": [{"name": f"h{i % 40}", "value": i + j}
+                                 for i in range(100)]} for j in range(n)]
+            made.clear()
+            got = dumps_schema(infer_schema(docs))
+            assert len(made) <= 5, (n, Counter(made))
+            assert got == dumps_schema(reference_infer(docs, 32))
 
     def test_empty_corpus(self):
         with pytest.raises(SchemaError, match="empty corpus"):
@@ -654,9 +704,11 @@ class TestSerialization:
 
 
 # -- reference inference -------------------------------------------------
-# A plain reference for ``infer_schema``: one frozen schema per document,
-# merged into the corpus schema one document at a time, with the
-# categorical cap applied at every merge.
+# A plain reference for ``infer_schema``: one schema per document, merged
+# into the corpus schema one document at a time, with the categorical cap
+# applied at every merge.  A numeric leaf holds the exact Fraction sums of
+# its values and their squares until the whole corpus is merged, and
+# only then freezes into a NumericLeaf.
 
 
 def _ref_kind(value):
@@ -685,7 +737,7 @@ def _ref_from_value(value, path, cap):
             v = math.inf
         if not math.isfinite(v):
             raise SchemaConflict(path, "finite number", repr(value))
-        return NumericLeaf(count=1, mean=v, std=0.0)
+        return _RefNumbers(1, Fraction(value), Fraction(value) ** 2)
     if kind == "string":
         return _ref_categorical(1, (value,), cap)
     if kind == "bag":
@@ -703,30 +755,55 @@ def _ref_from_value(value, path, cap):
     raise SchemaConflict(path, "a JSON value", kind)
 
 
-def _ref_scaled(leaf, k):
-    return NumericLeaf(count=leaf.count, mean=math.ldexp(leaf.mean, k),
-                       std=math.ldexp(leaf.std, k))
+@dataclass(frozen=True)
+class _RefNumbers:
+    count: int
+    sum: Fraction
+    squares: Fraction
+
+    kind = "numeric"
 
 
-def _ref_merge_numeric(a, b):
-    n = a.count + b.count
-    mean = (a.count * a.mean + b.count * b.mean) / n
-    delta = b.mean - a.mean
-    m2 = (a.count * a.std * a.std + b.count * b.std * b.std) \
-        + delta * delta * (a.count * b.count / n)
-    std = math.sqrt(max(m2, 0.0) / n)
-    if math.isfinite(mean) and math.isfinite(std):
-        return NumericLeaf(count=n, mean=mean, std=std)
-    k = math.frexp(max(abs(a.mean), abs(b.mean), a.std, b.std))[1]
-    return _ref_scaled(_ref_merge_numeric(_ref_scaled(a, -k),
-                                          _ref_scaled(b, -k)), k)
+_DIGITS = decimal.Context(prec=30, Emin=-10**6, Emax=10**6)
+
+
+def _ref_root(var):
+    """The float nearest the square root of the Fraction ``var``, ties to
+    even: of a 30-digit root's float and its two neighbours, the one whose
+    rounding interval, squared, holds ``var``."""
+    guess = float(_DIGITS.sqrt(_DIGITS.divide(
+        decimal.Decimal(var.numerator), decimal.Decimal(var.denominator))))
+    fits = []
+    for c in (math.nextafter(guess, 0), guess,
+              math.nextafter(guess, sys.float_info.max)):
+        low = (Fraction(c) + Fraction(math.nextafter(c, 0))) / 2
+        high = Fraction(c) + Fraction(math.ulp(c)) / 2
+        if low * low <= var <= high * high:
+            fits.append(c)
+    # two fit only when var is a bound's square: the even one wins
+    return min(fits, key=lambda c: c.hex().split("p")[0][-1] in "13579bdf")
+
+
+def _ref_frozen(node):
+    if isinstance(node, _RefNumbers):
+        mean = node.sum / node.count
+        var = node.squares / node.count - mean * mean
+        return NumericLeaf(count=node.count, mean=float(mean),
+                           std=_ref_root(var))
+    if isinstance(node, Bag):
+        return replace(node, child=_ref_frozen(node.child))
+    if isinstance(node, Product):
+        return replace(node, fields=tuple(replace(f, schema=_ref_frozen(
+            f.schema)) for f in node.fields))
+    return node
 
 
 def _ref_merge(a, b, path, cap):
     if a is None or b is None:
         return b if a is None else a
-    if isinstance(a, NumericLeaf) and isinstance(b, NumericLeaf):
-        return _ref_merge_numeric(a, b)
+    if isinstance(a, _RefNumbers) and isinstance(b, _RefNumbers):
+        return _RefNumbers(a.count + b.count, a.sum + b.sum,
+                           a.squares + b.squares)
     if isinstance(a, StringLeaf) and isinstance(b, (StringLeaf,
                                                     CategoricalLeaf)):
         return replace(a, count=a.count + b.count)
@@ -764,7 +841,7 @@ def reference_infer(docs, threshold):
             raise SchemaError(
                 f"{path}: array was empty in every document; "
                 "element kind cannot be inferred")
-    return merged
+    return _ref_frozen(merged)
 
 
 # leaf values the random corpora draw from: bools and ints are numeric,
@@ -845,3 +922,25 @@ def test_inference_matches_the_reference_fold():
             kinds[want[0]] += 1
     # the sweep reaches schemas, conflicts and unresolved arrays alike
     assert min(kinds.values()) > 500, kinds
+
+
+def _shuffled(value, rng):
+    """``value`` with the items of every bag in it shuffled."""
+    if isinstance(value, list):
+        items = [_shuffled(item, rng) for item in value]
+        rng.shuffle(items)
+        return items
+    if isinstance(value, dict):
+        return {name: _shuffled(v, rng) for name, v in value.items()}
+    return value
+
+
+@given(st.integers(0, 10**6), st.sampled_from((0, 1, 3, 32)), st.randoms())
+def test_schema_does_not_depend_on_document_or_item_order(seed, threshold,
+                                                          rng):
+    docs = random_corpus(seed)
+    want = _outcome(infer_schema, docs, threshold)
+    assume(want[0] == "schema")
+    shuffled = [_shuffled(doc, rng) for doc in docs]
+    rng.shuffle(shuffled)
+    assert _outcome(infer_schema, shuffled, threshold)[1] == want[1]
