@@ -22,7 +22,9 @@ correct, which side finished first in each pair (from the records'
 modification times), each side's environment, and each side's lines of
 ``src/hmil/*.py`` (as ``wc -l`` counts them) with their difference.  A
 workload with no record on either side is left out; one with records
-missing on one side is an error.
+missing on one side is an error.  A pair whose records differ in usable
+CPUs, BLAS threads, Python or numpy version exits 2: its times do not
+compare.
 """
 
 import argparse
@@ -33,6 +35,8 @@ import statistics
 import sys
 
 SIDES = ("parent", "change")
+# environment fields the two runs of a pair must share
+SAME_ENV = ("cpus_usable", "blas_threads", "python", "numpy")
 METHOD = ("alternating parent/change pairs, one pair per seed, each side in "
           "its own checkout, run one at a time; median and quartiles "
           "(inclusive method) over the runs of each side; "
@@ -103,6 +107,15 @@ def pair_workload(checkouts: dict, workload: str, seeds: list[int],
                    if not os.path.isfile(p)]
         raise SystemExit(f"error: missing records: {', '.join(missing)}")
     records = {side: [_load(p) for p in paths[side]] for side in SIDES}
+    for i, seed in enumerate(seeds):
+        envs = [{k: records[side][i]["environment"].get(k) for k in SAME_ENV}
+                for side in SIDES]
+        if envs[0] != envs[1]:
+            print(f"error: {workload} seed {seed} ran in different "
+                  f"environments, parent {envs[0]} and change {envs[1]}: a "
+                  "gain across CPU counts or libraries is meaningless",
+                  file=sys.stderr)
+            raise SystemExit(2)
     first = [min(SIDES, key=lambda side: os.path.getmtime(paths[side][i]))
              for i in range(len(seeds))]
     digests = {str(s): {side: records[side][i]["output_sha256"]

@@ -3,7 +3,7 @@
 Exit codes are part of the interface and stay stable:
 
 * 0 success,
-* 1 verification bars failed, or at least one predict line failed,
+* 1 verification bars failed or a verify worker died, or a predict line failed,
 * 2 usage or data errors (bad flags, malformed input, schema conflicts),
   and a closed stdout or a failed write to it,
 * 3 training aborted on non-finite numbers: a loss, or the outputs of
@@ -342,7 +342,10 @@ def cmd_predict(args) -> int:
 def cmd_verify(args) -> int:
     if args.seed < 0:
         raise CliError(f"--seed must be >= 0, got {args.seed}")
-    report = run_suite(args.suite, args.seed)
+    try:
+        report = run_suite(args.suite, args.seed)
+    except ChildProcessError as exc:  # a worker running some checks failed
+        raise CliError(str(exc), EXIT_FAILED) from None
     print(json.dumps(report, sort_keys=True, indent=2))
     _note(summarize_report(report))
     for check in report["checks"]:

@@ -13,11 +13,15 @@ Four groups:
 * an unbiased MMD^2 estimator as the kernel baseline.
 
 Every entry point is seeded and returns plain dicts of floats, so a
-repeated run reproduces reports byte for byte.  Wall-clock timing never
+repeated run reproduces reports byte for byte, on any number of CPUs
+``run_suite`` spreads a suite's checks over.  Wall-clock timing never
 enters a report; callers wanting it measure around these functions.
 """
 
 from __future__ import annotations
+
+import os
+import sys
 
 import numpy as np
 
@@ -60,7 +64,7 @@ from .training import (
 __all__ = [
     "SUITE_NAMES",
     "concentration_experiment",
-    "run_concentration",
+    "check_concentration",
     "benchmark_variance_task",
     "benchmark_nested_task",
     "benchmark_product_task",
@@ -71,8 +75,10 @@ __all__ = [
     "check_gradients",
     "check_embedding_bounds",
     "check_pipeline_round_trip",
-    "run_invariants",
-    "run_benchmarks",
+    "check_variance_task",
+    "check_nested_task",
+    "check_product_task",
+    "check_mmd_baseline",
     "run_suite",
     "summarize_report",
 ]
@@ -330,18 +336,6 @@ def check_pipeline_round_trip(seed: int, schemas: int = 10,
                         "violations": violations, "batched": batched}}
 
 
-def _report(suite: str, seed: int, checks: list) -> dict:
-    return {"suite": suite, "seed": seed, "checks": checks,
-            "passed": all(c["passed"] for c in checks)}
-
-
-def run_invariants(seed: int) -> dict:
-    return _report("invariants", seed, [check(seed) for check in (
-        check_permutation_invariance, check_dirac_identity,
-        check_matrix_collapse, check_gradients, check_embedding_bounds,
-        check_pipeline_round_trip)])
-
-
 # ---------------------------------------------------------------------------
 # concentration
 
@@ -371,7 +365,7 @@ CONCENTRATION_SIZES = (4, 16, 64, 256)
 CONCENTRATION_REPEATS = 200
 
 
-def run_concentration(seed: int) -> dict:
+def check_concentration(seed: int) -> dict:
     rng = np.random.default_rng([seed, 21])
     model = build_model(PLAIN_BAG, ModelConfig(
         output_dim=1, seed=int(rng.integers(2**31))))
@@ -385,14 +379,13 @@ def run_concentration(seed: int) -> dict:
     medians = [table[s] for s in sizes]
     inversions = sum(1 for a, b in zip(medians, medians[1:]) if b > a)
     ratio = medians[-1] / medians[0] if medians[0] > 0 else float("inf")
-    return _report("concentration", seed, [
-        {"name": "concentration_decay",
-         "passed": inversions <= 1 and ratio < 0.25,
-         "details": {"bag_sizes": sizes, "medians": medians,
-                     "repeats": CONCENTRATION_REPEATS,
-                     "inversions": inversions, "max_inversions": 1,
-                     "ratio_largest_over_smallest": ratio,
-                     "ratio_bound": 0.25}}])
+    return {"name": "concentration_decay",
+            "passed": inversions <= 1 and ratio < 0.25,
+            "details": {"bag_sizes": sizes, "medians": medians,
+                        "repeats": CONCENTRATION_REPEATS,
+                        "inversions": inversions, "max_inversions": 1,
+                        "ratio_largest_over_smallest": ratio,
+                        "ratio_bound": 0.25}}
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +580,7 @@ def mmd_baseline(bags_a, bags_b, kernel_bandwidth: float) -> float:
     return float(t_xx + t_yy - 2.0 * t_xy)
 
 
-def _mmd_checks(seed: int) -> dict:
+def check_mmd_baseline(seed: int) -> dict:
     rng = np.random.default_rng([seed, 45])
     same = rng.normal(0.0, 1.0, (500, 1))
     identical = mmd_baseline(same, same, kernel_bandwidth=1.0)
@@ -610,35 +603,97 @@ def _mmd_checks(seed: int) -> dict:
 # suite assembly
 
 
-def run_benchmarks(seed: int) -> dict:
+def check_variance_task(seed: int) -> dict:
     variance = benchmark_variance_task(seed)
+    return {"name": "variance_task",
+            "passed": (variance["mil_accuracy"] >= 0.95
+                       and variance["mean_baseline_accuracy"] <= 0.55
+                       and variance["shuffled_accuracy"] <= 0.55),
+            "details": variance | {"mil_bound": 0.95, "control_bound": 0.55}}
+
+
+def check_nested_task(seed: int) -> dict:
     nested = benchmark_nested_task(seed)
+    return {"name": "nested_task",
+            "passed": (nested["nested_accuracy"] >= 0.9
+                       and nested["flat_accuracy"] <= 0.55),
+            "details": nested | {"nested_bound": 0.9, "control_bound": 0.55}}
+
+
+def check_product_task(seed: int) -> dict:
     product = benchmark_product_task(seed)
-    return _report("benchmarks", seed, [
-        {"name": "variance_task",
-         "passed": (variance["mil_accuracy"] >= 0.95
-                    and variance["mean_baseline_accuracy"] <= 0.55
-                    and variance["shuffled_accuracy"] <= 0.55),
-         "details": variance | {"mil_bound": 0.95, "control_bound": 0.55}},
-        {"name": "nested_task",
-         "passed": (nested["nested_accuracy"] >= 0.9
-                    and nested["flat_accuracy"] <= 0.55),
-         "details": nested | {"nested_bound": 0.9, "control_bound": 0.55}},
-        {"name": "product_task",
-         "passed": (product["joint_accuracy"] >= 0.9
-                    and abs(product["x_only_accuracy"] - 0.5) <= 0.05
-                    and product["x_only_on_x_label_accuracy"] >= 0.95),
-         "details": product | {"joint_bound": 0.9,
-                               "control_band": [0.45, 0.55],
-                               "sanity_bound": 0.95}},
-        _mmd_checks(seed),
-    ])
+    return {"name": "product_task",
+            "passed": (product["joint_accuracy"] >= 0.9
+                       and abs(product["x_only_accuracy"] - 0.5) <= 0.05
+                       and product["x_only_on_x_label_accuracy"] >= 0.95),
+            "details": product | {"joint_bound": 0.9,
+                                  "control_band": [0.45, 0.55],
+                                  "sanity_bound": 0.95}}
 
 
-_RUNNERS = {"invariants": run_invariants,
-            "concentration": run_concentration,
-            "benchmarks": run_benchmarks}
-SUITE_NAMES = (*_RUNNERS, "all")
+# Each suite's check names, in report order.  A name is looked up when
+# its check runs, so rebinding it (as a tracer does) reaches this process.
+_SUITES = {
+    "invariants": ("check_permutation_invariance", "check_dirac_identity",
+                   "check_matrix_collapse", "check_gradients",
+                   "check_embedding_bounds", "check_pipeline_round_trip"),
+    "concentration": ("check_concentration",),
+    "benchmarks": ("check_variance_task", "check_nested_task",
+                   "check_product_task", "check_mmd_baseline"),
+}
+_SUITES["all"] = tuple(name for names in _SUITES.values() for name in names)
+SUITE_NAMES = tuple(_SUITES)
+
+
+def _run_checks(names: tuple[str, ...], seed: int) -> list[dict]:
+    """Results of the named checks, in order.  With n usable CPUs, this
+    process runs ``names[0::n]`` and a child interpreter (or, failing
+    that, this process) each other ``names[i::n]``, so a monkeypatch
+    reaches only the first share.  A failed child raises
+    ``ChildProcessError``; no child outlives the call."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    n = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(names))
+    results, children = [None] * len(names), {}
+    if n > 1:  # not at module level: a plain import stays cheap
+        import pickle
+        import signal
+        import subprocess
+        src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+    try:
+        for i in range(1, n):
+            code = ("import pickle, signal, sys; signal.signal(signal.SIGINT, "
+                    "signal.SIG_IGN); import numpy as np, hmil.verification as "
+                    f"v; np.seterr(**{np.geterr()!r}); sys.stdout.buffer.write("
+                    f"pickle.dumps([getattr(v, name)({seed!r}) for name in "
+                    f"{names[i::n]!r}]))")
+            # an interrupt waits until the child is listed for the kill
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                if sys.executable:
+                    children[i] = subprocess.Popen(
+                        [sys.executable, "-c", code], stdin=subprocess.DEVNULL,
+                        stdout=subprocess.PIPE, start_new_session=True, env=env)
+            except OSError:
+                pass
+            finally:
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        for i in range(n):
+            if i not in children:
+                results[i::n] = [globals()[name](seed) for name in names[i::n]]
+                continue
+            out = children[i].communicate()[0]
+            if children[i].returncode:
+                raise ChildProcessError(
+                    f"the verify worker running {', '.join(names[i::n])} "
+                    f"exited with code {children[i].returncode}")
+            results[i::n] = pickle.loads(out)
+    finally:
+        for child in children.values():
+            child.kill()
+            child.wait()
+    return results
 
 
 def run_suite(suite: str, seed: int) -> dict:
@@ -646,10 +701,9 @@ def run_suite(suite: str, seed: int) -> dict:
     single report dict."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    if suite != "all":
-        return _RUNNERS[suite](seed)
-    return _report(suite, seed, [c for run in _RUNNERS.values()
-                                 for c in run(seed)["checks"]])
+    checks = _run_checks(_SUITES[suite], seed)
+    return {"suite": suite, "seed": seed, "checks": checks,
+            "passed": all(c["passed"] for c in checks)}
 
 
 def summarize_report(report: dict) -> str:

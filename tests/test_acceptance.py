@@ -31,7 +31,7 @@ from hmil.verification import (
     check_matrix_collapse,
     check_permutation_invariance,
     check_pipeline_round_trip,
-    run_concentration,
+    run_suite,
 )
 
 SEED = 2024
@@ -70,7 +70,7 @@ def test_04_gradient_agreement():
 
 
 def test_05_concentration_decay():
-    report, elapsed = timed(run_concentration, SEED)
+    report, elapsed = timed(run_suite, "concentration", SEED)
     details = report["checks"][0]["details"]
     assert details["bag_sizes"] == [4, 16, 64, 256]
     assert details["repeats"] == 200

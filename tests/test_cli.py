@@ -9,11 +9,13 @@ import io
 import json
 import os
 import resource
+import signal
 import stat
 import struct
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -1307,6 +1309,61 @@ class TestVerify:
     def test_unknown_suite_exits_2(self):
         assert main(["verify", "--suite", "nope"]) == 2
 
+    def test_failed_worker_exits_1_naming_its_checks(
+            self, capsys, monkeypatch, tmp_path):
+        worker = tmp_path / "worker"
+        worker.write_text("#!/bin/sh\nexit 3\n")
+        worker.chmod(0o755)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(sys, "executable", str(worker))
+        assert main(["verify", "--suite", "invariants", "--seed", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the verify worker running check_dirac_identity, "
+            "check_gradients, check_pipeline_round_trip exited with code 3\n")
+
+    def test_sigint_to_the_parent_ends_every_worker(self):
+        """Ctrl-C sent to the parent alone: exit 130, one line on stderr
+        and no traceback from any process, and no worker left behind."""
+        code = ("import os, signal\n"
+                # a shell starts a background job with SIGINT ignored
+                "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+                # two usable CPUs, so that a worker starts on any machine
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "from hmil.cli import entry\n"
+                "entry()\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "verify", "--suite", "all",
+             "--seed", "0"], stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC))
+        listing = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+
+        def loaded_numpy(pid):
+            with contextlib.suppress(OSError):
+                return "numpy" in Path(f"/proc/{pid}/maps").read_text()
+            return False
+
+        try:
+            # wait until a worker has got as far as loading numpy, so the
+            # parent is past starting it: while it forks, its main thread
+            # blocks SIGINT, a BLAS thread may take the signal, and the
+            # interpreter then notices it only at its next signal check
+            workers, deadline = [], time.monotonic() + 60
+            while (not any(map(loaded_numpy, workers))
+                   and proc.poll() is None and time.monotonic() < deadline):
+                workers = listing.read_text().split()
+                time.sleep(0.01)
+            assert workers, "no worker started"
+            proc.send_signal(signal.SIGINT)
+            err = proc.communicate(timeout=60)[1]
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, err) == (130, "error: interrupted\n")
+        assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+
 
 class TestEntry:
     def test_module_invocation(self, tmp_path):
@@ -1333,6 +1390,16 @@ class TestEntry:
 
     def test_no_arguments_exits_2(self):
         assert main([]) == 2
+
+    def test_import_loads_no_process_machinery(self):
+        """``import hmil.cli`` is the start-up cost of every command:
+        verify loads what its workers need only when it starts some."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, hmil.cli; print(sorted("
+             "{'subprocess', 'multiprocessing', 'concurrent.futures'}"
+             " & set(sys.modules)))"], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

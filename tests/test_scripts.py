@@ -170,3 +170,39 @@ def test_bench_pairs_resolves_a_gain_by_the_nine_tenths_rule(
     m = module.compare(PARENT_RUNS, change, better, 0.25)
     assert m["parent"]["iqr"] == pytest.approx(0.45)
     assert m["gain_resolved"] is resolved
+
+
+@pytest.mark.parametrize("field, values", [
+    ("cpus_usable", (2, 1)),
+    ("blas_threads", (1, 2)),
+    ("python", ("3.11.7", "3.12.1")),
+    ("numpy", ("2.4.6", "1.26.4")),
+])
+def test_bench_pairs_refuses_pairs_from_different_environments(
+        tmp_path, field, values):
+    """A parallel gain measured on two CPU counts, or any gain across
+    interpreters or libraries, is no gain: the script exits 2."""
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text())
+    metrics = {name: {"value": 1.0} for name in
+               ("setup_s", "wall_s", "peak_rss_mb", "ops_ok_ratio")}
+    for side, value in zip(("parent", "change"), values):
+        out = tmp_path / side / ".bench_out"
+        out.mkdir(parents=True, exist_ok=True)
+        env = {"cpus_usable": 2, "blas_threads": 1, "python": "3.11.7",
+               "numpy": "2.4.6", "git_sha": side, field: value}
+        (out / "result-verify-invariants-7-trace0.json").write_text(
+            json.dumps({"correct": True, "seconds": 30.0,
+                        "output_sha256": "sha", "environment": env,
+                        "metrics": metrics}))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+         "--parent", str(tmp_path / "parent"),
+         "--change", str(tmp_path / "change"), "--seeds", "7",
+         "--slug", "mixed", "--what", "runs on two machines"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert f"'{field}': {values[0]!r}" in proc.stderr
+    assert "different environments" in proc.stderr
+    assert not (tmp_path / "change" / "BENCH_mixed.json").exists()

@@ -9,6 +9,9 @@ values.
 import hashlib
 import json
 import math
+import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from hmil.verification import (
     benchmark_nested_task,
     benchmark_product_task,
     benchmark_variance_task,
+    check_concentration,
     check_dirac_identity,
     check_embedding_bounds,
     check_gradients,
@@ -32,7 +36,6 @@ from hmil.verification import (
     check_pipeline_round_trip,
     concentration_experiment,
     mmd_baseline,
-    run_concentration,
     run_suite,
     summarize_report,
 )
@@ -110,7 +113,7 @@ class TestConcentration:
         assert table == {4: 0.0, 16: 0.0}
 
     def test_decay_report_passes(self):
-        rep = run_concentration(0)
+        rep = run_suite("concentration", 0)
         assert rep["passed"]
         d = rep["checks"][0]["details"]
         assert d["inversions"] <= 1
@@ -121,12 +124,12 @@ class TestConcentration:
     def test_decay_scale_is_roughly_root_l(self):
         # quadrupling the size four times should shrink the median by
         # about 8x under root-l averaging noise; allow a wide band
-        d = run_concentration(3)["checks"][0]["details"]
+        d = check_concentration(3)["details"]
         shrink = d["medians"][0] / d["medians"][-1]
         assert 4.0 < shrink < 16.0
 
     def test_seeded_reproducibility(self):
-        assert run_concentration(9) == run_concentration(9)
+        assert check_concentration(9) == check_concentration(9)
 
 
 class TestInvariantChecks:
@@ -316,3 +319,74 @@ class TestSuites:
                            "details": {"value": 2.0}}]}
         text = summarize_report(rep)
         assert "FAIL" in text
+
+
+def children() -> set[str]:
+    """Pids of this process's children, as the kernel lists them."""
+    pid = os.getpid()
+    return set(Path(f"/proc/{pid}/task/{pid}/children").read_text().split())
+
+
+def usable_cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestParallelChecks:
+    """run_suite deals a suite's checks round-robin to child
+    interpreters: reports must not depend on how many, and no child may
+    outlive the call."""
+
+    @pytest.mark.parametrize("suite", ["invariants", "concentration"])
+    def test_same_report_at_any_cpu_count(self, monkeypatch, suite):
+        before = children()
+        reports = []
+        for count in (1, 2, 12):
+            usable_cpus(monkeypatch, count)
+            reports.append(run_suite(suite, 3))
+        # where the affinity call is missing, the CPU count stands in
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        reports.append(run_suite(suite, 3))
+        assert reports[0]["passed"]
+        assert all(report == reports[0] for report in reports[1:])
+        assert children() == before
+
+    def test_failed_worker_raises_with_its_checks_and_code(
+            self, monkeypatch, tmp_path):
+        worker = tmp_path / "worker"
+        worker.write_text("#!/bin/sh\nexit 3\n")
+        worker.chmod(0o755)
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(sys, "executable", str(worker))
+        before = children()
+        with pytest.raises(ChildProcessError, match="running check_gradients,"
+                           " check_concentration exited with code 3"):
+            ver._run_checks(("check_mmd_baseline", "check_gradients",
+                             "check_mmd_baseline", "check_concentration"), 0)
+        assert children() == before
+
+    @pytest.mark.parametrize("executable", ["", "missing"])
+    def test_share_runs_here_when_no_child_starts(
+            self, monkeypatch, tmp_path, executable):
+        names = ("check_gradients", "check_mmd_baseline", "check_gradients")
+        expected = [getattr(ver, name)(5) for name in names]
+        usable_cpus(monkeypatch, 3)
+        monkeypatch.setattr(sys, "executable",
+                            executable and str(tmp_path / executable))
+        before = children()
+        assert ver._run_checks(names, 5) == expected
+        assert children() == before
+
+    def test_interrupt_in_the_callers_share_stops_the_workers(
+            self, monkeypatch):
+        # the caller looks its check names up when it runs them, so a
+        # rebinding (as a tracer's) reaches its share
+        def interrupt(seed):
+            raise KeyboardInterrupt
+
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(ver, "check_gradients", interrupt)
+        before = children()
+        with pytest.raises(KeyboardInterrupt):
+            ver._run_checks(("check_gradients", "check_concentration"), 0)
+        assert children() == before
