@@ -28,11 +28,17 @@ import os
 import sys
 from dataclasses import asdict, fields, replace
 
-import numpy as np
+# one BLAS thread, unless the user set a count: the model's matrices are
+# too small to gain from more, and some OpenBLAS kernels sum a GEMM in
+# another order at another thread count.  It must be set before numpy
+# loads; importing hmil loads nothing.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 # perfbench's tracer test asserts this module binds encode_document
-from .encoding import EncodingError, encode_document  # noqa: F401
-from .model import (
+from .encoding import EncodingError, encode_document  # noqa: F401,E402
+from .model import (  # noqa: E402
     ACTIVATIONS,
     AGGREGATIONS,
     ModelConfig,
@@ -43,7 +49,7 @@ from .model import (
     replacing,
     save_model,
 )
-from .schema import (
+from .schema import (  # noqa: E402
     DEFAULT_CATEGORICAL_THRESHOLD,
     Product,
     SchemaError,
@@ -52,9 +58,9 @@ from .schema import (
     loads_schema,
     node_paths,
 )
-from .training import (LOSSES, TrainConfig, TrainingDiverged,
-                       predict_scores, train)
-from .verification import SUITE_NAMES, run_suite, summarize_report
+from .training import (  # noqa: E402
+    LOSSES, TrainConfig, TrainingDiverged, predict_scores, train)
+from .verification import SUITE_NAMES, run_suite, summarize_report  # noqa: E402
 
 EXIT_OK = 0
 EXIT_FAILED = 1

@@ -71,7 +71,10 @@ def encode_column(node: SchemaNode, column: list) -> np.ndarray:
 
 
 def _standardize(column: list, mean: float, std: float) -> np.ndarray:
-    values = np.array([0.0 if v is None else float(v) for v in column])
+    # numpy converts a bool or an int of any size as float() does
+    missing = None in column
+    values = (np.array([0.0 if v is None else float(v) for v in column])
+              if missing else np.array(column, dtype=np.float64))
     finite = np.isfinite(values)
     if not finite.all():
         raise EncodingError(f"non-finite number {float(values[~finite][0])!r}")
@@ -80,7 +83,7 @@ def _standardize(column: list, mean: float, std: float) -> np.ndarray:
     # overflow gives inf and nan silently, as in Python float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
         out = ((values - mean) / std).reshape(-1, 1)
-    if None in column:
+    if missing:
         out[[v is None for v in column]] = 0.0
     return out
 

@@ -13,6 +13,11 @@ layers keyed by its ``schema.node_paths`` path (plus ``"head"``), and
 its forward pass, compiled once with the layers, is one loop over a
 step per node, children before parents.
 
+Without a tape, a bag node maps its instances in blocks of whole bags,
+each at most ``BLOCK_ACTIVATIONS`` activations (4096 rows at embed_dim
+32) unless one bag is larger, so scoring memory is bounded by a block
+per bag node plus the chunk's leaf columns, not by chunk x bag size.
+
 The linear map after pooling keeps two facts checkable: an extra
 per-instance linear layer before mean pooling folds into it exactly
 (``verification.check_matrix_collapse``), and with tanh units every
@@ -79,6 +84,7 @@ MAX_PARAMS = 10**8
 
 ACTIVATIONS = (TANH, RELU)
 AGGREGATIONS = ("mean", "max", "meanmax")
+BLOCK_ACTIVATIONS = 2**17  # per instance block of a forward with no tape
 
 
 class ModelError(Exception):
@@ -162,12 +168,26 @@ def _plan(node: SchemaNode, path: str, config: ModelConfig
         child, agg = path + "[]", config.aggregation
         width, plan = _plan(node.child, child, config)
 
-        def bag(layers, batch, out, tape, sink):
-            rows = dense_forward(out.pop(child), *layers[:2], act, tape)
-            offsets = batch.offsets[path]
-            non_empty = (offsets[1:] > offsets[:-1])[:, None].astype(np.float64)
+        def pool(x, offsets, layers, tape):
+            rows = dense_forward(x, *layers[:2], act, tape)
             z = [segment_mean(rows, offsets, tape)] if agg != "max" else []
-            z += [segment_max(rows, offsets, tape)] if agg != "mean" else []
+            return z + ([segment_max(rows, offsets, tape)] if agg != "mean"
+                        else [])
+
+        def bag(layers, batch, out, tape, sink):
+            x, offsets = out.pop(child), batch.offsets[path]
+            # one block with a tape: splitting would reorder its gradient sums
+            cuts = (_cuts(offsets, BLOCK_ACTIVATIONS // k) if tape is None
+                    and offsets[-1] * k > BLOCK_ACTIVATIONS else ())
+            if len(cuts) <= 2:
+                z = pool(x, offsets, layers, tape)
+            else:  # every bag's rows still pool in order from +0.0
+                blocks = [pool(Tensor(x.data[offsets[a]:offsets[b]]),
+                               offsets[a:b + 1] - offsets[a], layers, None)
+                          for a, b in zip(cuts, cuts[1:])]
+                z = [Tensor(np.concatenate([p.data for p in parts]))
+                     for parts in zip(*blocks)]
+            non_empty = (offsets[1:] > offsets[:-1])[:, None].astype(np.float64)
             z = concat_cols(z + [Tensor(non_empty)], tape)
             sink[path] = dense_forward(z, *layers[2:], IDENTITY, tape)
             return sink[path]
@@ -187,6 +207,16 @@ def _plan(node: SchemaNode, path: str, config: ModelConfig
             return dense_forward(concat_cols(parts, tape), *layers, act, tape)
         return h, plan + [(path, [(width, h), (1, h)], product)]
     return leaf_width(node), []
+
+
+def _cuts(offsets: np.ndarray, limit: int) -> list[int]:
+    """Bag indices from 0 to the bag count that cut ``offsets`` into
+    consecutive blocks of at most ``limit`` rows, a larger bag alone."""
+    cuts, n = [0], offsets.size - 1
+    while cuts[-1] < n:
+        end = np.searchsorted(offsets, offsets[cuts[-1]] + limit, "right") - 1
+        cuts.append(max(int(end), cuts[-1] + 1))
+    return cuts
 
 
 def _layer_plan(schema: SchemaNode, config: ModelConfig) -> tuple[list, int]:

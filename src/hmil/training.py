@@ -5,7 +5,10 @@ backward sweep yields parameter gradients.  Shuffling derives from
 (seed, epoch), making whole runs reproducible bit for bit.  Every entry
 point takes raw JSON documents; ``train`` encodes its corpus once and
 gathers each minibatch from it, and ``predict_scores`` streams documents
-through the model one chunk at a time.
+through the model one chunk at a time.  Scoring memory is bounded by a
+chunk's leaf columns plus one block of instance activations per bag node
+(``model.BLOCK_ACTIVATIONS``, 4096 rows at embed_dim 32), however large
+the chunk's bags.
 """
 
 from __future__ import annotations

@@ -659,8 +659,10 @@ def _run_checks(names: tuple[str, ...], seed: int) -> list[dict]:
         import signal
         import subprocess
         src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        # one BLAS thread in each worker, as hmil.cli sets for itself
+        env = {"OPENBLAS_NUM_THREADS": "1", **os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
     try:
         for i in range(1, n):
             code = ("import pickle, signal, sys; signal.signal(signal.SIGINT, "

@@ -1401,6 +1401,31 @@ class TestEntry:
             env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
+    def test_blas_thread_count_leaves_the_container_as_it_is(self, tmp_path):
+        """OpenBLAS's Haswell kernel sums a GEMM in another order at two
+        threads than at one; the CLI runs one unless told otherwise."""
+        rng = np.random.default_rng(0)
+        write_jsonl(tmp_path / "t.jsonl", [
+            {"xs": [{"a": round(v, 3), "b": round(v * v, 3),
+                     "c": "abc"[int(v) % 3]}
+                    for v in rng.normal(i % 2, 1, rng.integers(1, 10))],
+             "label": i % 2} for i in range(100)])
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        env.update(PYTHONPATH=SRC, OPENBLAS_CORETYPE="Haswell")
+        blobs = []
+        for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            for argv in (["infer", "--input", "t.jsonl", "--output", "s.json"],
+                         ["train", "--schema", "s.json", "--train", "t.jsonl",
+                          "--label-field", "label", "--output", "m.bin",
+                          "--epochs", "1", "--embed-dim", "64",
+                          "--hidden-dim", "64"]):
+                subprocess.run([sys.executable, "-m", "hmil.cli", *argv],
+                               cwd=tmp_path, env={**env, **threads},
+                               check=True, capture_output=True, timeout=120)
+            blobs.append((tmp_path / "m.bin").read_bytes())
+        assert blobs[0] == blobs[1]
+
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

@@ -74,6 +74,19 @@ class TestNumericEncoder:
         with pytest.raises(EncodingError):
             encode_numeric(float("nan"), 0.0, 1.0)
 
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_column_converts_as_float_does(self, missing):
+        """Bools and ints past 2**53, 2**63 and 2**64 give float()'s bits,
+        with or without an absent row."""
+        column = [True, False, 2**53 + 1, 2**63 + 5, -2**63 - 1, 2**64 + 7,
+                  10**300, 1.5]
+        node = NumericLeaf(count=1, mean=0.25, std=3.0)
+        expected = (np.array([float(v) for v in column]) - 0.25) / 3.0
+        if missing:
+            column, expected = column + [None], np.append(expected, 0.0)
+        assert (encode_column(node, column).tobytes()
+                == expected.reshape(-1, 1).tobytes())
+
     def test_in_schema_context(self):
         s = infer_schema([1, 2, 3])
         np.testing.assert_allclose(encode_numeric(2.0, s.mean, s.std), [0.0],

@@ -18,6 +18,7 @@ from hmil.generators import permute_bags, random_document, random_schema
 from hmil.model import (
     ACTIVATIONS,
     AGGREGATIONS,
+    BLOCK_ACTIVATIONS,
     FORMAT_VERSION,
     MAGIC,
     Model,
@@ -246,6 +247,58 @@ class TestForwardPlan:
         finally:
             sys.setrecursionlimit(limit)
         assert got == want
+
+
+class TestBlockedScoring:
+    """Without a tape, a bag node maps its instances in blocks of whole
+    bags, at most ``BLOCK_ACTIVATIONS`` activations each unless one bag
+    alone is larger; every bag pools in order from +0.0 as in one block,
+    and a numeric leaf's product is one multiply per element."""
+
+    # 8-row blocks at embed_dim 4: cuts fall before, after and inside
+    # runs of empty bags, and the 11-number bag is a block of its own
+    DOCS = [[], [-0.0, -0.0], [1.5, -2.0, 0.25], [], [0.5] * 5,
+            [float(i) - 5.0 for i in range(11)], [], [], [-0.0], [3.0, 4.0],
+            [0.125] * 8, [2.0] * 9, []]
+
+    @pytest.mark.parametrize("aggregation", AGGREGATIONS)
+    @pytest.mark.parametrize("block", [32, 4 * 1024])
+    def test_equals_one_block_bit_for_bit(self, monkeypatch, aggregation,
+                                          block):
+        docs = self.DOCS + [[0.001 * i for i in range(5000)], [-0.0]]
+        model = build_model(PLAIN_BAG, ModelConfig(
+            embed_dim=4, hidden_dim=3, aggregation=aggregation, seed=7))
+        model.layers["$"][1].data[0, :2] = -0.0  # rows of -0.0 for -0.0
+        batch = build_batch(docs, PLAIN_BAG)
+        monkeypatch.setattr("hmil.model.BLOCK_ACTIVATIONS", block)
+        one = forward_with_embeddings(model, batch, Tape())
+        blocked = forward_with_embeddings(model, batch)
+        assert blocked[0].data.tobytes() == one[0].data.tobytes()
+        assert blocked[1]["$"].data.tobytes() == one[1]["$"].data.tobytes()
+
+    def test_instance_matrices_stay_within_a_block(self, monkeypatch):
+        """About 20k instance rows: each matrix the instance layer makes
+        without a tape fits a block; with a tape it is one matrix."""
+        rng = np.random.default_rng(3)
+        docs = [rng.normal(size=int(n)).tolist()
+                for n in rng.integers(800, 1200, 20)]
+        model = build_model(PLAIN_BAG, ModelConfig(seed=1))
+        batch = build_batch(docs, PLAIN_BAG)
+        phi_w, seen = model.layers["$"][0], []
+
+        def recording(x, w, *args):
+            out = dense_forward(x, w, *args)
+            if w is phi_w:
+                seen.append(out.data.size)
+            return out
+
+        monkeypatch.setattr("hmil.model.dense_forward", recording)
+        forward(model, batch)
+        assert sum(seen) == batch.offsets["$"][-1] * 32 > 18000 * 32
+        assert len(seen) > 1 and max(seen) <= BLOCK_ACTIVATIONS
+        seen.clear()
+        forward(model, batch, Tape())
+        assert seen == [batch.offsets["$"][-1] * 32]
 
 
 class TestPermutationInvariance:

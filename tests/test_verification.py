@@ -365,6 +365,23 @@ class TestParallelChecks:
                              "check_mmd_baseline", "check_concentration"), 0)
         assert children() == before
 
+    @pytest.mark.parametrize("setting,seen", [(None, "1"), ("2", "2")])
+    def test_workers_run_one_blas_thread_unless_told(
+            self, monkeypatch, tmp_path, setting, seen):
+        worker = tmp_path / "worker"
+        worker.write_text(f"#!/bin/sh\necho \"$OPENBLAS_NUM_THREADS\" "
+                          f"> {tmp_path / 'seen'}\nexit 3\n")
+        worker.chmod(0o755)
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(sys, "executable", str(worker))
+        if setting is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", setting)
+        with pytest.raises(ChildProcessError):
+            ver._run_checks(("check_mmd_baseline", "check_mmd_baseline"), 0)
+        assert (tmp_path / "seen").read_text() == seen + "\n"
+
     @pytest.mark.parametrize("executable", ["", "missing"])
     def test_share_runs_here_when_no_child_starts(
             self, monkeypatch, tmp_path, executable):
