@@ -28,8 +28,7 @@ def main() -> None:
     model = build_model(PLAIN_BAG, ModelConfig(
         output_dim=1, seed=int(rng.integers(2**31))))
     table = concentration_experiment(
-        model, lambda r, n: [float(v) for v in r.normal(size=n)],
-        bag_sizes=args.sizes, repeats=args.repeats, rng=rng)
+        model, bag_sizes=args.sizes, repeats=args.repeats, rng=rng)
 
     print(f"seed {args.seed}, {args.repeats} repeats per size\n")
     print(f"{'bag size':>8} {'median |f - f_ref|':>20} {'step ratio':>12}")

@@ -205,18 +205,23 @@ def _resolve_configs(args) -> tuple[dict, dict]:
 
 
 def cmd_train(args) -> int:
+    report_path = args.report or args.output + ".report.json"
+    target = os.path.realpath(args.output)
+    if target == os.path.realpath(report_path) and (  # not /dev/null
+            os.path.isfile(target) or not os.path.exists(target)):
+        raise CliError(f"--report {report_path} would replace the model "
+                       f"file --output {args.output}")
     schema = _load_schema_file(args.schema)
     rows = list(_iter_jsonl(args.train))
     if not rows:
         raise CliError(f"{args.train}: empty corpus")
 
     raw_labels = []
-    stripped = []
     for number, doc in rows:
         if not isinstance(doc, dict) or doc.get(args.label_field) is None:
             raise CliError(f"{args.train}:{number}: missing label field "
                            f"{args.label_field!r}")
-        label = doc[args.label_field]
+        label = doc.pop(args.label_field)
         if isinstance(label, (list, dict)):
             raise CliError(f"{args.train}:{number}: label field "
                            f"{args.label_field!r} is an array or object")
@@ -224,9 +229,7 @@ def cmd_train(args) -> int:
             # json reads NaN and Infinity, which strict JSON has not
             raise CliError(f"{args.train}:{number}: label field "
                            f"{args.label_field!r} is not a finite number")
-        doc = dict(doc)
-        raw_labels.append(doc.pop(args.label_field))
-        stripped.append((number, doc))
+        raw_labels.append(label)
     if isinstance(schema, Product) and args.label_field in schema.field_names:
         schema = replace(schema, fields=tuple(
             f for f in schema.fields if f.name != args.label_field))
@@ -246,7 +249,7 @@ def cmd_train(args) -> int:
         model_kw.setdefault("output_dim", len(classes))
     else:
         classes = None
-        for (number, _), value in zip(stripped, raw_labels):
+        for (number, _), value in zip(rows, raw_labels):
             if isinstance(value, str):  # float() would read "3" or "nan"
                 raise CliError(f"{args.train}:{number}: mse loss needs a "
                                f"numeric label, got the string {value!r}")
@@ -271,10 +274,10 @@ def cmd_train(args) -> int:
     except (ModelError, ValueError) as exc:
         raise CliError(str(exc))
     try:
-        report = train(model, [doc for _, doc in stripped], targets,
+        report = train(model, [doc for _, doc in rows], targets,
                        train_config)
     except EncodingError as exc:
-        raise CliError(f"{args.train}:{stripped[exc.index][0]}: {exc}")
+        raise CliError(f"{args.train}:{rows[exc.index][0]}: {exc}")
     except TrainingDiverged as exc:
         raise CliError(f"training diverged: {exc}", EXIT_NUMERIC)
 
@@ -282,8 +285,7 @@ def cmd_train(args) -> int:
         save_model(model, args.output, extra={
             "label_field": args.label_field, "classes": classes, "loss": loss})
 
-    report_path = args.report or args.output + ".report.json"
-    payload = {"n_documents": len(stripped),
+    payload = {"n_documents": len(rows),
                "label_field": args.label_field,
                "classes": classes,
                "model_config": asdict(model_config),
@@ -291,7 +293,7 @@ def cmd_train(args) -> int:
                **asdict(report)}
     with _replacing(report_path) as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    print(f"trained on {len(stripped)} documents for {train_config.epochs} "
+    print(f"trained on {len(rows)} documents for {train_config.epochs} "
           f"epochs; wrote {args.output} and {report_path}")
     return EXIT_OK
 

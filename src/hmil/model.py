@@ -260,11 +260,11 @@ def build_model(schema: SchemaNode, config: ModelConfig) -> Model:
         rng.random(out=blocks[path])  # each tensor's own draw, in order
         tensors = model.layers[path]
         for w, b in zip(tensors[::2], tensors[1::2]):
-            uniform_fill(None, w.data)
+            uniform_fill(w.data)
             # nonzero biases keep all-zero rows off the relu kink, which
             # would break finite-difference checks exactly; fan_in 0
             # happens for products inferred from field-free objects
-            uniform_fill(None, b.data, 1.0 / math.sqrt(max(w.rows, 1)))
+            uniform_fill(b.data, 1.0 / math.sqrt(max(w.rows, 1)))
     return model
 
 

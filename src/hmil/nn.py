@@ -15,7 +15,7 @@ one output-sized array, forward and backward. A segment mean two or
 more columns wide pools in one numpy pass, a reshaped sum when every
 segment has one non-zero length and a weighted ``np.bincount`` over
 (segment, column) bins otherwise; either adds each column's rows in
-order from +0.0. ``uniform_fill`` draws initial parameters in place, and Adam
+order from +0.0. ``uniform_fill`` maps a draw to initial parameters, and Adam
 updates the parameter vector (``model.Model.values``) and its two moments
 in place in one pass, from the gradient ``flat_gradient`` lays out.
 """
@@ -338,14 +338,11 @@ def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState,
     values -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def uniform_fill(rng: np.random.Generator | None, out: np.ndarray,
-                 limit: float | None = None) -> np.ndarray:
-    """``out``, overwritten with the bytes ``rng.uniform(-limit, limit,
-    out.shape)`` returns; by default Glorot's limit, sqrt(6 / sum(shape)).
-    With ``rng`` None, ``out`` already holds the draw of ``rng.random``."""
+def uniform_fill(out: np.ndarray, limit: float | None = None) -> np.ndarray:
+    """``out``, a draw of ``rng.random``, mapped in place to the bytes
+    ``rng.uniform(-limit, limit, out.shape)`` would have returned; by
+    default Glorot's limit, sqrt(6 / sum(shape))."""
     limit = math.sqrt(6.0 / sum(out.shape)) if limit is None else limit
-    if rng is not None:
-        rng.random(out=out)
     out *= limit - -limit  # uniform's low + range * u: IEEE + and * commute
     out += -limit
     return out

@@ -112,9 +112,6 @@ class CategoricalLeaf(_Node):
     def _slots(self) -> dict[str, int]:  # kept as ``_walker`` is
         return {v: i for i, v in enumerate(self.values)}
 
-    def index(self, value: str) -> int | None:
-        return self._slots.get(value) if isinstance(value, str) else None
-
 
 @dataclass(frozen=True)
 class Bag(_Node):

@@ -45,12 +45,9 @@ LOSSES = ("ce", "mse")  # softmax cross-entropy, mean squared error
 
 
 class TrainingDiverged(Exception):
-    """A loss came out non-finite at (``epoch``, ``batch_index``)."""
+    """``what`` came out non-finite at (``epoch``, ``batch_index``)."""
 
-    def __init__(self, epoch: int, batch_index: int, value: float):
-        self._located(f"non-finite loss {float(value)}", epoch, batch_index)
-
-    def _located(self, what: str, epoch: int, batch_index: int):
+    def __init__(self, what: str, epoch: int, batch_index: int):
         super().__init__(f"{what} in epoch {epoch}, batch {batch_index}")
         self.epoch = epoch
         self.batch_index = batch_index
@@ -59,10 +56,6 @@ class TrainingDiverged(Exception):
 class OutputDiverged(TrainingDiverged):
     """The last minibatch, scored again after the last step (which came
     at ``epoch``, ``batch_index``), gave a non-finite output."""
-
-    def __init__(self, epoch: int, batch_index: int):
-        self._located("non-finite model output after the last step",
-                      epoch, batch_index)
 
 
 @dataclass(frozen=True)
@@ -197,7 +190,8 @@ def train(model: Model, docs: list, targets,
                 loss = loss_mse(out, batch_targets, tape)
             value = loss.data[0, 0]
             if not np.isfinite(value):
-                raise TrainingDiverged(epoch, batch_index, value)
+                raise TrainingDiverged(f"non-finite loss {float(value)}",
+                                       epoch, batch_index)
             total_loss += value * len(chosen)
 
             adam_step(values, flat_gradient(backward(tape, loss), params),
@@ -211,7 +205,8 @@ def train(model: Model, docs: list, targets,
     # no loss follows the last step, yet it can leave parameters whose
     # outputs overflow, as a huge learning rate does
     if batch is not None and not np.isfinite(forward(model, batch).data).all():
-        raise OutputDiverged(epoch, batch_index)
+        raise OutputDiverged("non-finite model output after the last step",
+                             epoch, batch_index)
     return report
 
 

@@ -212,8 +212,8 @@ def _collapse_deviation(model: Model, batches: list, inner_dim: int) -> float:
     embeddings."""
     rng = np.random.default_rng([model.config.seed, 13])
     k = model.config.embed_dim
-    extra = {path: (uniform_fill(rng, np.empty((k, inner_dim))),
-                    uniform_fill(rng, np.empty((inner_dim + 1, k))))
+    extra = {path: (uniform_fill(rng.random((k, inner_dim))),
+                    uniform_fill(rng.random((inner_dim + 1, k))))
              for path in model.bag_paths()}
     references = [_two_matrix_forward(model, batch, extra)
                   for batch in batches]
@@ -340,22 +340,25 @@ def check_pipeline_round_trip(seed: int, schemas: int = 10,
 # concentration
 
 
-def concentration_experiment(model: Model, generator,
-                             bag_sizes, repeats: int,
+def _normal_bag(rng: np.random.Generator, size: int) -> list:
+    return [float(v) for v in rng.normal(size=size)]
+
+
+def concentration_experiment(model: Model, bag_sizes, repeats: int,
                              rng: np.random.Generator) -> dict:
     """Median |f(bag of size l) - f(reference bag)| per bag size.
 
-    ``generator(rng, size)`` samples one bag of i.i.d. instances.  The
+    Each bag holds ``size`` i.i.d. N(0, 1) floats drawn from ``rng``.  The
     reference output stands in for the infinite-sample value; the
     reference bag holds ``REF_FACTOR`` times the largest tested size,
     putting its own error well below the measured deviations.
     """
     sizes = sorted(bag_sizes)
-    ref_doc = generator(rng, REF_FACTOR * max(sizes))
+    ref_doc = _normal_bag(rng, REF_FACTOR * max(sizes))
     f_ref = forward(model, build_batch([ref_doc], model.schema)).data[0, 0]
     table = {}
     for size in sizes:
-        docs = [generator(rng, size) for _ in range(repeats)]
+        docs = [_normal_bag(rng, size) for _ in range(repeats)]
         out = forward(model, build_batch(docs, model.schema)).data[:, 0]
         table[size] = float(np.median(np.abs(out - f_ref)))
     return table
@@ -369,11 +372,7 @@ def check_concentration(seed: int) -> dict:
     rng = np.random.default_rng([seed, 21])
     model = build_model(PLAIN_BAG, ModelConfig(
         output_dim=1, seed=int(rng.integers(2**31))))
-
-    def generator(r, size):
-        return [float(v) for v in r.normal(0.0, 1.0, size)]
-
-    table = concentration_experiment(model, generator, CONCENTRATION_SIZES,
+    table = concentration_experiment(model, CONCENTRATION_SIZES,
                                      CONCENTRATION_REPEATS, rng)
     sizes = sorted(table)
     medians = [table[s] for s in sizes]
@@ -405,6 +404,13 @@ def _held_out_accuracy(config: ModelConfig, tc: TrainConfig, train_raw: list,
     return evaluate_accuracy(model, test_raw, test_labels)
 
 
+def _alternating(n: int, make_doc) -> tuple[list, list]:
+    """``n`` documents ``make_doc(label)``, drawn in order for the labels
+    0, 1, 0, ..., and those labels."""
+    labels = [i % 2 for i in range(n)]
+    return [make_doc(label) for label in labels], labels
+
+
 def _antithetic_bag(rng, sigma: float, size: int) -> list:
     """Bag of draws from N(0, sigma^2) in +/- pairs, so the bag's
     empirical mean is exactly zero regardless of sigma."""
@@ -421,17 +427,11 @@ def benchmark_variance_task(seed: int = 0, n_train: int = 2000,
     harness bug; the shuffled-label control guards the trainer itself."""
     rng = np.random.default_rng([seed, 41])
 
-    def make_split(n):
-        raw, labels = [], []
-        for i in range(n):
-            label = i % 2
-            raw.append(_antithetic_bag(rng, 2.0 if label else 1.0,
-                                       VARIANCE_BAG_SIZE))
-            labels.append(label)
-        return raw, labels
+    def make_doc(label):
+        return _antithetic_bag(rng, 2.0 if label else 1.0, VARIANCE_BAG_SIZE)
 
-    train_raw, train_labels = make_split(n_train)
-    test_raw, test_labels = make_split(n_test)
+    train_raw, train_labels = _alternating(n_train, make_doc)
+    test_raw, test_labels = _alternating(n_test, make_doc)
     config = ModelConfig(output_dim=2, seed=int(rng.integers(2**31)))
     tc = train_config or _BENCH_TRAIN
     means_train, means_test = ([[float(np.mean(bag))] for bag in raw]
@@ -474,17 +474,11 @@ def benchmark_nested_task(seed: int = 0, n_train: int = 1000,
     random regroupings of the same kind of draws (narrow spread)."""
     rng = np.random.default_rng([seed, 43])
 
-    def make_split(n):
-        raw, labels = [], []
-        for i in range(n):
-            label = i % 2
-            raw.append(_grouped_doc(rng, n_bags, bag_size,
-                                    coherent=bool(label)))
-            labels.append(label)
-        return raw, labels
+    def make_doc(label):
+        return _grouped_doc(rng, n_bags, bag_size, coherent=bool(label))
 
-    train_raw, train_labels = make_split(n_train)
-    test_raw, test_labels = make_split(n_test)
+    train_raw, train_labels = _alternating(n_train, make_doc)
+    test_raw, test_labels = _alternating(n_test, make_doc)
     config = ModelConfig(output_dim=2, seed=int(rng.integers(2**31)))
     tc = train_config or _BENCH_TRAIN
     flat_train, flat_test = ([[v for bag in doc for v in bag] for doc in raw]

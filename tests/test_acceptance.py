@@ -11,6 +11,7 @@ import json
 import time
 
 import numpy as np
+from conftest import kernel_note
 
 from hmil.cli import main
 from hmil.model import load_model
@@ -151,7 +152,8 @@ def test_11_determinism(tmp_path, capsys):
     assert json.loads(first)["passed"] is True
     # the report's bytes at this seed, so any drift in a number shows
     assert hashlib.sha256(first.encode("utf-8")).hexdigest() == (
-        "8c13a8f697153bcb2c09ed47da0404491110567a985a06ac080e63d73201f4fc")
+        "8c13a8f697153bcb2c09ed47da0404491110567a985a06ac080e63d73201f4fc"
+    ), kernel_note()
 
     rng = np.random.default_rng(SEED)
     train = tmp_path / "train.jsonl"

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import kernel_note
 from hypothesis import given, strategies as st
 
 import hmil.cli as cli_mod
@@ -224,6 +225,25 @@ class TestTrain:
                    "--output", str(corpus["dir"] / "m.bin")])
         assert rc == 2
         assert ":2:" in capsys.readouterr().err
+
+    def test_report_naming_the_model_file_exits_2(self, corpus, capsys):
+        """Checked before any input is read, through a link as well, and
+        only for a regular file: /dev/null takes both."""
+        out = corpus["dir"] / "m.bin"
+        (corpus["dir"] / "link.bin").symlink_to(out)
+        for report, train in ((out, corpus["train"]),
+                              (corpus["dir"] / "link.bin",
+                               corpus["dir"] / "missing.jsonl")):
+            rc = main(["train", "--schema", str(corpus["schema"]),
+                       "--train", str(train), "--label-field", "kind",
+                       "--output", str(out), "--report", str(report)])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                f"error: --report {report} would replace the model file "
+                f"--output {out}\n")
+            assert not out.exists()
+        rc, _ = run_train(corpus, os.devnull, ("--report", os.devnull))
+        assert rc == 0
 
     def test_divergence_exits_3(self, tmp_path, capsys):
         src = tmp_path / "t.jsonl"
@@ -1369,10 +1389,9 @@ class TestEntry:
     def test_module_invocation(self, tmp_path):
         src = tmp_path / "d.jsonl"
         write_jsonl(src, [{"a": 1.0}])
-        proc = subprocess.run(
-            [sys.executable, "-m", "hmil.cli", "infer",
-             "--input", str(src), "--output", str(tmp_path / "s.json")],
-            capture_output=True, text=True)
+        proc = run_child(["infer", "--input", str(src),
+                          "--output", str(tmp_path / "s.json")],
+                         stdout=subprocess.PIPE)
         assert proc.returncode == 0
         assert "wrote" in proc.stdout
 
@@ -1380,10 +1399,8 @@ class TestEntry:
         """/dev/stdout names a pipe here, which is written in place."""
         src = tmp_path / "d.jsonl"
         write_jsonl(src, [{"a": 1.0}])
-        proc = subprocess.run(
-            [sys.executable, "-m", "hmil.cli", "infer",
-             "--input", str(src), "--output", "/dev/stdout"],
-            capture_output=True, text=True)
+        proc = run_child(["infer", "--input", str(src),
+                          "--output", "/dev/stdout"], stdout=subprocess.PIPE)
         assert proc.returncode == 0, proc.stderr
         assert list(loads_schema(proc.stdout.splitlines()[0]).field_names) \
             == ["a"]
@@ -1649,7 +1666,7 @@ def test_golden_container_digest(tmp_path):
         got[corpus, aggregation, activation, embed_dim] = tuple(
             hashlib.sha256(p.read_bytes()).hexdigest()
             for p in (out, tmp_path / (out.name + ".report.json")))
-    assert got == GOLDEN_CONTAINER_SHA256
+    assert got == GOLDEN_CONTAINER_SHA256, kernel_note()
 
 
 # corpora `hmil infer` rejects, one JSON text per line: kind conflicts
@@ -1789,7 +1806,7 @@ def test_golden_predict_digest(tmp_path):
                    "--output", str(out)])
         got[case] = hashlib.sha256(
             f"{rc} ".encode() + out.read_bytes()).hexdigest()
-    assert got == GOLDEN_PREDICT_SHA256
+    assert got == GOLDEN_PREDICT_SHA256, kernel_note()
 
 
 class TestPredictRecords:

@@ -546,8 +546,8 @@ class TestParameterVector:
         assert ver._collapse_deviation(model, [batch], inner_dim=3) < 1e-10
         # the draws _collapse_deviation makes for the one bag
         rng = np.random.default_rng([6, 13])
-        inner = uniform_fill(rng, np.empty((4, 3)))
-        post = uniform_fill(rng, np.empty((4, 4)))
+        inner = uniform_fill(rng.random((4, 3)))
+        post = uniform_fill(rng.random((4, 4)))
         at = 2 * 4  # phi_w (1, 4) and phi_b (1, 4) come first
         assert values[at:at + 5 * 4].tobytes() \
             == ver._fold(inner, post).tobytes()

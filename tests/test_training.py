@@ -197,12 +197,18 @@ class TestTrainLoop:
                   TrainConfig(epochs=1, batch_size=8, loss="mse"))
         assert exc.value.epoch == 0 and exc.value.batch_index == 0
 
+    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_message_prints_a_plain_float(self):
-        exc = TrainingDiverged(1, 2, np.float64(np.nan))
-        assert str(exc) == "non-finite loss nan in epoch 1, batch 2"
+        docs, _ = two_blob_dataset(n_docs=8)
+        model = build_model(PLAIN_BAG, ModelConfig(output_dim=1, seed=0))
+        with pytest.raises(TrainingDiverged) as exc:
+            train(model, docs, np.full((8, 1), 1e200),
+                  TrainConfig(epochs=1, batch_size=8, loss="mse"))
+        assert str(exc.value) == "non-finite loss inf in epoch 0, batch 0"
 
     def test_output_divergence_is_a_training_divergence(self):
-        exc = OutputDiverged(1, 2)
+        exc = OutputDiverged("non-finite model output after the last step",
+                             1, 2)
         assert isinstance(exc, TrainingDiverged)
         assert (exc.epoch, exc.batch_index) == (1, 2)
         assert str(exc) == ("non-finite model output after the last step "

@@ -108,8 +108,7 @@ class TestConcentration:
             p.data[:] = 0.0
         rng = np.random.default_rng(1)
         table = concentration_experiment(
-            model, lambda r, n: list(r.normal(size=n)),
-            bag_sizes=(4, 16), repeats=20, rng=rng)
+            model, bag_sizes=(4, 16), repeats=20, rng=rng)
         assert table == {4: 0.0, 16: 0.0}
 
     def test_decay_report_passes(self):
