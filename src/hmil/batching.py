@@ -1,10 +1,12 @@
 """Ragged batches: a set of documents as flat per-node arrays.
 
-Documents are encoded once, through columns: ``encode_document``
-appends each valid document to the lists from ``new_columns`` (leaves
-as raw JSON values, bags as element counts), and ``finish_batch``
+Documents are encoded once, through columns: ``build_batch`` appends
+each chunk of ``CHUNK_SIZE`` documents to the lists from ``new_columns``
+(leaves as raw JSON values, bags as element counts) in one columnar
+pass per schema node (``schema.fill_columns``), and ``finish_batch``
 turns those lists into arrays, encoding each leaf column in one pass
-(``encoding.encode_column``).  A
+(``encoding.encode_column``).  Only a chunk with a misfit is taken again
+document by document (``encoding.encode_document``), to name it.  A
 minibatch of an encoded corpus is then an index gather (``take``), not
 a re-encode.
 
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import EncodingError, encode_column, encode_document
-from .schema import Bag, Product, SchemaNode, node_paths
+from .schema import (CHUNK_SIZE, Bag, Product, SchemaNode, fill_columns,
+                     node_paths)
 
 __all__ = ["RaggedBatch", "build_batch", "new_columns", "finish_batch",
            "take"]
@@ -73,15 +76,20 @@ def build_batch(docs: list, schema: SchemaNode) -> RaggedBatch:
     the row-wise concatenation of their batches with shifted offsets.
 
     Raises EncodingError, with ``index`` set to the document's position,
-    at the first document that does not fit the schema.
+    at the first document that does not fit the schema: a chunk that
+    does not fit is encoded again one document at a time to find it.
     """
     columns = new_columns(schema)
-    for i, doc in enumerate(docs):
-        try:
-            encode_document(doc, schema, columns)
-        except EncodingError as exc:
-            exc.index = i
-            raise
+    for start in range(0, len(docs), CHUNK_SIZE):
+        chunk = docs[start:start + CHUNK_SIZE]
+        if fill_columns(chunk, schema, columns):
+            continue
+        for i, doc in enumerate(chunk, start):
+            try:
+                encode_document(doc, schema, columns)
+            except EncodingError as exc:
+                exc.index = i
+                raise
     return finish_batch(columns, schema)
 
 

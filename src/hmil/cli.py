@@ -100,22 +100,48 @@ def _open_jsonl(path: str):
         return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
+_scan_once = json.JSONDecoder().scan_once  # the scanner json.loads calls
+
+
+def _scan(line: str, frames: int = 2):
+    """``(document, end)`` of the JSON value at the start of ``line``, by
+    json's C scanner called ``frames + 1`` frames down: as deep as
+    json.loads calls it (loads, decode, raw_decode), so that both meet
+    the recursion limit at one nesting depth."""
+    return _scan(line, frames - 1) if frames else _scan_once(line, 0)
+
+
 def _parse_lines(fh):
     """(line_number, document, error) per non-blank line of a file from
-    ``_open_jsonl``; error is None or why the line has no document."""
+    ``_open_jsonl``; error is None or why the line has no document.
+
+    Lines are parsed one at a time as they are read, so the parse holds
+    one line; infer and predict cut the documents into chunks of
+    ``CHUNK_SIZE``.  A line whose value starts at its first
+    character and is followed by JSON whitespace alone is read by json's
+    C scanner; any other line, and any line the scanner fails on, goes
+    through ``json.loads``, which gives the same document or names the
+    error.
+    """
     for number, line in enumerate(fh, start=1):
         if not line.strip():
             continue
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                yield number, None, "invalid UTF-8"
+                continue
         try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:
-            yield number, None, "invalid UTF-8"
-            continue
-        try:
-            doc = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # long ints, deep nests
-            yield number, None, f"invalid JSON: {exc}"
-            continue
+            doc, end = _scan(line)
+        except (StopIteration, ValueError, RecursionError):
+            end = None  # json.loads raises it again, or names it
+        if end is None or line[end:].strip(" \t\n\r"):
+            try:
+                doc = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # long ints, deep nests
+                yield number, None, f"invalid JSON: {exc}"
+                continue
         yield number, doc, None
 
 
@@ -204,13 +230,23 @@ def _resolve_configs(args) -> tuple[dict, dict]:
     return model_kw, train_kw
 
 
+def _not_replacing(flag: str, path: str, what: str, other_flag: str,
+                   other: str) -> None:
+    """Refuse, before any input is read, to write ``path`` where it would
+    replace the regular file ``other`` (existing or to be written) that
+    the command also uses; a device such as /dev/null may take both."""
+    target = os.path.realpath(path)
+    if target == os.path.realpath(other) and (
+            os.path.isfile(target) or not os.path.exists(target)):
+        raise CliError(f"{flag} {path} would replace the {what} file "
+                       f"{other_flag} {other}")
+
+
 def cmd_train(args) -> int:
     report_path = args.report or args.output + ".report.json"
-    target = os.path.realpath(args.output)
-    if target == os.path.realpath(report_path) and (  # not /dev/null
-            os.path.isfile(target) or not os.path.exists(target)):
-        raise CliError(f"--report {report_path} would replace the model "
-                       f"file --output {args.output}")
+    _not_replacing("--report", report_path, "model", "--output", args.output)
+    for flag, path in (("--output", args.output), ("--report", report_path)):
+        _not_replacing(flag, path, "schema", "--schema", args.schema)
     schema = _load_schema_file(args.schema)
     rows = list(_iter_jsonl(args.train))
     if not rows:
@@ -299,6 +335,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.output != "-":  # the output may still be the input
+        _not_replacing("--output", args.output, "model", "--model",
+                       args.model)
     try:
         model, extra = load_model(args.model)
     except (OSError, ModelLoadError) as exc:

@@ -6,12 +6,15 @@ fixed constants, so histograms reproduce across platforms), and
 categorical values one-hot with a trailing unknown slot, through a
 value-to-slot dict kept on the leaf.
 
-A document is appended to per-node columns (see
-``batching.new_columns``) by the pass that validates it
-(``schema.validate``, whose walker is compiled once per schema and
-cached on it): one raw JSON value per leaf (None where an optional leaf
-is absent), one element count per bag, one row of presence flags per
-product.  A document that does not fit leaves the columns as they were.
+Documents are appended to per-node columns (see
+``batching.new_columns``) by the pass that validates them: one raw JSON
+value per leaf (None where an optional leaf is absent), one element
+count per bag, one row of presence flags per product.  A chunk of
+documents is appended by the schema's columnar fill
+(``schema.fill_columns``), one schema node at a time; only a chunk that
+does not fit is taken again document by document with
+``encode_document`` (``schema.validate``), which names each misfit.  A
+document that does not fit leaves the columns as they were.
 ``encode_column`` then encodes a whole leaf column in one numpy pass,
 when ``batching.finish_batch`` builds the batch: n-grams hash at every
 byte offset of the joined column with one contiguous slice per byte of

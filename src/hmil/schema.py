@@ -2,19 +2,33 @@
 
 A schema is a tree of five node kinds: numeric, string (n-gram), and
 categorical leaves, bags (homogeneous arrays), and products (objects
-with a fixed field set). Inference streams: each document folds straight
-into one mutable corpus state that caps categorical vocabularies as they
-grow and freezes into the schema at the end; memory grows with the
-schema and its vocabularies, never with the corpus.  A bag's items fold
-straight into the corpus's element state, and numeric sums are exact, so
-no order of documents or items changes the schema.  The fold builds no
-path strings: a conflict collects its path steps as it unwinds.
-``validate`` checks a document against a schema and appends it to
-per-node columns in one pass of the schema's walker: a tree of closures,
-one per node, compiled once per schema on first use and cached on the
-root node itself, so it lives as long as the schema.  The pass builds no
-path strings; a document that does not fit leaves the columns as they
-were and is walked again to name its violations.
+with a fixed field set).
+
+Documents are taken a chunk at a time: ``CHUNK_SIZE`` documents, whose
+values at each schema node form one column (a product's field across
+the chunk's objects, a bag's items across all its instances).  Each
+node checks and folds, or fills, a whole column at once, so the Python
+work per chunk grows with the schema, not with the documents; memory
+grows with one chunk, never with the corpus.  Each chunk pass has a
+per-document fallback that names errors: a chunk that does not fold,
+or does not fit, leaves its target as it was and is taken again one
+document at a time.
+
+``infer_schema`` folds each chunk into one mutable corpus state that
+caps categorical vocabularies and freezes into the schema at the end.
+Numeric sums are exact, so no order of documents or items, and no
+grouping of them into chunks, changes the schema.  The fold builds no
+path strings: a conflict collects its path steps as it unwinds, in the
+per-document fallback only.
+
+``validate`` checks one document against a schema and appends it to
+per-node columns in one pass of the schema's walker, and
+``fill_columns`` appends a whole chunk with the schema's columnar fill.
+Both are trees of closures, one per node, compiled together once per
+schema on first use and cached on the root node itself, so they live as
+long as the schema.  Neither builds path strings; a document that does
+not fit leaves the columns as they were and is walked again to name its
+violations.
 
 Conventions: ``null`` means "field absent" and is never a kind; JSON
 booleans are numeric 0/1; arrays must be homogeneous or inference
@@ -29,6 +43,8 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice, repeat
+from operator import is_not
 from typing import Iterable, Union
 
 __all__ = [
@@ -45,6 +61,7 @@ __all__ = [
     "node_paths",
     "infer_schema",
     "validate",
+    "fill_columns",
     "dumps_schema",
     "loads_schema",
 ]
@@ -54,6 +71,10 @@ SCHEMA_VERSION = 1
 DEFAULT_CATEGORICAL_THRESHOLD = 32
 DEFAULT_NGRAM_N = 3
 DEFAULT_HASH_DIM = 64
+
+# documents per chunk: per pass of the chunk fold and the columnar fill,
+# and per forward pass when scoring
+CHUNK_SIZE = 256
 
 
 class SchemaError(Exception):
@@ -72,15 +93,20 @@ class SchemaConflict(SchemaError):
 
 
 class _Node:
-    """Base of the five node kinds.  ``_walker`` validates documents
-    against the tree below the node; it is compiled on first use and
-    kept in the node's own ``__dict__``, so it lives exactly as long as
-    the node (a module cache keyed by ``id()`` would keep every schema
-    it ever saw alive)."""
+    """Base of the five node kinds.  ``_compiled`` holds the walker that
+    validates documents against the tree below the node and the fill
+    that appends chunks of them to columns; both are compiled on first
+    use and kept in the node's own ``__dict__``, so they live exactly as
+    long as the node (a module cache keyed by ``id()`` would keep every
+    schema it ever saw alive)."""
 
     @cached_property
+    def _compiled(self) -> tuple:  # (walk, fill)
+        return _compile(self, "$")[:2]
+
+    @property
     def _walker(self):
-        return _compile(self, "$")[0]
+        return self._compiled[0]
 
 
 @dataclass(frozen=True)
@@ -159,18 +185,19 @@ class Violation:
         return f"{self.path}: expected {self.expected}, got {self.actual}"
 
 
-def _kind_of_value(value) -> str:
-    if value is None:
+def _kind_of_type(t: type) -> str:
+    """The kind of a value of type ``t``, or "null", or the type's name."""
+    if t is _NONE:
         return "null"
-    if isinstance(value, bool) or isinstance(value, (int, float)):
-        return "numeric"
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, list):
-        return "bag"
-    if isinstance(value, dict):
-        return "product"
-    return type(value).__name__
+    for types, kind in (((int, float), "numeric"), (str, "string"),
+                        (list, "bag"), (dict, "product")):
+        if issubclass(t, types):  # a bool is an int
+            return kind
+    return t.__name__
+
+
+def _kind_of_value(value) -> str:
+    return _kind_of_type(type(value))
 
 
 def _finite_float(value) -> float | None:
@@ -202,9 +229,7 @@ class _State:
     fields: dict | None = None
 
 
-# the kind of a value of each JSON type; _kind_of_value names the rest
-_KINDS = {int: "numeric", float: "numeric", bool: "numeric", str: "string",
-          list: "bag", dict: "product"}
+_NONE = type(None)
 
 
 class _Clash(Exception):
@@ -245,67 +270,122 @@ def _numbers(state: _State | None, values) -> _State:
     return state
 
 
-def _fold(state: _State | None, value, threshold, per_item=False) -> _State:
-    """``value`` merged in place into ``state``, or into a new state (each
-    leaf count 1, each field required) if ``state`` is None; past
-    ``threshold`` values a categorical leaf turns "string".  A bag's items
-    fold straight into its element state.  ``per_item`` folds each item
-    alone and merges it with ``_absorb``, which puts an item's own
-    conflict before its clash with earlier items; it builds states only
-    to name a conflict.  Raises _Clash."""
-    kind = _KINDS.get(type(value)) or _kind_of_value(value)
+def _finite_numbers(numbers: list, types: set) -> bool:
+    """Whether each of ``numbers`` (of ``types``) is finite in float64: in
+    one C loop unless their sum is not finite, then value by value.  Ints
+    are summed as floats, so that two huge ones cannot cancel."""
+    try:
+        if math.isfinite(sum(numbers) if types == _FLOAT else
+                         math.fsum(numbers)):
+            return True
+    except (OverflowError, ValueError):  # an int past float64, inf - inf
+        pass
+    return all(_finite_float(v) is not None for v in numbers)
+
+
+_FLOAT = {float}
+
+
+def _fold_column(state: _State | None, values: list,
+                 threshold) -> _State:
+    """``values``, one node's values across a chunk of documents, merged
+    in place into ``state``, or into a new state if None; past
+    ``threshold`` values a categorical leaf turns "string".  Each kind is
+    checked once per column: a product's fields and a bag's items fold as
+    columns of their own.  A null is a field's absence, never a value.
+    Raises _Clash naming nothing, at the first conflict, with ``state``
+    partly merged; or RecursionError, one frame a level."""
+    types = set(map(type, values))
+    kinds = set(map(_kind_of_type, types))
+    kind = kinds.pop()
+    if kinds:
+        raise _Clash(kind, kinds.pop())
     if kind == "numeric":
-        if _finite_float(value) is None:
-            raise _Clash("finite number", _number_name(value))
-        return _numbers(state, (value,))
+        if not _finite_numbers(values, types):
+            raise _Clash("finite number", "a number that is not")
+        return _numbers(state, values)
     if kind == "string":
         if state is None:
             state = _State("categorical", vocab=set())
         if state.kind == "categorical":
-            state.vocab.add(value)
+            state.vocab.update(values)
             if len(state.vocab) > threshold:
                 state.kind, state.vocab = "string", None
         elif state.kind != "string":
-            raise _Clash(state.kind,
-                         "string" if threshold < 1 else "categorical")
-        state.count += 1
-        return state
-    if kind == "bag":
-        if state is None:
-            state = _State("bag")
-        elif state.kind != "bag":
             raise _Clash(state.kind, kind)
-        state.count += 1
-        if value and _float_run(value):  # one loop, no fold per item
-            state.child = _numbers(state.child, value)
-            return state
+        state.count += len(values)
+        return state
+    if kind not in ("bag", "product"):
+        raise _Clash("a JSON value", kind)
+    if state is None:
+        state = _State(kind, fields=None if kind == "bag" else {})
+    elif state.kind != kind:
+        raise _Clash(state.kind, kind)
+    state.count += len(values)
+    if kind == "bag":
+        items = list(chain.from_iterable(values))
+        if items:
+            state.child = _fold_column(state.child, items, threshold)
+        return state
+    fields = state.fields
+    for name in set().union(*values):  # a loop: one frame a level
+        column = list(map(dict.get, values, repeat(name)))
+        if None in column:  # null == absent
+            column = [v for v in column if v is not None]
+        if column:
+            fields[name] = _fold_column(fields.get(name), column, threshold)
+    return state
+
+
+def _fold(value, threshold) -> _State:
+    """The state of ``value`` alone (each leaf count 1, each field
+    required); past ``threshold`` values a categorical leaf turns
+    "string".  A bag's items fold one by one and merge with ``_absorb``,
+    which puts an item's own conflict before its clash with earlier
+    items.  It builds states only to name a conflict: raises _Clash."""
+    kind = _kind_of_value(value)
+    if kind == "numeric":
+        if _finite_float(value) is None:
+            raise _Clash("finite number", _number_name(value))
+        return _numbers(None, (value,))
+    if kind == "string":
+        return (_State("string", 1) if threshold < 1
+                else _State("categorical", 1, vocab={value}))
+    if kind == "bag":
+        state = _State("bag", 1)
         try:
             for i, item in enumerate(value):
-                state.child = (
-                    _absorb(state.child, _fold(None, item, threshold, True),
-                            threshold) if per_item
-                    else _fold(state.child, item, threshold))
+                state.child = _absorb(state.child, _fold(item, threshold),
+                                      threshold)
         except _Clash as clash:
             clash.steps.append(f"[{i}]")
             raise
         return state
     if kind == "product":
-        if state is None:
-            state = _State("product", fields={})
-        elif state.kind != "product":
-            raise _Clash(state.kind, kind)
-        state.count += 1
-        fields = state.fields
+        state = _State("product", 1, fields={})
         try:  # a loop, not a comprehension: one frame a level
             for name in sorted(value):
                 if value[name] is not None:  # null == absent
-                    fields[name] = _fold(fields.get(name), value[name],
-                                         threshold, per_item)
+                    state.fields[name] = _fold(value[name], threshold)
         except _Clash as clash:
             clash.steps.append(f".{name}")
             raise
         return state
     raise _Clash("a JSON value", kind)
+
+
+def _copied(state: _State | None) -> _State | None:
+    """A copy of ``state`` that shares nothing mutable with it."""
+    if state is None:
+        return None
+    fields = None
+    if state.fields is not None:
+        fields = {}
+        for name, f in state.fields.items():  # a loop: one frame a level
+            fields[name] = _copied(f)
+    return _State(state.kind, state.count, state.total, state.squares,
+                  state.scale, None if state.vocab is None
+                  else set(state.vocab), _copied(state.child), fields)
 
 
 def _absorb(a, b, threshold) -> _State | None:
@@ -404,30 +484,44 @@ def infer_schema(docs: Iterable, categorical_threshold: int =
     an empty corpus, a path two nodes share, or an array empty in every
     document, and SchemaConflict on irreconcilable kinds.
 
-    Each document, and each item of its bags, folds straight into the
-    corpus state, whose numeric sums are exact: no order of documents or
-    items changes the schema.  No path string is built unless a conflict
-    is raised.  A document's own conflict (a non-finite number, a non-JSON
-    value, a clash between a bag's items) comes before its clash with the
-    corpus: a document that does not fold is folded once more, alone and
-    item by item, and else merged into the corpus to name its clash.
+    Each chunk of ``CHUNK_SIZE`` documents folds into the corpus state
+    one schema node at a time (``_fold_column``), and numeric sums are
+    exact: no order of documents or items, and no chunking, changes the
+    schema.  Memory holds one chunk.  A chunk that does not fold puts the
+    corpus state back as it was and folds again one document at a time,
+    so that each conflict is named at its document.  A document's own
+    conflict (a non-finite number, a non-JSON value, a clash between a
+    bag's items) comes before its clash with the corpus: a document that
+    does not fold is folded once more, alone and item by item, and else
+    merged into the corpus to name its clash.  No path string is built
+    unless a conflict is raised.
     """
-    corpus = None  # each document folds into it in place
-    for doc in docs:
+    corpus, docs = None, iter(docs)  # each chunk folds into it in place
+    while chunk := list(islice(docs, CHUNK_SIZE)):
+        before = _copied(corpus)
         try:
-            corpus = _fold(corpus, doc, categorical_threshold)
-        except _Clash as clash:
-            # the failed fold changed the corpus only by merges that did
-            # not clash, which turn no kind into another but categorical
-            # into string, which _absorb takes as compatible: so _absorb
-            # meets the corpus's own clashes first, in sorted preorder
-            try:  # once per document, never once per bag level
-                _absorb(corpus, _fold(None, doc, categorical_threshold, True),
-                        categorical_threshold)
-            except _Clash as named:
-                clash = named
-            raise SchemaConflict("$" + "".join(reversed(clash.steps)),
-                                 clash.expected, clash.actual) from None
+            corpus = _fold_column(corpus, chunk, categorical_threshold)
+        except (_Clash, RecursionError):
+            corpus = before
+            for doc in chunk:  # inline: one frame a level, as the chunk
+                try:
+                    corpus = _fold_column(corpus, [doc],
+                                          categorical_threshold)
+                except _Clash as clash:
+                    # the failed fold changed the corpus only by merges
+                    # that did not clash, which turn no kind into another
+                    # but categorical into string, which _absorb takes as
+                    # compatible: so _absorb meets the corpus's own
+                    # clashes first, in sorted preorder
+                    try:  # once per document, never once per bag level
+                        _absorb(corpus, _fold(doc, categorical_threshold),
+                                categorical_threshold)
+                    except _Clash as named:
+                        clash = named
+                    raise SchemaConflict(
+                        "$" + "".join(reversed(clash.steps)),
+                        clash.expected, clash.actual) from None
+        del chunk  # freed before the next chunk is read
     if corpus is None:
         raise SchemaError("empty corpus")
     merged = _frozen(corpus)
@@ -467,7 +561,8 @@ def validate(doc, schema: SchemaNode,
     counts, and product presence flags.  A document that does not fit,
     or nests too deeply for the recursion limit, leaves ``columns`` as
     they were; only then does the walk run again, building the document
-    paths that its violations name.
+    paths that its violations name.  This per-document walk serves single
+    documents and the fallback of ``fill_columns``.
     """
     walk = schema._walker
     if columns is None:
@@ -477,11 +572,7 @@ def validate(doc, schema: SchemaNode,
         walk(doc, columns, None, None)
         return []
     except BaseException as exc:  # a misfit, or too deep a document
-        # the walk only adds keys, so those past len(sizes) are its own
-        for key in list(columns)[len(sizes):]:
-            del columns[key]
-        for column, size in zip(columns.values(), sizes):
-            del column[size:]
+        _restore(columns, sizes)
         if not isinstance(exc, _Misfit):
             raise
     out: list[Violation] = []
@@ -489,17 +580,51 @@ def validate(doc, schema: SchemaNode,
     return out
 
 
+def fill_columns(docs: list, schema: SchemaNode,
+                 columns: dict[str, list]) -> bool:
+    """Append every document of ``docs``, a chunk, to ``columns`` as
+    ``validate`` appends one, and return True, if each fits ``schema``;
+    else, or if the chunk nests too deeply for the recursion limit,
+    leave ``columns`` as they were and return False, so that the caller
+    can take the documents one at a time with ``validate`` to name each
+    misfit.  Each schema node checks and appends its whole column of the
+    chunk at once."""
+    sizes = list(map(len, columns.values()))
+    try:
+        schema._compiled[1](docs, columns, False)
+        return True
+    except BaseException as exc:
+        _restore(columns, sizes)
+        if not isinstance(exc, (_Misfit, RecursionError)):
+            raise
+    return False
+
+
+def _restore(columns: dict[str, list], sizes: list[int]) -> None:
+    """Cut ``columns`` back to the first ``sizes`` rows of each; keys
+    past ``len(sizes)`` were added since, as appending only adds keys."""
+    for key in list(columns)[len(sizes):]:
+        del columns[key]
+    for column, size in zip(columns.values(), sizes):
+        del column[size:]
+
+
 def _compile(node: SchemaNode, column_path: str) -> tuple:
-    """The walker of ``node``, whose column ``column_path`` names, and
-    the column rows an absent ``node`` takes: None per leaf, 0 per bag,
-    and a zero flag per optional product field.
+    """The walker and the fill of ``node``, whose column ``column_path``
+    names, and the column rows an absent ``node`` takes: None per leaf, 0
+    per bag, and a zero flag per optional product field.
 
     ``walk(value, columns, out, path)`` checks ``value`` and appends it
     to ``columns``, calling the walker of each child directly.  With
     ``path`` None it raises _Misfit at the first misfit; otherwise
     ``path`` names ``value`` in the document, and each misfit appends
-    its Violation to ``out``.  Compiling and walking both take one frame
-    per nesting level.
+    its Violation to ``out``.
+
+    ``fill(values, columns, nullable)`` appends a column, the values at
+    ``node`` across a chunk, as ``walk`` appends each value, and raises
+    _Misfit if any of them does not fit.  A None value is an absent
+    ``node`` where ``nullable`` (under an optional field), else a misfit.
+    Compiling, walking and filling each take one frame per nesting level.
     """
     if isinstance(node, Product):
         names = frozenset(node.field_names)
@@ -508,16 +633,17 @@ def _compile(node: SchemaNode, column_path: str) -> tuple:
         absent = [(column_path, [0.0 for f in node.fields if f.optional])]
         fields = []
         for f in node.fields:
-            walk_field, absent_rows = _compile(f.schema,
-                                               f"{column_path}.{f.name}")
-            fields.append((f.name, walk_field, absent_rows, f.optional))
+            walk_field, fill_field, absent_rows = _compile(
+                f.schema, f"{column_path}.{f.name}")
+            fields.append((f.name, walk_field, fill_field, absent_rows,
+                           f.optional))
             absent += absent_rows
 
         def walk(value, columns, out, path):
             if not isinstance(value, dict):
                 return _misfit(out, path, "object", _kind_of_value(value))
             flags = []
-            for name, walk_field, absent_rows, optional in fields:
+            for name, walk_field, _, absent_rows, optional in fields:
                 v = value.get(name)
                 if v is not None:
                     walk_field(v, columns, out, path and f"{path}.{name}")
@@ -535,10 +661,35 @@ def _compile(node: SchemaNode, column_path: str) -> tuple:
                     if value[name] is not None:
                         _misfit(out, path and f"{path}.{name}",
                                 "no such field", "unexpected field")
-        return walk, absent
+
+        def fill(values, columns, nullable):
+            present, types = _present(values, nullable)
+            if types - _DICT:
+                raise _Misfit
+            if present is not values:  # an absent object: no field there
+                values = [_NO_FIELDS if v is None else v for v in values]
+            if not all(map(names.issuperset, present)) and any(
+                    v[name] is not None
+                    for v in present for name in v.keys() - names):
+                raise _Misfit  # a field the schema has not, not null
+            flags = []
+            for name, _, fill_field, _, optional in fields:
+                column = list(map(dict.get, values, repeat(name)))
+                if optional:
+                    flags.append(list(map(float, map(is_not, column,
+                                                     repeat(None)))))
+                elif present is not values and None in map(
+                        dict.get, present, repeat(name)):
+                    raise _Misfit  # a required field missing
+                # a missing required field of a present object fails in
+                # fill_field, which takes no None unless it is nullable
+                fill_field(column, columns, optional or present is not values)
+            columns[column_path].extend(
+                map(list, zip(*flags)) if flags else repeat([], len(values)))
+        return walk, fill, absent
     if isinstance(node, Bag):
         child_path = column_path + "[]"
-        walk_item, _ = _compile(node.child, child_path)
+        walk_item, fill_item, _ = _compile(node.child, child_path)
         numeric = isinstance(node.child, NumericLeaf)
 
         def walk(value, columns, out, path):
@@ -550,7 +701,18 @@ def _compile(node: SchemaNode, column_path: str) -> tuple:
                 return
             for i, item in enumerate(value):
                 walk_item(item, columns, out, path and f"{path}[{i}]")
-        return walk, [(column_path, 0)]
+
+        def fill(values, columns, nullable):
+            lists, types = _present(values, nullable)
+            if types - _LIST:
+                raise _Misfit
+            columns[column_path].extend(  # an absent bag is empty
+                map(len, values) if lists is values
+                else [0 if v is None else len(v) for v in values])
+            items = list(chain.from_iterable(lists))
+            if items:
+                fill_item(items, columns, False)
+        return walk, fill, [(column_path, 0)]
     if isinstance(node, NumericLeaf):
         def walk(value, columns, out, path):
             if not isinstance(value, (int, float)):  # a bool is an int
@@ -559,6 +721,12 @@ def _compile(node: SchemaNode, column_path: str) -> tuple:
                 return _misfit(out, path, "finite number",
                                _number_name(value))
             columns[column_path].append(value)
+
+        def fill(values, columns, nullable):
+            numbers, types = _present(values, nullable)
+            if types - _NUMBER or not _finite_numbers(numbers, types):
+                raise _Misfit
+            columns[column_path].extend(values)
     else:
         ngrams = isinstance(node, StringLeaf)
 
@@ -574,7 +742,37 @@ def _compile(node: SchemaNode, column_path: str) -> tuple:
                     return _misfit(out, path, "string encodable as UTF-8",
                                    "unpaired surrogate")
             columns[column_path].append(value)
-    return walk, [(column_path, None)]
+
+        def fill(values, columns, nullable):
+            strings, types = _present(values, nullable)
+            if types - _STR:
+                raise _Misfit
+            if ngrams:
+                text = "".join(strings)
+                if not text.isascii():
+                    try:  # a surrogate never encodes, paired or not
+                        text.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise _Misfit from None
+            columns[column_path].extend(values)
+    return walk, fill, [(column_path, None)]
+
+
+# types a fill takes: a bool is an int, and a subclass of one is a misfit
+# of the chunk, which the walker then takes document by document
+_DICT, _LIST, _STR = {dict}, {list}, {str}
+_NUMBER = {int, float, bool}
+_NO_FIELDS: dict = {}  # an absent product's values: read, never changed
+
+
+def _present(values: list, nullable: bool) -> tuple[list, set]:
+    """``values`` without the Nones that ``nullable`` lets stand for an
+    absent leaf, and the types of those left (NoneType if not let)."""
+    types = set(map(type, values))
+    if _NONE in types and nullable:
+        types.discard(_NONE)
+        return [v for v in values if v is not None], types
+    return values, types
 
 
 def _float_run(items: list) -> bool:

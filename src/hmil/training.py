@@ -5,10 +5,13 @@ backward sweep yields parameter gradients.  Shuffling derives from
 (seed, epoch), making whole runs reproducible bit for bit.  Every entry
 point takes raw JSON documents; ``train`` encodes its corpus once and
 gathers each minibatch from it, and ``predict_scores`` streams documents
-through the model one chunk at a time.  Scoring memory is bounded by a
-chunk's leaf columns plus one block of instance activations per bag node
-(``model.BLOCK_ACTIVATIONS``, 4096 rows at embed_dim 32), however large
-the chunk's bags.
+through the model one chunk of ``CHUNK_SIZE`` fitting documents at a
+time.  Each chunk's documents are appended to the columns one schema
+node at a time (``schema.fill_columns``), and only a chunk with a misfit
+is encoded again document by document, to name it.  Scoring memory is
+bounded by a chunk's leaf columns plus one block of instance activations
+per bag node (``model.BLOCK_ACTIVATIONS``, 4096 rows at embed_dim 32),
+however large the chunk's bags.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .encoding import EncodingError, encode_document
 from .model import Model, forward
 from .nn import (AdamState, ShapeError, Tape, Tensor, adam_step, backward,
                  flat_gradient)
+from .schema import CHUNK_SIZE, fill_columns
 
 __all__ = [
     "CHUNK_SIZE",
@@ -39,8 +43,6 @@ __all__ = [
     "evaluate_accuracy",
 ]
 
-# documents per forward pass when scoring
-CHUNK_SIZE = 256
 LOSSES = ("ce", "mse")  # softmax cross-entropy, mean squared error
 
 
@@ -218,25 +220,37 @@ def predict_scores(model: Model, items: Iterable) -> Iterator[tuple]:
 
     One forward pass scores each ``CHUNK_SIZE`` documents that fit, and
     a chunk's items are yielded as soon as it is scored, so a stream of
-    any length is never held whole.
+    any length is never held whole.  The documents still missing from a
+    chunk are read and appended to its columns together, in one columnar
+    pass; if one of them does not fit, they are encoded again one at a
+    time, and then the chunk reads as many more as failed.
     """
-    columns, pending = new_columns(model.schema), []
-    for key, doc, error in items:
-        if error is None:
-            try:
-                encode_document(doc, model.schema, columns)
-            except EncodingError as exc:
-                error = exc
-        pending.append((key, error))
+    schema, items = model.schema, iter(items)
+    columns, pending, more = new_columns(schema), [], True
+    while more:
+        docs, places = [], []  # the documents read and their pending rows
+        for key, doc, error in items:
+            if error is None:
+                docs.append(doc)
+                places.append(len(pending))
+            pending.append((key, error))
+            if len(docs) == CHUNK_SIZE - len(columns["$"]):
+                break
+        else:
+            more = False
+        if not fill_columns(docs, schema, columns):
+            for doc, place in zip(docs, places):
+                try:
+                    encode_document(doc, schema, columns)
+                except EncodingError as exc:
+                    pending[place] = (pending[place][0], exc)
         # node_paths in finish_batch recurses as deep as the schema nests,
         # so it is called from this frame, not from a helper below it
-        if len(columns["$"]) == CHUNK_SIZE:  # one root row per document
+        if len(columns["$"]) == CHUNK_SIZE or not more and columns["$"]:
             yield from _paired(pending, forward(
-                model, finish_batch(columns, model.schema)).data)
-            columns, pending = new_columns(model.schema), []
-    yield from _paired(pending, forward(
-        model, finish_batch(columns, model.schema)).data
-        if columns["$"] else ())
+                model, finish_batch(columns, schema)).data)
+            columns, pending = new_columns(schema), []
+    yield from _paired(pending, ())
 
 
 def _paired(pending: list[tuple], scores) -> Iterator[tuple]:

@@ -11,7 +11,7 @@ import json
 import time
 
 import numpy as np
-from conftest import kernel_note
+from conftest import kernel_note, pinned
 
 from hmil.cli import main
 from hmil.model import load_model
@@ -143,6 +143,20 @@ def test_10_schema_round_trip():
     assert check["passed"]
 
 
+# sha256 of the `hmil verify --suite all` report at SEED, per OpenBLAS
+# kernel (conftest.PINNED_KERNELS)
+DETERMINISM_REPORT_SHA256 = {
+    "SkylakeX":
+        "8c13a8f697153bcb2c09ed47da0404491110567a985a06ac080e63d73201f4fc",
+    "Haswell":
+        "610fe34095174efd953983b3c5640558625c9cf46fd278c9cf4906c38c669fcd",
+    "Sandybridge":
+        "79b886ec5e1003258b5229c42461629ddeb5634295b5803723b905e4478809f3",
+    "Katmai":
+        "3005dc11fe0d32dfbee4f1259c6b484819d0f8d9da29a848283c20c9e535f72f",
+}
+
+
 def test_11_determinism(tmp_path, capsys):
     assert main(["verify", "--suite", "all", "--seed", str(SEED)]) == 0
     first = capsys.readouterr().out
@@ -151,9 +165,8 @@ def test_11_determinism(tmp_path, capsys):
     assert first == second
     assert json.loads(first)["passed"] is True
     # the report's bytes at this seed, so any drift in a number shows
-    assert hashlib.sha256(first.encode("utf-8")).hexdigest() == (
-        "8c13a8f697153bcb2c09ed47da0404491110567a985a06ac080e63d73201f4fc"
-    ), kernel_note()
+    assert hashlib.sha256(first.encode("utf-8")).hexdigest() == pinned(
+        DETERMINISM_REPORT_SHA256), kernel_note()
 
     rng = np.random.default_rng(SEED)
     train = tmp_path / "train.jsonl"

@@ -32,7 +32,9 @@ from hmil.schema import (
     _finite_float,
     _float_run,
     _kind_of_value,
+    CHUNK_SIZE,
     dumps_schema,
+    fill_columns,
     infer_schema,
     loads_schema,
     node_paths,
@@ -614,6 +616,128 @@ def test_validate_matches_the_reference_walk_on_inferred_schemas(
     docs += [data.draw(documents(schema, odd_one_in))
              for odd_one_in in (0, 20)]
     assert_validate_matches_the_reference(docs, schema)
+
+
+def assert_fill_matches_the_walker(docs, schema):
+    """``fill_columns`` of ``docs`` as one chunk appends what ``validate``
+    of each appends, if each fits, and else leaves the columns as they
+    were, by repr (NaN equals itself, and 1 differs from 1.0 and True)."""
+    columns = new_columns(schema)
+    want = new_columns(schema)
+    fits = all([validate(doc, schema, want) == [] for doc in docs])
+    assert fill_columns(docs, schema, columns) is fits
+    assert repr(columns) == repr(want if fits else new_columns(schema))
+
+
+@given(st.data(), SCHEMAS)
+def test_fill_matches_the_walker_on_built_schemas(data, schema):
+    docs = [data.draw(documents(schema, odd_one_in))
+            for odd_one_in in (0, 0, 0, 20)]
+    for chunk in (docs[:3], docs, docs[3:], []):
+        assert_fill_matches_the_walker(chunk, schema)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from((0, 1, 32)))
+def test_fill_matches_the_walker_on_inferred_schemas(seed, threshold):
+    docs = random_corpus(seed)
+    try:
+        schema = infer_schema(docs[:-1] or docs,
+                              categorical_threshold=threshold)
+    except SchemaError:
+        assume(False)  # a conflict, or an array empty in every document
+    assert_fill_matches_the_walker(docs, schema)
+    assert_fill_matches_the_walker(docs[:-1], schema)
+
+
+# a corpus of several chunks, and where a misfit or a conflict goes in it:
+# the first document, the last of the first chunk, the first of the
+# second, and the last document
+N_DOCS = 3 * CHUNK_SIZE + 7
+PLACES = (0, CHUNK_SIZE - 1, CHUNK_SIZE, N_DOCS - 1)
+
+
+def _chunked_doc(i):
+    doc = {"id": i, "x": i * 0.25 - 9.5, "tag": "abc"[i % 3],
+           "msg": f"message {i * 7919 % 1000} of {i % 13}",
+           "xs": [i / 7, -1.5, 1e300][:i % 4],
+           "items": [{"k": f"k{j}", "v": j - i} for j in range(i % 3)]}
+    if i % 5:
+        doc["opt"] = None if i % 5 == 1 else {"deep": [[i], []], "n": True}
+    return doc
+
+
+CHUNKED_DOCS = [_chunked_doc(i) for i in range(N_DOCS)]
+CHUNKED_SCHEMA = infer_schema(CHUNKED_DOCS, categorical_threshold=5)
+
+# documents that do not fit CHUNKED_SCHEMA, one misfit each
+MISFITS = [
+    {**_chunked_doc(1), "x": "1.5"},
+    {**_chunked_doc(2), "x": float("nan")},
+    {**_chunked_doc(3), "xs": [1.0, None]},
+    {**_chunked_doc(4), "extra": 1},
+    {k: v for k, v in _chunked_doc(6).items() if k != "tag"},
+    {**_chunked_doc(7), "opt": {"deep": [[1], [float("inf")]], "n": 1}},
+    {**_chunked_doc(8), "msg": "lone \ud800"},
+    {**_chunked_doc(9), "items": [{"k": "a", "v": 1}, {"k": 2, "v": 1}]},
+    {**_chunked_doc(11), "opt": {"n": 1}},
+    None,
+]
+
+
+@pytest.mark.parametrize("misfit", range(len(MISFITS)))
+def test_chunks_with_misfits_fill_as_the_walker_does(misfit):
+    """Chunk by chunk, with the walker as the fallback of a chunk that
+    does not fit, the columns end up as the walker's appends of the
+    documents that fit; only a chunk with a misfit falls back."""
+    docs = list(CHUNKED_DOCS)
+    for k, place in enumerate(PLACES):
+        docs[place] = MISFITS[(misfit + k) % len(MISFITS)]
+    columns, want = new_columns(CHUNKED_SCHEMA), new_columns(CHUNKED_SCHEMA)
+    for doc in docs:
+        validate(doc, CHUNKED_SCHEMA, want)
+    fell_back = []
+    for start in range(0, N_DOCS, CHUNK_SIZE):
+        chunk = docs[start:start + CHUNK_SIZE]
+        if not fill_columns(chunk, CHUNKED_SCHEMA, columns):
+            fell_back.append(start)
+            for doc in chunk:
+                validate(doc, CHUNKED_SCHEMA, columns)
+    assert fell_back == [0, CHUNK_SIZE, 3 * CHUNK_SIZE]
+    assert repr(columns) == repr(want)
+    assert len(columns["$"]) == N_DOCS - len(PLACES)
+
+
+# corpora whose one conflict sits at one document: a kind clash with the
+# corpus, a clash inside the document, a non-finite number and a null
+CONFLICTS = [
+    lambda i: {**_chunked_doc(i), "id": "seven"},
+    lambda i: {**_chunked_doc(i), "items": [{"k": 1, "v": 1},
+                                            {"k": "a", "v": [1]}]},
+    lambda i: {**_chunked_doc(i), "xs": [1.0, float("-inf")]},
+    lambda i: {**_chunked_doc(i), "opt": {"deep": [[None]], "n": 1}},
+    lambda i: [_chunked_doc(i)],
+]
+
+
+@pytest.mark.parametrize("place", PLACES)
+@pytest.mark.parametrize("conflict", range(len(CONFLICTS)))
+def test_a_conflict_in_any_chunk_is_named_as_the_reference_names_it(
+        place, conflict):
+    docs = list(CHUNKED_DOCS)
+    docs[place] = CONFLICTS[conflict](place)
+    for threshold in (0, 5):
+        want = _outcome(reference_infer, docs, threshold)
+        assert want[0] == "conflict"
+        assert _outcome(lambda d, t: infer_schema(
+            iter(d), categorical_threshold=t), docs, threshold) == want
+
+
+def test_a_chunked_corpus_infers_as_the_reference_does():
+    for threshold in (0, 2, 5, 32):
+        assert _outcome(
+            lambda d, t: infer_schema(d, categorical_threshold=t),
+            CHUNKED_DOCS, threshold) == _outcome(
+            reference_infer, CHUNKED_DOCS, threshold)
 
 
 # schema nodes whose keys are all there but hold a value of the wrong
